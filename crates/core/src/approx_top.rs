@@ -11,10 +11,16 @@
 //! else offer `ESTIMATE(C, q_j)` to the k-slot heap.
 //!
 //! [`ApproxTopProcessor::observe`] (and `observe_stream`, its loop) is
-//! that per-item rule, kept verbatim: tracker state then depends only on
-//! the stream prefix, so snapshots resumed mid-stream stay bit-identical
-//! to an uninterrupted run. Bulk arrivals can instead go through
-//! [`ApproxTopProcessor::observe_batch`], which feeds the sketch via the
+//! that per-item rule: tracker state depends only on the stream prefix,
+//! so snapshots resumed mid-stream stay bit-identical to an
+//! uninterrupted run. It hashes each row once per arrival. Membership
+//! does not depend on the sketch, so the tracker is asked first: a
+//! tracked arrival is a plain `ADD`; an untracked one runs the fused
+//! `ADD`+`ESTIMATE` kernel, which reads the estimate back from the `t`
+//! cells it just wrote. The state is bit-identical to separate calls.
+//! The tracker ([`TopKTracker`]) is a flat array with a cached minimum
+//! and does not hash the key at small `k`. Bulk arrivals can instead go
+//! through [`ApproxTopProcessor::observe_batch`], which feeds the sketch via the
 //! block ingestion engine ([`crate::ingest`]) and amortizes heap
 //! maintenance per block — the sketch state stays bit-identical either
 //! way; see the method docs for the (benign) effect on stored heap
@@ -111,20 +117,16 @@ where
         self
     }
 
-    /// Processes one arrival: the paper's two steps.
+    /// Processes one arrival: the paper's two steps. Tracker membership
+    /// does not depend on the sketch, so it is checked first: a tracked
+    /// arrival is incremented and added, an untracked one is added and
+    /// estimated in one fused pass over its `t` cells.
     pub fn observe(&mut self, key: ItemKey) {
-        self.sketch.add(key);
-        match self.policy {
-            HeapPolicy::IncrementTracked => {
-                if !self.tracker.increment(key) {
-                    let est = self.sketch.estimate_with_scratch(key, &mut self.scratch);
-                    self.tracker.offer(key, est);
-                }
-            }
-            HeapPolicy::AlwaysReEstimate => {
-                let est = self.sketch.estimate_with_scratch(key, &mut self.scratch);
-                self.tracker.offer(key, est);
-            }
+        if self.policy == HeapPolicy::IncrementTracked && self.tracker.increment(key) {
+            self.sketch.add(key);
+        } else {
+            let est = self.sketch.update_estimate(key, 1, &mut self.scratch);
+            self.tracker.offer(key, est);
         }
     }
 
@@ -225,7 +227,10 @@ where
     pub fn result(&self) -> ApproxTopResult {
         ApproxTopResult {
             items: self.tracker.items_desc(),
-            space_bytes: self.sketch.space_bytes() + self.tracker.space_bytes(),
+            space_bytes: self
+                .sketch
+                .space_bytes()
+                .saturating_add(self.tracker.space_bytes()),
         }
     }
 
@@ -447,6 +452,57 @@ mod tests {
                 truth.is_subset(&got),
                 "missing dominant items: {truth:?} vs {got:?}"
             );
+        }
+    }
+
+    /// The paper's rule spelled out with separate ADD and ESTIMATE calls
+    /// (the pre-fusion loop), assembled into a processor for comparison.
+    fn add_then_estimate(
+        ids: &[u64],
+        params: SketchParams,
+        k: usize,
+        combiner: Combiner,
+        policy: HeapPolicy,
+    ) -> ApproxTopProcessor {
+        let mut sketch = CountSketch::new(params, 29).with_combiner(combiner);
+        let mut tracker = TopKTracker::new(k);
+        let mut scratch = EstimateScratch::new();
+        for &id in ids {
+            let key = ItemKey(id);
+            sketch.add(key);
+            if policy == HeapPolicy::AlwaysReEstimate || !tracker.increment(key) {
+                tracker.offer(key, sketch.estimate_with_scratch(key, &mut scratch));
+            }
+        }
+        ApproxTopProcessor::from_parts(sketch, tracker, policy)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_observe_matches_add_then_estimate(
+            ids in proptest::prop::collection::vec(0u64..80, 0..400),
+            rows in 1usize..12,
+            buckets in 1usize..64,
+            k in 1usize..12,
+            comb in 0usize..3,
+            always in proptest::prelude::any::<bool>(),
+        ) {
+            let params = SketchParams::new(rows, buckets);
+            let combiner = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean][comb];
+            let policy = if always {
+                HeapPolicy::AlwaysReEstimate
+            } else {
+                HeapPolicy::IncrementTracked
+            };
+            let mut p = ApproxTopProcessor::new(params, k, 29)
+                .with_combiner(combiner)
+                .with_policy(policy);
+            for &id in &ids {
+                p.observe(ItemKey(id));
+            }
+            let want = add_then_estimate(&ids, params, k, combiner, policy);
+            proptest::prop_assert_eq!(p.result(), want.result());
+            proptest::prop_assert_eq!(p.to_snapshot_bytes(), want.to_snapshot_bytes());
         }
     }
 

@@ -71,9 +71,10 @@ impl IcebergProcessor {
     /// Feeds one occurrence (the §3.2 heap rule).
     pub fn observe(&mut self, key: ItemKey) {
         self.n += 1;
-        self.sketch.add(key);
-        if !self.tracker.increment(key) {
-            let est = self.sketch.estimate_with_scratch(key, &mut self.scratch);
+        if self.tracker.increment(key) {
+            self.sketch.add(key);
+        } else {
+            let est = self.sketch.update_estimate(key, 1, &mut self.scratch);
             self.tracker.offer(key, est);
         }
     }
@@ -159,6 +160,35 @@ pub fn iceberg(
 mod tests {
     use super::*;
     use cs_stream::{ExactCounter, Zipf, ZipfStreamKind};
+
+    proptest::proptest! {
+        #[test]
+        fn prop_observe_matches_add_then_estimate(
+            ids in proptest::prop::collection::vec(0u64..60, 0..400),
+            buckets in 1usize..64,
+            phi_pick in 0usize..3,
+        ) {
+            let phi = [0.05, 0.2, 0.5][phi_pick];
+            let params = SketchParams::new(5, buckets);
+            let mut p = IcebergProcessor::new(params, phi, phi / 4.0, 2, 8);
+            // Reference: the same processor driven through separate ADD
+            // and ESTIMATE calls.
+            let mut r = IcebergProcessor::new(params, phi, phi / 4.0, 2, 8);
+            for &id in &ids {
+                let key = ItemKey(id);
+                p.observe(key);
+                r.n += 1;
+                r.sketch.add(key);
+                if !r.tracker.increment(key) {
+                    let est = r.sketch.estimate_with_scratch(key, &mut r.scratch);
+                    r.tracker.offer(key, est);
+                }
+            }
+            proptest::prop_assert_eq!(p.sketch.counters(), r.sketch.counters());
+            proptest::prop_assert_eq!(p.tracker.items_desc(), r.tracker.items_desc());
+            proptest::prop_assert_eq!(p.result(), r.result());
+        }
+    }
 
     #[test]
     fn reports_items_above_threshold() {

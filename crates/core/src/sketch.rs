@@ -292,14 +292,61 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         match self.headroom_after(1, weight) {
             Some(mass) => {
                 self.abs_mass = mass;
+                // Canonicalize the key once per hash family, not once per
+                // row (see `BucketHasher::canon`).
                 let k = key.raw();
-                for i in 0..self.rows {
-                    let bucket = self.hashers[i].bucket(k);
-                    let sign = self.signs[i].sign(k);
-                    self.counters[i * self.buckets + bucket] += sign * weight;
+                let (kb, ks) = (self.hashers[0].canon(k), self.signs[0].canon(k));
+                for (i, (h, sg)) in self.hashers.iter().zip(&self.signs).enumerate() {
+                    self.counters[i * self.buckets + h.bucket_canon(kb)] +=
+                        sg.sign_canon(ks) * weight;
                 }
             }
             None => self.update_exact(key, weight),
+        }
+    }
+
+    /// `update(key, weight)` followed by `ESTIMATE(C, key)` in one pass:
+    /// the estimate reads back the `t` cells the update just wrote, so
+    /// each row is hashed once instead of twice. Same two-tier overflow
+    /// scheme as [`Self::update`]: while the `abs_mass` watermark proves
+    /// no cell can clamp, the row estimates `s_i(q)·C[i][h_i(q)]` come
+    /// straight from the fresh cells (a stack column, sketch depths up to
+    /// `FUSED_ROWS`); otherwise, and for taller sketches, it falls back
+    /// to [`Self::update`] plus [`Self::estimate_with_scratch`]. Counters,
+    /// saturation flags, `abs_mass` and the returned value are
+    /// bit-identical to that pair of calls in either tier.
+    #[inline]
+    pub(crate) fn update_estimate(
+        &mut self,
+        key: ItemKey,
+        weight: i64,
+        scratch: &mut EstimateScratch,
+    ) -> i64 {
+        match self.headroom_after(1, weight) {
+            Some(mass) if self.rows <= FUSED_ROWS => {
+                self.abs_mass = mass;
+                let k = key.raw();
+                let (kb, ks) = (self.hashers[0].canon(k), self.signs[0].canon(k));
+                let mut ests = [0i64; FUSED_ROWS];
+                for (i, ((h, sg), e)) in self
+                    .hashers
+                    .iter()
+                    .zip(&self.signs)
+                    .zip(&mut ests)
+                    .enumerate()
+                {
+                    let sign = sg.sign_canon(ks);
+                    let cell = &mut self.counters[i * self.buckets + h.bucket_canon(kb)];
+                    *cell += sign * weight;
+                    // |cell| ≤ abs_mass ≤ i64::MAX, so the product is exact.
+                    *e = sign * *cell;
+                }
+                combine(self.combiner, &ests[..self.rows], &mut scratch.sort)
+            }
+            _ => {
+                self.update(key, weight);
+                self.estimate_with_scratch(key, scratch)
+            }
         }
     }
 
@@ -628,6 +675,10 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         std::mem::size_of::<Self>() + counters + hashers + signs
     }
 }
+
+/// Deepest sketch whose row estimates [`GenericCountSketch::update_estimate`]
+/// stages on the stack; taller sketches take its two-call fallback.
+const FUSED_ROWS: usize = 16;
 
 /// Reusable buffers for [`GenericCountSketch::estimate_with_scratch`].
 #[derive(Debug, Default, Clone)]
@@ -1268,8 +1319,92 @@ mod tests {
         assert!(h.error_bound_widening().is_infinite());
     }
 
+    /// Depths covering the stack column, every median network and both
+    /// sides of the generic median path; the 17-row sketch takes the
+    /// fused kernel's two-call fallback.
+    const FUSED_DEPTHS: [usize; 8] = [1, 2, 3, 5, 7, 9, 11, 17];
+    const COMBINERS: [Combiner; 3] = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean];
+
+    /// Drives `update_estimate` on one copy of `sketch` and `update` then
+    /// `estimate_with_scratch` on another, asserting equal answers and
+    /// equal state (counters, saturation bits, watermark) after every op.
+    fn assert_fused_matches_split<H: BucketHasher + Clone, S: SignHasher + Clone>(
+        sketch: GenericCountSketch<H, S>,
+        ops: &[(u64, i64)],
+    ) {
+        let mut fused = sketch.clone();
+        let mut split = sketch;
+        let (mut fs, mut ss) = (EstimateScratch::new(), EstimateScratch::new());
+        for &(id, weight) in ops {
+            let key = ItemKey(id);
+            let got = fused.update_estimate(key, weight, &mut fs);
+            split.update(key, weight);
+            let want = split.estimate_with_scratch(key, &mut ss);
+            assert_eq!(got, want, "estimate after ({id}, {weight})");
+            assert_eq!(fused.counters, split.counters);
+            assert_eq!(fused.saturated, split.saturated);
+            assert_eq!(fused.abs_mass, split.abs_mass);
+        }
+    }
+
+    #[test]
+    fn fused_kernel_crosses_into_the_slow_tier() {
+        // Unit weights on the fast tier, then weights near ±i64::MAX that
+        // exhaust the watermark and clamp cells, then unit weights again
+        // on the slow tier — for every depth and combiner.
+        let mut ops: Vec<(u64, i64)> = (0..200u64).map(|i| (i % 13, 1)).collect();
+        ops.extend([
+            (3, i64::MAX - 1),
+            (3, i64::MAX),
+            (4, -i64::MAX),
+            (5, i64::MIN),
+        ]);
+        ops.extend((0..50u64).map(|i| (i % 7, if i % 2 == 0 { 1 } else { -1 })));
+        for rows in FUSED_DEPTHS {
+            for combiner in COMBINERS {
+                let params = SketchParams::new(rows, 8);
+                assert_fused_matches_split(
+                    CountSketch::new(params, 11).with_combiner(combiner),
+                    &ops,
+                );
+                assert_fused_matches_split(
+                    FastCountSketch::new(params, 11).with_combiner(combiner),
+                    &ops,
+                );
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn prop_update_estimate_equals_update_then_estimate(
+            seed: u64,
+            depth in 0usize..8,
+            comb in 0usize..3,
+            buckets in 1usize..40,
+            ops in prop::collection::vec((0u64..60, 0u8..24), 1..200),
+        ) {
+            // Mostly ±1 (the fast tier); now and then a weight near
+            // ±i64::MAX, which exhausts the watermark for good and sends
+            // every later op down the slow tier.
+            let weight = |w: u8| match w {
+                0..=13 => 1,
+                14..=21 => -1,
+                22 => i64::MAX - 2,
+                _ => -(i64::MAX - 2),
+            };
+            let ops: Vec<(u64, i64)> = ops.into_iter().map(|(id, w)| (id, weight(w))).collect();
+            let params = SketchParams::new(FUSED_DEPTHS[depth], buckets);
+            let combiner = COMBINERS[comb];
+            assert_fused_matches_split(CountSketch::new(params, seed).with_combiner(combiner), &ops);
+            assert_fused_matches_split(
+                FastCountSketch::new(params, seed).with_combiner(combiner),
+                &ops,
+            );
+        }
+
 
         #[test]
         fn prop_turnstile_net_zero(ids in prop::collection::vec(0u64..50, 0..100)) {

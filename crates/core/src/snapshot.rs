@@ -265,6 +265,11 @@ where
     let rows = r.u64()? as usize;
     let buckets = r.u64()? as usize;
     let seed = r.u64()?;
+    if rows == 0 || buckets == 0 {
+        return Err(CoreError::CorruptSnapshot(format!(
+            "sketch dimensions ({rows}, {buckets}) must be positive"
+        )));
+    }
     let cells = rows
         .checked_mul(buckets)
         .ok_or_else(|| CoreError::CorruptSnapshot("rows × buckets overflows".into()))?;
@@ -638,6 +643,11 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
     let rows = r.u64()? as usize;
     let buckets = r.u64()? as usize;
     let seed = r.u64()?;
+    if rows == 0 || buckets == 0 {
+        return Err(CoreError::CorruptSnapshot(format!(
+            "sketch dimensions ({rows}, {buckets}) must be positive"
+        )));
+    }
     let cells = rows
         .checked_mul(buckets)
         .ok_or_else(|| CoreError::CorruptSnapshot("rows × buckets overflows".into()))?;
@@ -909,6 +919,56 @@ mod tests {
         ));
     }
 
+    /// Overwrites the u64 field at `at` and re-seals the CRC, so the
+    /// structural decoder (not the checksum) sees the forged value.
+    fn forge_u64(bytes: &mut [u8], at: usize, value: u64) {
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let n = bytes.len();
+        let crc = cs_hash::crc32(&bytes[..n - 4]);
+        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn zero_dimensions_are_corrupt_not_a_panic() {
+        // rows = 0 (or buckets = 0) with an empty counter section and a
+        // valid CRC: a typed error, not the SketchParams assertion.
+        let s = CountSketch::new(SketchParams::new(1, 1), 0);
+        let bytes = s.to_snapshot_bytes();
+        for (rows, buckets) in [(0u64, 1u64), (1, 0), (0, 0)] {
+            let mut forged = bytes[..16].to_vec();
+            forged.extend_from_slice(&rows.to_le_bytes());
+            forged.extend_from_slice(&buckets.to_le_bytes());
+            forged.extend_from_slice(&bytes[32..40]); // seed
+            forged.extend_from_slice(&[0; 4]); // CRC placeholder
+            forge_u64(&mut forged, 16, rows);
+            assert!(matches!(
+                CountSketch::from_snapshot_bytes(&forged),
+                Err(CoreError::CorruptSnapshot(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn processor_forged_tracker_capacity_never_preallocates() {
+        // A CRC-valid processor snapshot whose tracker capacity says 2^61:
+        // the decoder must not size anything from that field. The tracker
+        // grows with its entries, so the processor loads and keeps running.
+        let mut p = ApproxTopProcessor::new(PARAMS, 777, 5);
+        p.observe_stream(&Stream::from_ids((0..500u64).map(|i| i % 37)));
+        let mut bytes = p.to_snapshot_bytes();
+        let cells = PARAMS.rows * PARAMS.buckets;
+        let at = HEADER + cells * 8 + cells.div_ceil(64) * 8 + 4; // after policy
+        assert_eq!(bytes[at..at + 8], 777u64.to_le_bytes());
+        forge_u64(&mut bytes, at, 1 << 61);
+        let mut back: ApproxTopProcessor = ApproxTopProcessor::from_snapshot_bytes(&bytes)
+            .expect("a huge capacity is well-formed");
+        assert_eq!(back.tracker().capacity(), 1 << 61);
+        back.observe(ItemKey(99));
+        let result = back.result();
+        assert_eq!(result.items.len(), 38);
+        assert!(result.space_bytes > 0);
+    }
+
     #[test]
     fn inspect_reports_sketch_header_and_top_counters() {
         let zipf = Zipf::new(100, 1.2);
@@ -1078,6 +1138,29 @@ mod tests {
         assert_eq!(info.tracker_capacity, Some(4));
         assert!(info.policy.is_none());
         assert!(!info.tracked.is_empty());
+    }
+
+    #[test]
+    fn window_forged_tracker_capacity_never_preallocates() {
+        let mut w = window_fixture();
+        for i in 0..120u64 {
+            w.observe(ItemKey(i % 9));
+        }
+        let mut bytes = w.to_snapshot_bytes();
+        // Capacity is the third geometry field (see the forged-geometry
+        // test below for the offset of the first).
+        let at = HEADER + 96 * 8 + 16 + 16;
+        assert_eq!(bytes[at..at + 8], 4u64.to_le_bytes());
+        forge_u64(&mut bytes, at, 1 << 61);
+        let mut back =
+            SlidingSketch::from_snapshot_bytes(&bytes).expect("a huge capacity is well-formed");
+        assert_eq!(back.tracker_capacity(), 1 << 61);
+        // Keep going across an epoch roll, which rebuilds the tracker at
+        // the stored capacity.
+        for i in 0..60u64 {
+            back.observe(ItemKey(i % 11));
+        }
+        assert!(!back.top_k().is_empty());
     }
 
     #[test]

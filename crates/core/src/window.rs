@@ -105,13 +105,14 @@ impl SlidingSketch {
     /// Feeds one occurrence.
     pub fn observe(&mut self, key: ItemKey) {
         self.current.add(key);
-        self.window.add(key);
         self.filled += 1;
 
         // Maintain the candidate set with the §3.2 heap rule against the
-        // window estimate.
-        if !self.tracker.increment(key) {
-            let est = self.window.estimate_with_scratch(key, &mut self.scratch);
+        // window estimate (fused with the window add for untracked keys).
+        if self.tracker.increment(key) {
+            self.window.add(key);
+        } else {
+            let est = self.window.update_estimate(key, 1, &mut self.scratch);
             self.tracker.offer(key, est);
         }
 
@@ -167,7 +168,7 @@ impl SlidingSketch {
     /// Heap + counter bytes held.
     pub fn space_bytes(&self) -> usize {
         let per_sketch = self.window.space_bytes();
-        per_sketch * (self.completed.len() + 2) + self.tracker.space_bytes()
+        (per_sketch * (self.completed.len() + 2)).saturating_add(self.tracker.space_bytes())
     }
 
     // Snapshot plumbing: the CSNP codec in `crate::snapshot` serializes
@@ -242,6 +243,39 @@ pub(crate) struct WindowParts {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest::proptest! {
+        #[test]
+        fn prop_observe_matches_add_then_estimate(
+            ids in proptest::prop::collection::vec(0u64..40, 0..500),
+            buckets in 1usize..48,
+            epoch_len in 1usize..60,
+            window_epochs in 1usize..4,
+            k in 1usize..8,
+        ) {
+            let params = SketchParams::new(3, buckets);
+            let mut s = SlidingSketch::new(params, 4, epoch_len, window_epochs, k);
+            // Reference: the same window driven through separate ADD and
+            // ESTIMATE calls on the window sketch.
+            let mut r = SlidingSketch::new(params, 4, epoch_len, window_epochs, k);
+            for &id in &ids {
+                let key = ItemKey(id);
+                s.observe(key);
+                r.current.add(key);
+                r.window.add(key);
+                r.filled += 1;
+                if !r.tracker.increment(key) {
+                    let est = r.window.estimate_with_scratch(key, &mut r.scratch);
+                    r.tracker.offer(key, est);
+                }
+                if r.filled == r.epoch_len {
+                    r.roll_epoch();
+                }
+            }
+            proptest::prop_assert_eq!(s.top_k(), r.top_k());
+            proptest::prop_assert_eq!(s.to_snapshot_bytes(), r.to_snapshot_bytes());
+        }
+    }
 
     fn feed(s: &mut SlidingSketch, key: u64, times: usize) {
         for _ in 0..times {

@@ -32,7 +32,8 @@
 //! written by an earlier `--snapshot` run, so a long-lived counting job
 //! survives restarts without rereading history; `--snapshot-every N`
 //! additionally persists the state after every N observed items, so a
-//! crash loses at most N items of progress. Failures map to distinct
+//! crash loses at most N items of progress; the report and the final
+//! snapshot are the same with or without it. Failures map to distinct
 //! exit codes (see [`CliError`]): bad invocation, I/O failure, and
 //! corrupt input are distinguishable to calling scripts.
 
@@ -497,9 +498,14 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
                         // atomic tmp-then-rename path as the final write, so
                         // a crash loses at most `every` items of progress.
                         // The tail shorter than a window is covered by the
-                        // unconditional final write below.
+                        // unconditional final write below. Each chunk runs
+                        // through the per-item rule, whose state depends
+                        // only on the stream prefix, so the report and the
+                        // final snapshot equal a run without checkpoints.
                         for chunk in stream.as_slice().chunks(every) {
-                            p.observe_batch(chunk);
+                            for &key in chunk {
+                                p.observe(key);
+                            }
                             if chunk.len() == every {
                                 write_snapshot_file(Path::new(path), &p.to_snapshot_bytes())
                                     .map_err(|e| CliError::Io {
@@ -1106,6 +1112,59 @@ mod tests {
             std::fs::read(&snap).unwrap(),
             std::fs::read(dir.join("once.csnp")).unwrap()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `n` tokens `t0..t{distinct-1}` drawn with Zipf(`z`) weights by a
+    /// seeded LCG and inverse-CDF sampling.
+    fn zipf_text(n: usize, distinct: usize, z: f64, seed: u64) -> String {
+        let cdf: Vec<f64> = (1..=distinct)
+            .scan(0.0, |acc, r| {
+                *acc += (r as f64).powf(-z);
+                Some(*acc)
+            })
+            .collect();
+        let total = cdf[distinct - 1];
+        let mut state = seed;
+        let mut text = String::new();
+        for _ in 0..n {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64 * total;
+            let rank = cdf.partition_point(|&c| c < u).min(distinct - 1);
+            text.push_str(&format!("t{rank} "));
+        }
+        text
+    }
+
+    #[test]
+    fn snapshot_every_is_invisible_on_collision_heavy_input() {
+        // b = 64 over 2000 distinct tokens: nearly every estimate carries
+        // collision noise, so any dependence of the heap on where the
+        // checkpoints fall would change the report.
+        let dir = std::env::temp_dir().join(format!("fi-cli-every-b64-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = zipf_text(30_000, 2_000, 0.8, 7);
+        let run = |name: &str, every: usize| {
+            let snap = dir.join(name).to_string_lossy().into_owned();
+            let opts = Options {
+                command: "top".into(),
+                k: 20,
+                buckets: 64,
+                snapshot: Some(snap.clone()),
+                snapshot_every: every,
+                ..Default::default()
+            };
+            (
+                run_top(&opts, &text).unwrap(),
+                std::fs::read(&snap).unwrap(),
+            )
+        };
+        let (plain_report, plain_snap) = run("plain.csnp", 0);
+        let (every_report, every_snap) = run("every.csnp", 1000);
+        assert_eq!(every_report, plain_report);
+        assert_eq!(every_snap, plain_snap);
         std::fs::remove_dir_all(&dir).ok();
     }
 
