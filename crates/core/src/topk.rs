@@ -91,9 +91,10 @@ struct SlotIndex {
 }
 
 impl SlotIndex {
-    /// Cells per entry at most: the table is rebuilt at 4 entries' worth
-    /// of cells, rounded up to a power of two.
-    const MAX_CELLS_PER_ENTRY: usize = 8;
+    /// Table size for `len` keys: at most a quarter full, a power of two.
+    fn cells_for(len: usize) -> Option<usize> {
+        len.checked_mul(4)?.checked_next_power_of_two()
+    }
 
     #[inline]
     fn home(&self, key: ItemKey) -> usize {
@@ -128,7 +129,7 @@ impl SlotIndex {
     /// outgrew its quarter load is first rebuilt from it.
     fn set(&mut self, key: ItemKey, slot: usize, entries: &[(i64, ItemKey)]) {
         if 4 * entries.len() > self.cells.len() {
-            let size = (4 * entries.len()).next_power_of_two();
+            let size = Self::cells_for(entries.len()).expect("entries fit in memory");
             self.cells = vec![(ItemKey(0), EMPTY); size];
             self.shift = 64 - size.trailing_zeros();
             for (s, &(_, k)) in entries.iter().enumerate() {
@@ -300,15 +301,23 @@ impl TopKTracker {
         sorted.into_iter().map(|(v, k)| (k, v)).collect()
     }
 
-    /// Approximate heap bytes used at full occupancy (the `O(k)` term of
-    /// the space bound): the entry array, plus the key index past
-    /// `SCAN_MAX` entries, at its largest load-factor slack.
+    /// Heap bytes used at full occupancy (the `O(k)` term of the space
+    /// bound): the entry array, plus the key index past `SCAN_MAX`
+    /// entries.
     pub fn space_bytes(&self) -> usize {
-        let mut per_slot = std::mem::size_of::<(i64, ItemKey)>();
-        if self.capacity > SCAN_MAX {
-            per_slot += SlotIndex::MAX_CELLS_PER_ENTRY * std::mem::size_of::<SlotCell>();
-        }
-        std::mem::size_of::<Self>().saturating_add(self.capacity.saturating_mul(per_slot))
+        let entries = self
+            .capacity
+            .saturating_mul(std::mem::size_of::<(i64, ItemKey)>());
+        let index = if self.capacity > SCAN_MAX {
+            SlotIndex::cells_for(self.capacity).map_or(usize::MAX, |c| {
+                c.saturating_mul(std::mem::size_of::<SlotCell>())
+            })
+        } else {
+            0
+        };
+        std::mem::size_of::<Self>()
+            .saturating_add(entries)
+            .saturating_add(index)
     }
 
     /// The slot holding `key`, if tracked.
