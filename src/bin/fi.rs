@@ -17,7 +17,8 @@
 //! ```
 //!
 //! Exit codes: 0 success, 2 bad invocation, 3 I/O failure, 4 corrupt
-//! input (e.g. a torn or bit-flipped snapshot).
+//! input (e.g. a torn or bit-flipped snapshot, or input text that is not
+//! UTF-8).
 
 use frequent_items::cli;
 

@@ -36,11 +36,23 @@
 //! snapshot are the same with or without it. Failures map to distinct
 //! exit codes (see [`CliError`]): bad invocation, I/O failure, and
 //! corrupt input are distinguishable to calling scripts.
+//!
+//! Every text path reads its input once and runs it through one byte
+//! scanner ([`Tokens::scan`]), which splits, keys and de-duplicates the
+//! tokens in a single pass. No token is copied: the scanner keeps, per
+//! distinct key, the byte offset of its first occurrence, and a report
+//! resolves the label of each printed key by slicing the input there
+//! (`fi diff` looks in the second file first, then the first). A key no
+//! input of this run contains, such as a tracked key restored by
+//! `--resume`, prints as `<?>`.
 
 use crate::prelude::*;
 use crate::sketch::iceberg::IcebergProcessor;
-use std::collections::HashMap;
 use std::path::Path;
+
+mod scan;
+use scan::for_each_token;
+pub use scan::{tokenize, Tokens};
 
 /// A CLI failure, carrying the distinct process exit code for its class.
 ///
@@ -58,7 +70,8 @@ pub enum CliError {
         message: String,
     },
     /// A file was read fine but its contents are invalid — a torn or
-    /// bit-flipped snapshot, typically (exit code 4).
+    /// bit-flipped snapshot, or input text that is not UTF-8 (exit code
+    /// 4). Retrying cannot help.
     Corrupt {
         /// The offending file.
         path: String,
@@ -377,42 +390,39 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     }
 }
 
-/// Tokenizes input text into a stream of items, remembering each key's
-/// first textual form for display.
-pub fn tokenize(text: &str) -> (Stream, HashMap<ItemKey, String>) {
-    let mut labels = HashMap::new();
-    let stream = text
-        .split_whitespace()
-        .map(|tok| {
-            let key = ItemKey::of(tok);
-            labels.entry(key).or_insert_with(|| tok.to_string());
-            key
-        })
-        .collect();
-    (stream, labels)
-}
+/// Label printed for a reported key that no input of this run contains.
+const UNKNOWN_LABEL: &str = "<?>";
 
-fn label(labels: &HashMap<ItemKey, String>, key: ItemKey) -> &str {
-    labels.get(&key).map(String::as_str).unwrap_or("<?>")
+/// Validates input bytes as UTF-8. An invalid sequence is corrupt input
+/// ([`CliError::Corrupt`]), named by the byte offset where it starts.
+fn utf8(path: &str, bytes: Vec<u8>) -> Result<String, CliError> {
+    String::from_utf8(bytes).map_err(|e| CliError::Corrupt {
+        path: path.into(),
+        message: format!(
+            "invalid UTF-8 at byte offset {}",
+            e.utf8_error().valid_up_to()
+        ),
+    })
 }
 
 fn read_file(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError::Io {
+    let bytes = std::fs::read(path).map_err(|e| CliError::Io {
         path: path.into(),
         message: e.to_string(),
-    })
+    })?;
+    utf8(path, bytes)
 }
 
 fn read_stdin() -> Result<String, CliError> {
     use std::io::Read;
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     std::io::stdin()
-        .read_to_string(&mut buf)
+        .read_to_end(&mut buf)
         .map_err(|e| CliError::Io {
             path: "-".into(),
             message: e.to_string(),
         })?;
-    Ok(buf)
+    utf8("-", buf)
 }
 
 fn read_input(path: Option<&String>) -> Result<String, CliError> {
@@ -461,7 +471,8 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
 /// state is persisted atomically afterwards.
 pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
     use cs_baselines::{KpsFrequent, LossyCounting, SpaceSaving, StreamSummary};
-    let (stream, labels) = tokenize(text);
+    let tokens = Tokens::scan(text);
+    let stream = tokens.stream();
     let items: Vec<(ItemKey, i64)> = match opts.algorithm.as_str() {
         "count-sketch" => {
             let restored = match &opts.resume {
@@ -482,7 +493,7 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
                 None => None,
             };
             let p = if opts.threads > 1 {
-                run_top_parallel(opts, &stream, &labels, restored)?
+                run_top_parallel(opts, &tokens, restored)?
             } else {
                 let mut p = restored.unwrap_or_else(|| {
                     ApproxTopProcessor::new(
@@ -515,7 +526,7 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
                             }
                         }
                     }
-                    _ => p.observe_stream(&stream),
+                    _ => p.observe_stream(stream),
                 }
                 p
             };
@@ -536,7 +547,7 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
                 "lossy" => Box::new(LossyCounting::new((1.0 / (4 * opts.k) as f64).min(0.5))),
                 _ => unreachable!("parse_args validates the algorithm"),
             };
-            alg.process_stream(&stream);
+            alg.process_stream(stream);
             alg.candidates()
                 .into_iter()
                 .take(opts.k)
@@ -548,11 +559,12 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
         "# top-{} of {} occurrences ({} distinct seen, algorithm: {})\n",
         opts.k,
         stream.len(),
-        labels.len(),
+        tokens.distinct(),
         opts.algorithm
     );
     for (key, est) in &items {
-        out.push_str(&format!("{:>10}  {}\n", est, label(&labels, *key)));
+        let label = tokens.label(*key).unwrap_or(UNKNOWN_LABEL);
+        out.push_str(&format!("{est:>10}  {label}\n"));
     }
     Ok(out)
 }
@@ -563,22 +575,21 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
 /// merged sketch.
 ///
 /// Determinism: the pool-merged sketch is bit-identical to the
-/// sequential sketch, the candidate set (every distinct token seen this
-/// session, plus any resumed tracked keys) does not depend on the thread
-/// count, and candidates are resolved in sorted-key order — so the
-/// report and any written snapshot are byte-identical for every
+/// sequential sketch, the candidate set (every distinct key the scanner
+/// saw in this run, plus any resumed tracked keys) does not depend on
+/// the thread count, and candidates are resolved in sorted-key order —
+/// so the report and any written snapshot are byte-identical for every
 /// `--threads N > 1`.
 fn run_top_parallel(
     opts: &Options,
-    stream: &Stream,
-    labels: &HashMap<ItemKey, String>,
+    tokens: &Tokens,
     restored: Option<ApproxTopProcessor>,
 ) -> Result<ApproxTopProcessor, CliError> {
     let params = SketchParams::new(opts.rows, opts.buckets);
     let mut pool = SketchPool::new(params, opts.seed, opts.threads);
-    pool.ingest_stream(stream);
+    pool.ingest_stream(tokens.stream());
     let mut merged = pool.finish();
-    let mut candidates: Vec<ItemKey> = labels.keys().copied().collect();
+    let mut candidates: Vec<ItemKey> = tokens.keys().collect();
     if let Some(p) = restored {
         let (prior_sketch, prior_tracker, _) = p.into_parts();
         match merged.merge(&prior_sketch) {
@@ -744,9 +755,9 @@ pub fn run_serve(opts: &Options) -> Result<String, CliError> {
 pub fn run_ship(opts: &Options, text: &str) -> Result<String, CliError> {
     let to = opts.to.as_deref().expect("parse_args requires --to");
     let site_id = opts.site_id.expect("parse_args requires --site-id");
-    let (stream, _) = tokenize(text);
+    let tokens = Tokens::scan(text);
     let report = site_report(
-        &stream,
+        tokens.stream(),
         opts.k,
         SketchParams::new(opts.rows, opts.buckets),
         opts.seed,
@@ -782,8 +793,8 @@ pub fn run_coordinate(opts: &Options) -> Result<String, CliError> {
     let mut reports = Vec::with_capacity(opts.files.len());
     for path in &opts.files {
         let text = read_file(path)?;
-        let (stream, _) = tokenize(&text);
-        reports.push(site_report(&stream, opts.k, params, opts.seed));
+        let tokens = Tokens::scan(&text);
+        reports.push(site_report(tokens.stream(), opts.k, params, opts.seed));
     }
     let merged = DistributedSketch::coordinate(&reports)
         .map_err(|e| CliError::Usage(format!("coordinate: {e}")))?;
@@ -801,12 +812,12 @@ pub fn run_shard(opts: &Options, text: &str) -> Result<String, CliError> {
         .expect("parse_args requires --out-prefix");
     let mut shards: Vec<String> = vec![String::new(); opts.sites];
     let mut counts = vec![0usize; opts.sites];
-    for tok in text.split_whitespace() {
-        let site = cs_hash::shard_of(ItemKey::of(tok), opts.sites);
-        shards[site].push_str(tok);
+    for_each_token(text, |key, span| {
+        let site = cs_hash::shard_of(key, opts.sites);
+        shards[site].push_str(&text[span]);
         shards[site].push('\n');
         counts[site] += 1;
-    }
+    });
     let mut out = String::new();
     for (i, content) in shards.iter().enumerate() {
         let path = format!("{prefix}.{i}.txt");
@@ -819,14 +830,15 @@ pub fn run_shard(opts: &Options, text: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Runs `fi diff` over two input texts; returns the report.
+/// Runs `fi diff` over two input texts; returns the report. A key's
+/// label is its first occurrence in the second text, else in the first.
 pub fn run_diff(opts: &Options, text1: &str, text2: &str) -> String {
-    let (s1, mut labels) = tokenize(text1);
-    let (s2, labels2) = tokenize(text2);
-    labels.extend(labels2);
+    let day1 = Tokens::scan(text1);
+    let day2 = Tokens::scan(text2);
+    let (s1, s2) = (day1.stream(), day2.stream());
     let result = max_change(
-        &s1,
-        &s2,
+        s1,
+        s2,
         opts.k,
         4 * opts.k,
         SketchParams::new(opts.rows, opts.buckets),
@@ -839,18 +851,18 @@ pub fn run_diff(opts: &Options, text1: &str, text2: &str) -> String {
         s2.len()
     );
     for item in &result.items {
-        out.push_str(&format!(
-            "{:>+10}  {}\n",
-            item.exact_change,
-            label(&labels, item.key)
-        ));
+        let label = day2
+            .label(item.key)
+            .or_else(|| day1.label(item.key))
+            .unwrap_or(UNKNOWN_LABEL);
+        out.push_str(&format!("{:>+10}  {label}\n", item.exact_change));
     }
     out
 }
 
 /// Runs `fi iceberg` over input text; returns the report.
 pub fn run_iceberg(opts: &Options, text: &str) -> String {
-    let (stream, labels) = tokenize(text);
+    let tokens = Tokens::scan(text);
     let mut p = IcebergProcessor::new(
         SketchParams::new(opts.rows, opts.buckets),
         opts.phi,
@@ -858,7 +870,7 @@ pub fn run_iceberg(opts: &Options, text: &str) -> String {
         2,
         opts.seed,
     );
-    p.observe_stream(&stream);
+    p.observe_stream(tokens.stream());
     let result = p.result();
     let mut out = format!(
         "# items above {:.2}% of {} occurrences (threshold {})\n",
@@ -867,7 +879,8 @@ pub fn run_iceberg(opts: &Options, text: &str) -> String {
         result.threshold
     );
     for (key, est) in &result.items {
-        out.push_str(&format!("{:>10}  {}\n", est, label(&labels, *key)));
+        let label = tokens.label(*key).unwrap_or(UNKNOWN_LABEL);
+        out.push_str(&format!("{est:>10}  {label}\n"));
     }
     out
 }
@@ -1388,6 +1401,38 @@ mod tests {
             msg.contains("state.csnp") && msg.contains("corrupt"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn run_reports_invalid_utf8_as_corrupt_input() {
+        // Deterministic bad bytes are not retryable: exit 4, not 3, and
+        // the message names where the bad sequence starts.
+        let dir = std::env::temp_dir().join(format!("fi-cli-utf8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.txt");
+        std::fs::write(&bad, b"ok tok\xe2\x80 b").unwrap();
+        let good = dir.join("good.txt");
+        std::fs::write(&good, "ok").unwrap();
+        let (bad, good) = (bad.to_string_lossy(), good.to_string_lossy());
+        for line in [
+            format!("top {bad}"),
+            format!("iceberg {bad}"),
+            format!("diff {good} {bad}"),
+            format!("coordinate {good} {bad}"),
+        ] {
+            match run(&parse_args(&args(&line)).unwrap()) {
+                Err(e @ CliError::Corrupt { .. }) => {
+                    assert_eq!(e.exit_code(), EXIT_CORRUPT);
+                    let msg = e.to_string();
+                    assert!(
+                        msg.contains("bad.txt") && msg.contains("byte offset 6"),
+                        "{msg}"
+                    );
+                }
+                other => panic!("{line}: expected Corrupt error, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
