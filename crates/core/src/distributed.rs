@@ -407,7 +407,22 @@ impl QuorumCoordinator {
         candidates: Vec<ItemKey>,
         local_n: u64,
     ) -> Result<(), CoreError> {
-        match CountSketch::from_snapshot_bytes(snapshot_bytes) {
+        let decoded = CountSketch::from_snapshot_bytes(snapshot_bytes);
+        self.deliver_decoded(site, decoded, candidates, local_n)
+    }
+
+    /// [`deliver_snapshot`](Self::deliver_snapshot) with the snapshot
+    /// already opened by [`CountSketch::from_snapshot_bytes`], so a
+    /// caller can verify and decode outside whatever lock guards the
+    /// coordinator. A decode error excludes the site as corrupt.
+    pub fn deliver_decoded(
+        &mut self,
+        site: usize,
+        decoded: Result<CountSketch, CoreError>,
+        candidates: Vec<ItemKey>,
+        local_n: u64,
+    ) -> Result<(), CoreError> {
+        match decoded {
             Ok(sketch) => self.deliver_report(
                 site,
                 SiteReport {

@@ -215,22 +215,26 @@ impl<'a> Reader<'a> {
         self.body.len() - self.pos
     }
 
-    fn u32(&mut self) -> Result<u32, CoreError> {
-        if self.remaining() < 4 {
+    /// The next `n` bytes, after one bounds check.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
+        if self.remaining() < n {
             return Err(CoreError::CorruptSnapshot("section truncated".into()));
         }
-        let v = u32::from_le_bytes(self.body[self.pos..self.pos + 4].try_into().expect("4"));
-        self.pos += 4;
-        Ok(v)
+        let bytes = &self.body[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, CoreError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, CoreError> {
-        if self.remaining() < 8 {
-            return Err(CoreError::CorruptSnapshot("section truncated".into()));
-        }
-        let v = u64::from_le_bytes(self.body[self.pos..self.pos + 8].try_into().expect("8"));
-        self.pos += 8;
-        Ok(v)
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     fn i64(&mut self) -> Result<i64, CoreError> {
@@ -238,11 +242,7 @@ impl<'a> Reader<'a> {
     }
 
     fn skip(&mut self, n: usize) -> Result<(), CoreError> {
-        if self.remaining() < n {
-            return Err(CoreError::CorruptSnapshot("section truncated".into()));
-        }
-        self.pos += n;
-        Ok(())
+        self.take(n).map(drop)
     }
 
     fn finish(self) -> Result<(), CoreError> {
@@ -256,11 +256,20 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_sketch<H, S>(r: &mut Reader<'_>) -> Result<GenericCountSketch<H, S>, CoreError>
-where
-    H: DrawBucketHasher,
-    S: DrawSignHasher,
-{
+/// The sketch fields after the kind code. The dimensions are validated,
+/// and the counter section they imply is checked against the buffer,
+/// before anything is sized from them, so a forged length cannot
+/// trigger a huge allocation.
+struct Geometry {
+    combiner: Combiner,
+    rows: usize,
+    buckets: usize,
+    seed: u64,
+    /// Bytes of one counter+saturation section.
+    section: usize,
+}
+
+fn read_geometry(r: &mut Reader<'_>) -> Result<Geometry, CoreError> {
     let combiner = combiner_from(r.u32()?)?;
     let rows = r.u64()? as usize;
     let buckets = r.u64()? as usize;
@@ -273,53 +282,77 @@ where
     let cells = rows
         .checked_mul(buckets)
         .ok_or_else(|| CoreError::CorruptSnapshot("rows × buckets overflows".into()))?;
-    let words = cells.div_ceil(64);
-    // Every section length is checked against the buffer before any
-    // allocation, so a forged length cannot trigger a huge allocation.
-    let need = cells
-        .checked_mul(8)
-        .and_then(|c| c.checked_add(words * 8))
+    let section = checked_section_bytes(cells)
         .ok_or_else(|| CoreError::CorruptSnapshot("section size overflows".into()))?;
-    if r.remaining() < need {
+    if r.remaining() < section {
         return Err(CoreError::CorruptSnapshot(format!(
-            "counter section needs {need} bytes, {} remain",
+            "counter section needs {section} bytes, {} remain",
             r.remaining()
         )));
     }
-    let mut sketch = GenericCountSketch::<H, S>::new(SketchParams::new(rows, buckets), seed)
-        .with_combiner(combiner);
-    if sketch.buckets() != buckets || sketch.rows() != rows {
+    Ok(Geometry {
+        combiner,
+        rows,
+        buckets,
+        seed,
+        section,
+    })
+}
+
+fn read_sketch<H, S>(r: &mut Reader<'_>) -> Result<GenericCountSketch<H, S>, CoreError>
+where
+    H: DrawBucketHasher,
+    S: DrawSignHasher,
+{
+    let g = read_geometry(r)?;
+    let sketch = GenericCountSketch::<H, S>::new(SketchParams::new(g.rows, g.buckets), g.seed)
+        .with_combiner(g.combiner);
+    if sketch.buckets() != g.buckets || sketch.rows() != g.rows {
         return Err(CoreError::CorruptSnapshot(format!(
-            "dimensions ({rows}, {buckets}) are not reproducible by this hasher construction"
+            "dimensions ({}, {}) are not reproducible by this hasher construction",
+            g.rows, g.buckets
         )));
     }
-    for c in sketch.counters_mut() {
-        *c = r.i64()?;
+    read_counters(r, sketch)
+}
+
+/// Takes one headerless counter+saturation section of `cells` cells off
+/// the reader — one length check for the whole section — and returns
+/// its counters and saturation words as little-endian `u64` values.
+fn counter_section<'a>(
+    r: &mut Reader<'a>,
+    cells: usize,
+) -> Result<
+    (
+        impl Iterator<Item = u64> + 'a,
+        impl Iterator<Item = u64> + 'a,
+    ),
+    CoreError,
+> {
+    let (counters, words) = r.take(counter_section_bytes(cells))?.split_at(cells * 8);
+    let le = |bytes: &'a [u8]| {
+        bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    };
+    Ok((le(counters), le(words)))
+}
+
+/// Fills `sketch`, whose geometry the caller has validated, from one
+/// counter+saturation section.
+fn read_counters<H: BucketHasher, S: SignHasher>(
+    r: &mut Reader<'_>,
+    mut sketch: GenericCountSketch<H, S>,
+) -> Result<GenericCountSketch<H, S>, CoreError> {
+    let (counters, words) = counter_section(r, sketch.counters().len())?;
+    for (c, v) in sketch.counters_mut().iter_mut().zip(counters) {
+        *c = v as i64;
     }
-    for w in sketch.saturated_words_mut() {
-        *w = r.u64()?;
+    for (w, v) in sketch.saturated_words_mut().iter_mut().zip(words) {
+        *w = v;
     }
     // The counters were filled wholesale: re-establish the headroom
     // watermark the batched ingestion fast path relies on.
-    sketch.refresh_mass_floor();
-    Ok(sketch)
-}
-
-/// Reads one headerless counter+saturation section into a fresh sketch
-/// of known geometry. The caller has already bounds-checked the section.
-fn read_counters(
-    r: &mut Reader<'_>,
-    params: SketchParams,
-    seed: u64,
-    combiner: Combiner,
-) -> Result<CountSketch, CoreError> {
-    let mut sketch = CountSketch::new(params, seed).with_combiner(combiner);
-    for c in sketch.counters_mut() {
-        *c = r.i64()?;
-    }
-    for w in sketch.saturated_words_mut() {
-        *w = r.u64()?;
-    }
     sketch.refresh_mass_floor();
     Ok(sketch)
 }
@@ -329,10 +362,24 @@ fn counter_section_bytes(cells: usize) -> usize {
     cells * 8 + cells.div_ceil(64) * 8
 }
 
+/// [`counter_section_bytes`] for a cell count no sketch has been
+/// allocated for: `None` if it overflows `usize`.
+fn checked_section_bytes(cells: usize) -> Option<usize> {
+    cells.checked_mul(8)?.checked_add(cells.div_ceil(64) * 8)
+}
+
+/// Length of the kind-1 snapshot [`CountSketch::to_snapshot_bytes`]
+/// writes for a `rows × buckets` sketch — header, counters, saturation
+/// words and checksum — or `None` if it overflows `usize`. Lets a caller
+/// bound a sketch's wire size before allocating it.
+pub fn sketch_snapshot_len(rows: usize, buckets: usize) -> Option<usize> {
+    checked_section_bytes(rows.checked_mul(buckets)?)?.checked_add(HEADER + 4)
+}
+
 impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// Serializes the sketch to the checksummed `CSNP` snapshot format.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER + self.counters().len() * 8 + 64);
+        let mut buf = Vec::with_capacity(HEADER + counter_section_bytes(self.counters().len()) + 4);
         push_sketch_body(&mut buf, KIND_SKETCH, self);
         seal(buf)
     }
@@ -356,8 +403,9 @@ impl<H: BucketHasher, S: SignHasher> ApproxTopProcessor<H, S> {
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let sketch = self.sketch();
         let tracker = self.tracker();
-        let mut buf =
-            Vec::with_capacity(HEADER + sketch.counters().len() * 8 + tracker.len() * 16 + 96);
+        let mut buf = Vec::with_capacity(
+            HEADER + counter_section_bytes(sketch.counters().len()) + tracker.len() * 16 + 24,
+        );
         push_sketch_body(&mut buf, KIND_PROCESSOR, sketch);
         buf.extend_from_slice(&policy_code(self.policy()).to_le_bytes());
         buf.extend_from_slice(&(tracker.capacity() as u64).to_le_bytes());
@@ -487,10 +535,11 @@ impl SlidingSketch {
             )));
         }
         let mut completed = VecDeque::with_capacity(completed_count);
+        let empty = CountSketch::new(params, seed).with_combiner(combiner);
         for _ in 0..completed_count {
-            completed.push_back(read_counters(&mut r, params, seed, combiner)?);
+            completed.push_back(read_counters(&mut r, empty.clone())?);
         }
-        let current = read_counters(&mut r, params, seed, combiner)?;
+        let current = read_counters(&mut r, empty)?;
         let entries = r.u64()? as usize;
         if entries > capacity {
             return Err(CoreError::CorruptSnapshot(format!(
@@ -639,36 +688,18 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
             )))
         }
     };
-    let combiner = combiner_from(r.u32()?)?;
-    let rows = r.u64()? as usize;
-    let buckets = r.u64()? as usize;
-    let seed = r.u64()?;
-    if rows == 0 || buckets == 0 {
-        return Err(CoreError::CorruptSnapshot(format!(
-            "sketch dimensions ({rows}, {buckets}) must be positive"
-        )));
-    }
-    let cells = rows
-        .checked_mul(buckets)
-        .ok_or_else(|| CoreError::CorruptSnapshot("rows × buckets overflows".into()))?;
-    let words = cells.div_ceil(64);
-    let need = cells
-        .checked_mul(8)
-        .and_then(|c| c.checked_add(words * 8))
-        .ok_or_else(|| CoreError::CorruptSnapshot("section size overflows".into()))?;
-    if r.remaining() < need {
-        return Err(CoreError::CorruptSnapshot(format!(
-            "counter section needs {need} bytes, {} remain",
-            r.remaining()
-        )));
-    }
-    let mut counters = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        counters.push(r.i64()?);
-    }
+    let Geometry {
+        combiner,
+        rows,
+        buckets,
+        seed,
+        section,
+    } = read_geometry(&mut r)?;
+    let cells = rows * buckets;
+    let (counter_values, words) = counter_section(&mut r, cells)?;
+    let counters: Vec<i64> = counter_values.map(|v| v as i64).collect();
     let mut row_saturated = vec![0usize; rows];
-    for w in 0..words {
-        let mut word = r.u64()?;
+    for (w, mut word) in words.enumerate() {
         while word != 0 {
             let bit = word.trailing_zeros() as usize;
             let cell = w * 64 + bit;
@@ -736,11 +767,10 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
                     "{completed_epochs} completed epochs exceed a {window_epochs}-epoch window"
                 )));
             }
-            // Skip the epoch + current-sketch counter sections; `need`
-            // is one section's size, computed above.
+            // Skip the epoch + current-sketch counter sections.
             let epoch_bytes = completed_epochs
                 .checked_add(1)
-                .and_then(|n| n.checked_mul(need))
+                .and_then(|n| n.checked_mul(section))
                 .ok_or_else(|| {
                     CoreError::CorruptSnapshot("epoch section size overflows".into())
                 })?;
@@ -803,6 +833,18 @@ mod tests {
         assert_eq!(s.seed(), back.seed());
         assert_eq!(s.combiner(), back.combiner());
         assert_eq!((s.rows(), s.buckets()), (back.rows(), back.buckets()));
+    }
+
+    #[test]
+    fn snapshot_length_is_known_before_encoding() {
+        for (rows, buckets) in [(1, 1), (1, 64), (3, 65), (5, 64), (7, 1000)] {
+            let bytes = CountSketch::new(SketchParams::new(rows, buckets), 1).to_snapshot_bytes();
+            assert_eq!(sketch_snapshot_len(rows, buckets), Some(bytes.len()));
+            // Sized exactly up front: sealing never regrows the buffer.
+            assert_eq!(bytes.capacity(), bytes.len(), "{rows} x {buckets}");
+        }
+        assert_eq!(sketch_snapshot_len(usize::MAX, 2), None);
+        assert_eq!(sketch_snapshot_len(1, usize::MAX / 8 + 1), None);
     }
 
     #[test]

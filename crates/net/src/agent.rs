@@ -14,7 +14,7 @@
 //! deadlines. Nothing blocks unboundedly.
 
 use crate::conn::FaultyConn;
-use crate::frame::{read_frame, write_frame, Frame};
+use crate::frame::{read_frame, try_encode_frame, write_encoded, write_frame, Frame};
 use crate::NetError;
 use cs_core::distributed::{RetryPolicy, SiteReport};
 use cs_stream::{io as stream_io, LinkFault, Stream};
@@ -73,11 +73,14 @@ impl SiteAgent {
     /// Ships `report` to the coordinator at `addr`, retrying per the
     /// agent's [`RetryPolicy`]. Returns how the final successful
     /// delivery was received, or the last attempt's error once the
-    /// budget is exhausted.
+    /// budget is exhausted. The SNAPSHOT frame is encoded once, before
+    /// the first attempt; a sketch too large for one frame is
+    /// [`NetError::Oversized`] without any attempt.
     pub fn ship(&self, addr: &str, report: &SiteReport) -> Result<ShipOutcome, NetError> {
+        let snapshot = try_encode_frame(&Frame::Snapshot(report.sketch.to_snapshot_bytes()))?;
         let mut attempt: u32 = 0;
         loop {
-            match self.try_ship(addr, report) {
+            match self.try_ship(addr, report, &snapshot) {
                 Ok(outcome) => return Ok(outcome),
                 Err(err) => match self.policy.backoff_ticks(attempt) {
                     Some(ticks) => {
@@ -90,8 +93,14 @@ impl SiteAgent {
         }
     }
 
-    /// One delivery attempt over one fresh connection.
-    fn try_ship(&self, addr: &str, report: &SiteReport) -> Result<ShipOutcome, NetError> {
+    /// One delivery attempt over one fresh connection; `snapshot` is the
+    /// encoded SNAPSHOT frame.
+    fn try_ship(
+        &self,
+        addr: &str,
+        report: &SiteReport,
+        snapshot: &[u8],
+    ) -> Result<ShipOutcome, NetError> {
         let timeout = Duration::from_millis(self.timeout_ms.max(1));
         let sock_addr = resolve(addr)?;
         let sock = TcpStream::connect_timeout(&sock_addr, timeout).map_err(NetError::from_io)?;
@@ -101,11 +110,11 @@ impl SiteAgent {
         match self.fault {
             Some(fault) => {
                 let mut conn = FaultyConn::new(sock, fault, self.fault_seed);
-                self.converse(&mut conn, report)
+                self.converse(&mut conn, report, snapshot)
             }
             None => {
                 let mut conn = sock;
-                self.converse(&mut conn, report)
+                self.converse(&mut conn, report, snapshot)
             }
         }
     }
@@ -115,6 +124,7 @@ impl SiteAgent {
         &self,
         conn: &mut C,
         report: &SiteReport,
+        snapshot: &[u8],
     ) -> Result<ShipOutcome, NetError> {
         write_frame(
             conn,
@@ -126,7 +136,7 @@ impl SiteAgent {
                 seed: report.sketch.seed(),
             },
         )?;
-        write_frame(conn, &Frame::Snapshot(report.sketch.to_snapshot_bytes()))?;
+        write_encoded(conn, snapshot)?;
         let candidates = stream_io::encode(&Stream::from_keys(report.candidates.clone()));
         write_frame(
             conn,

@@ -24,7 +24,8 @@
 //! allocation or an out-of-bounds read.
 
 use crate::NetError;
-use cs_hash::crc32::crc32;
+use cs_hash::crc32::{crc32, Crc32};
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 /// Frame magic, "CSWP" in the byte order of the sibling `CSNP`/`CSTR`
@@ -103,7 +104,9 @@ impl Frame {
         }
     }
 
-    fn payload_bytes(&self) -> Vec<u8> {
+    /// The payload bytes; a SNAPSHOT or NACK payload is borrowed, not
+    /// copied.
+    fn payload(&self) -> Cow<'_, [u8]> {
         match self {
             Frame::Hello {
                 site_id,
@@ -116,22 +119,24 @@ impl Frame {
                 for v in [site_id, sites, rows, buckets, seed] {
                     p.extend_from_slice(&v.to_le_bytes());
                 }
-                p
+                Cow::Owned(p)
             }
-            Frame::Snapshot(bytes) => bytes.clone(),
+            Frame::Snapshot(bytes) => Cow::Borrowed(bytes),
             Frame::Report { local_n, candidates } => {
                 let mut p = Vec::with_capacity(8 + candidates.len());
                 p.extend_from_slice(&local_n.to_le_bytes());
                 p.extend_from_slice(candidates);
-                p
+                Cow::Owned(p)
             }
-            Frame::Ack { accepted } => u32::from(!*accepted).to_le_bytes().to_vec(),
-            Frame::Nack { reason } => reason.as_bytes().to_vec(),
-            Frame::Bye => Vec::new(),
+            Frame::Ack { accepted } => Cow::Owned(u32::from(!*accepted).to_le_bytes().to_vec()),
+            Frame::Nack { reason } => Cow::Borrowed(reason.as_bytes()),
+            Frame::Bye => Cow::Borrowed(&[]),
         }
     }
 
-    fn from_parts(code: u32, payload: &[u8]) -> Result<Self, NetError> {
+    /// Builds a frame from its type code and payload; a SNAPSHOT keeps
+    /// the payload buffer itself.
+    fn from_parts(code: u32, mut payload: Vec<u8>) -> Result<Self, NetError> {
         let exact = |want: usize| {
             if payload.len() == want {
                 Ok(())
@@ -156,7 +161,7 @@ impl Frame {
                     seed: u(4),
                 })
             }
-            TYPE_SNAPSHOT => Ok(Frame::Snapshot(payload.to_vec())),
+            TYPE_SNAPSHOT => Ok(Frame::Snapshot(payload)),
             TYPE_REPORT => {
                 if payload.len() < 8 {
                     return Err(NetError::BadPayload(format!(
@@ -164,23 +169,23 @@ impl Frame {
                         payload.len()
                     )));
                 }
+                let local_n = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+                payload.drain(..8);
                 Ok(Frame::Report {
-                    local_n: u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")),
-                    candidates: payload[8..].to_vec(),
+                    local_n,
+                    candidates: payload,
                 })
             }
             TYPE_ACK => {
                 exact(4)?;
-                match u32::from_le_bytes(payload.try_into().expect("4 bytes")) {
+                match u32::from_le_bytes(payload[..].try_into().expect("4 bytes")) {
                     0 => Ok(Frame::Ack { accepted: true }),
                     1 => Ok(Frame::Ack { accepted: false }),
                     other => Err(NetError::BadPayload(format!("unknown ACK status {other}"))),
                 }
             }
-            TYPE_NACK => match std::str::from_utf8(payload) {
-                Ok(reason) => Ok(Frame::Nack {
-                    reason: reason.to_string(),
-                }),
+            TYPE_NACK => match String::from_utf8(payload) {
+                Ok(reason) => Ok(Frame::Nack { reason }),
                 Err(e) => Err(NetError::BadPayload(format!("NACK reason not UTF-8: {e}"))),
             },
             TYPE_BYE => {
@@ -193,12 +198,25 @@ impl Frame {
 }
 
 /// Encodes a frame to its complete wire bytes (header, payload, CRC).
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_PAYLOAD`]; [`try_encode_frame`] returns
+/// [`NetError::Oversized`] instead.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = frame.payload_bytes();
-    assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "frame payload exceeds MAX_PAYLOAD"
-    );
+    try_encode_frame(frame).expect("frame payload exceeds MAX_PAYLOAD")
+}
+
+/// Encodes a frame to its complete wire bytes (header, payload, CRC), or
+/// [`NetError::Oversized`] if the payload exceeds [`MAX_PAYLOAD`].
+pub fn try_encode_frame(frame: &Frame) -> Result<Vec<u8>, NetError> {
+    let payload = frame.payload();
+    if payload.len() > MAX_PAYLOAD {
+        return Err(NetError::Oversized {
+            len: payload.len(),
+            max: MAX_PAYLOAD,
+        });
+    }
     let mut buf = Vec::with_capacity(HEADER + payload.len() + 4);
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&VERSION.to_le_bytes());
@@ -207,7 +225,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     buf.extend_from_slice(&payload);
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
-    buf
+    Ok(buf)
 }
 
 /// Decodes one frame from the front of `bytes`; returns the frame and
@@ -253,14 +271,21 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), NetError> {
     if stored != computed {
         return Err(NetError::ChecksumMismatch { stored, computed });
     }
-    let frame = Frame::from_parts(field(8), &bytes[HEADER..HEADER + len])?;
+    let frame = Frame::from_parts(field(8), bytes[HEADER..HEADER + len].to_vec())?;
     Ok((frame, total))
 }
 
-/// Writes one frame to a (socket) writer.
+/// Writes one frame to a (socket) writer; a payload over
+/// [`MAX_PAYLOAD`] is [`NetError::Oversized`] and writes nothing.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), NetError> {
-    let bytes = encode_frame(frame);
-    w.write_all(&bytes).map_err(NetError::from_io)?;
+    write_encoded(w, &try_encode_frame(frame)?)
+}
+
+/// Writes the wire bytes of one frame, as [`try_encode_frame`] made
+/// them, in a single `write_all` — so a link fault that acts once per
+/// write call acts once per frame.
+pub fn write_encoded(w: &mut impl Write, bytes: &[u8]) -> Result<(), NetError> {
+    w.write_all(bytes).map_err(NetError::from_io)?;
     w.flush().map_err(NetError::from_io)
 }
 
@@ -269,7 +294,9 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), NetError> {
 /// A clean end-of-stream *at a frame boundary* is [`NetError::Closed`];
 /// mid-frame EOF, timeouts and OS errors are [`NetError::Io`]. The
 /// header is validated before the payload buffer is allocated, so a
-/// corrupt length cannot drive a huge allocation.
+/// corrupt length cannot drive a huge allocation. The CRC runs over the
+/// header and the payload where they were received, and a SNAPSHOT
+/// payload is moved into the frame, not copied: one buffer per frame.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, NetError> {
     let mut header = [0u8; HEADER];
     let mut got = 0;
@@ -305,16 +332,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, NetError> {
     }
     let mut rest = vec![0u8; len + 4];
     r.read_exact(&mut rest).map_err(NetError::from_io)?;
-    let stored =
-        u32::from_le_bytes(rest[len..].try_into().expect("4 bytes"));
-    let mut crc_input = Vec::with_capacity(HEADER + len);
-    crc_input.extend_from_slice(&header);
-    crc_input.extend_from_slice(&rest[..len]);
-    let computed = crc32(&crc_input);
+    let stored = u32::from_le_bytes(rest[len..].try_into().expect("4 bytes"));
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    crc.update(&rest[..len]);
+    let computed = crc.finalize();
     if stored != computed {
         return Err(NetError::ChecksumMismatch { stored, computed });
     }
-    Frame::from_parts(field(8), &rest[..len])
+    rest.truncate(len);
+    Frame::from_parts(field(8), rest)
 }
 
 #[cfg(test)]
@@ -430,6 +457,21 @@ mod tests {
             read_frame(&mut bytes.as_slice()),
             Err(NetError::Oversized { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_payload_is_a_typed_error_and_writes_nothing() {
+        // Zeroed pages: the length check fires before any byte is read.
+        let frame = Frame::Snapshot(vec![0; MAX_PAYLOAD + 1]);
+        let mut wire = Vec::new();
+        assert_eq!(
+            write_frame(&mut wire, &frame),
+            Err(NetError::Oversized {
+                len: MAX_PAYLOAD + 1,
+                max: MAX_PAYLOAD
+            })
+        );
+        assert!(wire.is_empty());
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub mod server;
 
 pub use agent::{ShipOutcome, SiteAgent};
 pub use conn::FaultyConn;
-pub use frame::{decode_frame, encode_frame, read_frame, write_frame, Frame};
+pub use frame::{
+    decode_frame, encode_frame, read_frame, try_encode_frame, write_encoded, write_frame, Frame,
+};
 pub use server::{render_report, serve, CoordinatorServer, ServeConfig};
 
 /// Errors from the wire transport.

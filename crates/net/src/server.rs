@@ -19,7 +19,7 @@ use crate::NetError;
 use cs_core::distributed::{
     DistributedSketch, ExclusionReason, QuorumCoordinator, QuorumOutcome, RetryPolicy,
 };
-use cs_core::{CoreError, SketchParams};
+use cs_core::{CoreError, CountSketch, SketchParams};
 use cs_stream::io as stream_io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
@@ -146,7 +146,12 @@ impl CoordinatorServer {
         for h in handlers {
             let _ = h.join();
         }
-        let coordinator = self.coordinator.lock().expect("coordinator lock").clone();
+        // Every handler has been joined, so this is the last reference:
+        // take the coordinator rather than clone every accepted sketch.
+        let coordinator = Arc::try_unwrap(self.coordinator)
+            .expect("every handler thread has been joined")
+            .into_inner()
+            .expect("coordinator lock");
         coordinator.finalize().map_err(|e| match e {
             CoreError::QuorumNotMet {
                 validated,
@@ -247,9 +252,13 @@ fn session(
         .map_err(|e| NetError::BadPayload(format!("candidate stream: {e}")))?
         .as_slice()
         .to_vec();
+    // Verify and decode before taking the lock, so concurrent sessions
+    // decode in parallel; the coordinator only records the verdict.
+    let decoded = CountSketch::from_snapshot_bytes(&snapshot);
+    drop(snapshot);
     let mut coord = coordinator.lock().expect("coordinator lock");
     coord
-        .deliver_snapshot(site, &snapshot, candidates, local_n)
+        .deliver_decoded(site, decoded, candidates, local_n)
         .map_err(|e| NetError::Protocol(e.to_string()))?;
     Ok(coord.accepted_sites().contains(&site))
 }

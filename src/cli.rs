@@ -48,6 +48,8 @@
 
 use crate::prelude::*;
 use crate::sketch::iceberg::IcebergProcessor;
+use cs_core::snapshot::sketch_snapshot_len;
+use cs_net::frame::MAX_PAYLOAD;
 use std::path::Path;
 
 mod scan;
@@ -338,6 +340,21 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.sites == 0 {
         return Err("--sites must be at least 1".into());
+    }
+    if matches!(opts.command.as_str(), "serve" | "ship") {
+        // A site ships its sketch as one CSWP frame; refuse a geometry
+        // whose snapshot no frame can carry before sketching anything.
+        match sketch_snapshot_len(opts.rows, opts.buckets) {
+            Some(len) if len <= MAX_PAYLOAD => {}
+            len => {
+                return Err(format!(
+                    "-t {} -b {}: the sketch snapshot ({} bytes) exceeds the {MAX_PAYLOAD}-byte frame payload limit",
+                    opts.rows,
+                    opts.buckets,
+                    len.map_or("over usize::MAX".into(), |l| l.to_string())
+                ))
+            }
+        }
     }
     match opts.command.as_str() {
         "serve" => {
@@ -1258,6 +1275,21 @@ mod tests {
         // Fault specs are validated at parse time, and only for ship.
         assert!(parse_args(&args("ship --to a --site-id 0 --fault melt:3")).is_err());
         assert!(parse_args(&args("top --fault cut:10")).is_err());
+    }
+
+    #[test]
+    fn serve_and_ship_reject_sketches_no_frame_can_carry() {
+        // 1 × 8 259 546 cells snapshot to 67 108 860 bytes, the largest
+        // at most MAX_PAYLOAD; one more cell is 8 bytes over it.
+        for cmd in ["serve --listen a", "ship --to a --site-id 0"] {
+            assert!(parse_args(&args(&format!("{cmd} -t 1 -b 8259546"))).is_ok());
+            let err = parse_args(&args(&format!("{cmd} -t 1 -b 8259547"))).unwrap_err();
+            assert!(err.contains("67108868 bytes"), "{err}");
+            let err = parse_args(&args(&format!("{cmd} -t 4294967296 -b 4294967296"))).unwrap_err();
+            assert!(err.contains("over usize::MAX"), "{err}");
+        }
+        // Commands that ship nothing keep any geometry.
+        assert!(parse_args(&args("top -t 9 -b 1048576")).is_ok());
     }
 
     #[test]

@@ -1,0 +1,42 @@
+//! `fi ship` and `fi serve` with a sketch too large for one CSWP frame.
+//! A 9 × 1 048 576 sketch snapshots to 76 677 164 bytes, over the
+//! 64 MiB payload limit: both commands must refuse it as a bad
+//! invocation (exit 2), before sketching or binding anything, and never
+//! panic (exit 101).
+
+use std::process::Command;
+
+#[test]
+fn serve_and_ship_reject_a_sketch_no_frame_can_carry() {
+    let dir = std::env::temp_dir().join(format!("fi-oversized-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("tiny.txt");
+    std::fs::write(&input, "a b a\n").unwrap();
+    let sketch = ["--sites", "1", "-t", "9", "-b", "1048576"];
+    let serve = Command::new(env!("CARGO_BIN_EXE_fi"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--deadline-ms", "200"])
+        .args(sketch)
+        .output()
+        .unwrap();
+    let ship = Command::new(env!("CARGO_BIN_EXE_fi"))
+        .args([
+            "ship",
+            "--to",
+            "127.0.0.1:9",
+            "--site-id",
+            "0",
+            "--timeout-ms",
+            "200",
+        ])
+        .args(sketch)
+        .arg(&input)
+        .output()
+        .unwrap();
+    for (name, out) in [("serve", serve), ("ship", ship)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "fi {name}: {stderr}");
+        assert!(stderr.contains("76677164 bytes"), "fi {name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "fi {name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
