@@ -45,9 +45,8 @@ pub trait StreamSummary {
 
     /// Consumes a block of occurrences. The default forwards to
     /// [`StreamSummary::process`] per key; implementations with a
-    /// cheaper bulk path (e.g. the Count-Sketch's block ingestion
-    /// engine) override this, and the throughput harness feeds every
-    /// algorithm through it so such paths are exercised end-to-end.
+    /// cheaper bulk path override this, and the throughput harness feeds
+    /// every algorithm through it so such paths are exercised end-to-end.
     fn process_batch(&mut self, keys: &[ItemKey]) {
         for &key in keys {
             self.process(key);

@@ -16,8 +16,8 @@
 //!   list-size         §4.1's candidate-list-size formula vs measured minimum
 //!   hierarchical      1-pass hierarchical max-change vs the 2-pass §4.2 algorithm
 //!   throughput        update/query throughput of every algorithm
-//!   parallel          multi-core ingestion scaling sweep (pool/atomic/striped)
-//!   query             read-path ESTIMATE throughput (scalar/batch/cached × depth)
+//!   parallel          multi-core ingestion scaling sweep (sequential vs pool)
+//!   query             read-path ESTIMATE throughput (scalar/batch × depth)
 //!   fault-matrix      recovery + merged accuracy vs failed sites over loopback TCP
 //!   report            re-render stored --records JSONL as tables
 //!   check-throughput  compare a BENCH_throughput.json against a baseline

@@ -1,5 +1,5 @@
-//! Ingestion microbenchmark: scalar `update` vs the block engine vs the
-//! exact clamp-and-flag tier.
+//! Ingestion microbenchmark: the watermark-guarded `update` vs the exact
+//! clamp-and-flag tier.
 //!
 //! ```text
 //! cargo run --release -p cs-bench --bin micro
@@ -7,33 +7,19 @@
 //!
 //! Rows:
 //!
-//! * `scalar_update` — one [`CountSketch::update`] call per key (the
-//!   pre-batching hot path, now itself on the two-tier scheme);
-//! * `update_batch/{8,32,128}` — the block ingestion engine fed slices
-//!   of the given length, so the cost of partial blocks (engine-internal
-//!   blocks are 32 keys) is visible;
+//! * `scalar_update` — one [`CountSketch::update`] call per key: the
+//!   write path `absorb`, the worker pool and the heap processors all
+//!   use;
 //! * `exact_tier_update` — [`CountSketch::update_exact`] per key: the
 //!   always-clamping `i128` path every update used to take, kept as the
 //!   overflow fallback. The gap to `scalar_update` is the price of the
-//!   clamp + saturation bookkeeping that the headroom watermark removes;
-//! * `striped_shared_add` / `atomic_shared_add` — the two shared-handle
-//!   ingestion paths (mutex-per-row vs lock-free `fetch_add`), driven
-//!   from one thread so the numbers isolate per-op synchronization
-//!   overhead from contention. The gap between them is what the
-//!   lock-free sketch buys before any parallelism enters the picture.
-//!
-//! Build with `--no-default-features` to also compile the saturation
-//! bitset out of the exact tier (the `saturation-tracking` feature is
-//! forwarded to `cs-core`) and compare against the default build; the
-//! fast tier never touches the bitset either way.
+//!   clamp + saturation bookkeeping that the headroom watermark removes.
 //!
 //! Timings come from the in-repo criterion shim: mean of
 //! `CRITERION_SHIM_ITERS` (default 10) iterations, no outlier analysis —
 //! on a noisy VM, prefer re-running and comparing medians.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cs_core::concurrent::SharedCountSketch;
-use cs_core::parallel::AtomicCountSketch;
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use cs_core::{CountSketch, SketchParams};
 use cs_stream::{Zipf, ZipfStreamKind};
 
@@ -58,47 +44,11 @@ fn bench_ingest(c: &mut Criterion) {
         })
     });
 
-    for slice in [8usize, 32, 128] {
-        group.bench_with_input(
-            BenchmarkId::new("update_batch", slice),
-            &slice,
-            |b, &slice| {
-                b.iter(|| {
-                    let mut s = CountSketch::new(params, 7);
-                    for block in keys.chunks(slice) {
-                        s.update_batch(black_box(block));
-                    }
-                    s
-                })
-            },
-        );
-    }
-
     group.bench_function("exact_tier_update", |b| {
         b.iter(|| {
             let mut s = CountSketch::new(params, 7);
             for &k in keys {
                 s.update_exact(black_box(k), 1);
-            }
-            s
-        })
-    });
-
-    group.bench_function("striped_shared_add", |b| {
-        b.iter(|| {
-            let s = SharedCountSketch::new(params, 7);
-            for &k in keys {
-                s.add(black_box(k));
-            }
-            s
-        })
-    });
-
-    group.bench_function("atomic_shared_add", |b| {
-        b.iter(|| {
-            let s = AtomicCountSketch::new(params, 7);
-            for &k in keys {
-                s.add(black_box(k));
             }
             s
         })

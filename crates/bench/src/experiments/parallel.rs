@@ -1,16 +1,12 @@
 //! **Parallel-ingestion scaling** — wall-clock ingest throughput of the
-//! three multi-core paths in `cs_core` against the sequential reference,
+//! multi-core path in `cs_core` against the sequential reference,
 //! sweeping the thread count:
 //!
 //! * `sequential` — `CountSketch::absorb` on one thread (the baseline
 //!   every speedup is ultimately judged against);
 //! * `pool` — [`cs_core::parallel::SketchPool`] via
 //!   `sketch_stream_pooled`: key-hash sharded workers, each with a
-//!   private sketch, merged additively at the end (§3.2 additivity);
-//! * `atomic` — [`cs_core::parallel::AtomicCountSketch`]: one shared
-//!   lock-free sketch, every thread `fetch_add`ing into the same cells;
-//! * `striped` — `cs_core::concurrent::SharedCountSketch`: the legacy
-//!   mutex-per-row handle, kept as the contention reference point.
+//!   private sketch, merged additively at the end (§3.2 additivity).
 //!
 //! Every number is the **median of `scale.trials` timed runs** (fresh
 //! state per run), like the throughput table. The stream is 10× the
@@ -20,14 +16,13 @@
 //! gates CI on it.
 //!
 //! Interpreting the numbers requires knowing the host: on a single
-//! hardware thread every parallel variant *loses* to sequential (channel
+//! hardware thread the pool *loses* to sequential (channel
 //! hops and cache traffic buy nothing), which is why the JSON records
 //! `host_cores` and the speedup gate only arms on hosts with ≥ 4 cores.
 
 use crate::config::Scale;
 use crate::experiments::ExperimentOutput;
-use cs_core::concurrent::SharedCountSketch;
-use cs_core::parallel::{sketch_stream_pooled, AtomicCountSketch};
+use cs_core::parallel::sketch_stream_pooled;
 use cs_core::{CountSketch, SketchParams};
 use cs_metrics::experiment::ExperimentRecord;
 use cs_metrics::stats::median;
@@ -37,7 +32,7 @@ use cs_stream::{Zipf, ZipfStreamKind};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Sketch shape shared by every variant (same as the throughput table).
+/// Sketch shape shared by both variants (same as the throughput table).
 const ROWS: usize = 5;
 const BUCKETS: usize = 1024;
 /// Cap on the sweep's stream length: long enough that ingest wall time
@@ -99,7 +94,7 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
     // (variant, threads, Mops/s, speedup vs that variant's 1-thread run)
     let mut rows: Vec<(&str, usize, f64, f64)> = Vec::new();
 
-    // Sequential reference: the plain batched absorb path on one thread.
+    // Sequential reference: the plain absorb path on one thread.
     let seq = measure(trials, n, || {
         let mut s = CountSketch::new(params, 1);
         s.absorb(&stream, 1);
@@ -107,50 +102,16 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
     });
     rows.push(("sequential", 1, seq, 1.0));
 
-    for variant in ["pool", "atomic", "striped"] {
-        let mut base = f64::NAN;
-        for &t in &threads {
-            let mops = match variant {
-                "pool" => measure(trials, n, || {
-                    let s = sketch_stream_pooled(&stream, params, 1, t);
-                    std::hint::black_box(&s);
-                }),
-                "atomic" => measure(trials, n, || {
-                    let handle = AtomicCountSketch::new(params, 1);
-                    let chunks = stream.chunks(t);
-                    std::thread::scope(|scope| {
-                        for chunk in &chunks {
-                            let h = handle.clone();
-                            scope.spawn(move || {
-                                for key in chunk.iter() {
-                                    h.add(key);
-                                }
-                            });
-                        }
-                    });
-                    std::hint::black_box(&handle);
-                }),
-                _ => measure(trials, n, || {
-                    let handle = SharedCountSketch::new(params, 1);
-                    let chunks = stream.chunks(t);
-                    std::thread::scope(|scope| {
-                        for chunk in &chunks {
-                            let h = handle.clone();
-                            scope.spawn(move || {
-                                for key in chunk.iter() {
-                                    h.add(key);
-                                }
-                            });
-                        }
-                    });
-                    std::hint::black_box(&handle);
-                }),
-            };
-            if t == threads[0] {
-                base = mops;
-            }
-            rows.push((variant, t, mops, mops / base));
+    let mut base = f64::NAN;
+    for &t in &threads {
+        let mops = measure(trials, n, || {
+            let s = sketch_stream_pooled(&stream, params, 1, t);
+            std::hint::black_box(&s);
+        });
+        if t == threads[0] {
+            base = mops;
         }
+        rows.push(("pool", t, mops, mops / base));
     }
 
     for (variant, t, mops, speedup) in rows {
@@ -252,8 +213,8 @@ mod tests {
         // 10× multiplier makes even `small` long; shrink further for CI.
         let out = run(&Scale::small().with_n(2_000));
         assert_eq!(out.tables.len(), 1);
-        // sequential@1 plus >= 3 thread counts for each of 3 variants.
-        assert!(out.records.len() >= 10);
+        // sequential@1 plus >= 3 pool thread counts.
+        assert!(out.records.len() >= 4);
         for r in &out.records {
             assert!(
                 r.metrics["update_mops"] > 0.0,
@@ -264,9 +225,7 @@ mod tests {
         }
         let variants: std::collections::BTreeSet<&str> =
             out.records.iter().map(|r| r.algorithm.as_str()).collect();
-        for v in ["sequential", "pool", "atomic", "striped"] {
-            assert!(variants.contains(v), "missing variant {v}");
-        }
+        assert_eq!(variants, ["sequential", "pool"].into());
         // Speedup is defined relative to the variant's own 1-thread run.
         for r in &out.records {
             if r.params["threads"] == 1.0 {

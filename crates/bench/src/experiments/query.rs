@@ -1,4 +1,4 @@
-//! **Read-path query throughput** — point-estimate rates of the three
+//! **Read-path query throughput** — point-estimate rates of the two
 //! ESTIMATE paths in `cs_core`, sweeping the sketch depth `t`:
 //!
 //! * `scalar` — `CountSketch::estimate` per probe, the pre-kernel read
@@ -6,29 +6,22 @@
 //!   per-call allocation);
 //! * `batch` — `estimate_batch_with_scratch`: the block kernel that
 //!   hashes a whole block of probes up front, gathers counters
-//!   row-major, and combines per column out of a reusable scratch;
-//! * `cached` — [`cs_core::query::QueryEngine`] with a bounded hot-key
-//!   cache: repeat probes of a hot key are served from the cache and
-//!   never touch the counter array.
+//!   row-major, and combines per column out of a reusable scratch.
 //!
 //! Each variant runs against two probe mixes over the same ingested
 //! Zipf(1.0) sketch: `zipf` (probes drawn from the skewed distribution —
-//! the repeat-heavy traffic a serving tier actually sees, where the
-//! hot-key cache earns its keep) and `uniform` (probes spread evenly
-//! over the universe — the cache-hostile worst case). Every number is
-//! the **best of `scale.trials` timed rounds**, with the three variants
-//! interleaved inside each round: the minimum elapsed time is the
-//! closest observation of the code's actual cost on a shared host, and
+//! the repeat-heavy traffic a serving tier actually sees) and `uniform`
+//! (probes spread evenly over the universe). Every number is the **best
+//! of `scale.trials` timed rounds**, with both variants interleaved
+//! inside each round: the minimum elapsed time is the closest
+//! observation of the code's actual cost on a shared host, and
 //! interleaving means a scheduler or thermal stall lands on every
-//! variant in the round, not just one. The cache deliberately persists
-//! across a variant's rounds, as it would in a long-lived server. The
-//! harness serializes the sweep as `BENCH_query.json` (see
+//! variant in the round, not just one. The harness serializes the sweep as `BENCH_query.json` (see
 //! [`bench_json`]); `harness check-query` gates CI on it, including the
 //! ≥ 2× batch-over-scalar kernel guarantee at `t = 5`.
 
 use crate::config::Scale;
 use crate::experiments::ExperimentOutput;
-use cs_core::query::QueryEngine;
 use cs_core::sketch::EstimateBatchScratch;
 use cs_core::{CountSketch, SketchParams};
 use cs_metrics::experiment::ExperimentRecord;
@@ -45,9 +38,6 @@ const BUCKETS: usize = 1024;
 /// depths anyone actually deploys (Lemma 3 failure decay is exponential
 /// in `t`).
 pub const DEPTHS: [usize; 4] = [3, 5, 7, 9];
-/// Hot-key cache capacity for the `cached` variant: large enough to
-/// hold every head key of the Zipf mix, far smaller than the universe.
-const CACHE_CAPACITY: usize = 4096;
 /// Cap on the probe-set length: long enough that query wall time
 /// dominates setup, short enough for the full-scale harness.
 const MAX_PROBES: usize = 1_000_000;
@@ -85,15 +75,7 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
              (Mops/s, best of {trials} interleaved rounds)",
             scale.n, scale.m
         ),
-        &[
-            "mix",
-            "t",
-            "scalar Mops/s",
-            "batch Mops/s",
-            "cached Mops/s",
-            "batch/scalar",
-            "cache hit rate",
-        ],
+        &["mix", "t", "scalar Mops/s", "batch Mops/s", "batch/scalar"],
     );
 
     for &rows in &DEPTHS {
@@ -104,8 +86,7 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
 
             let mut scratch = EstimateBatchScratch::new();
             let mut ests = Vec::with_capacity(keys.len());
-            let mut engine = QueryEngine::new(sketch.clone()).with_hot_key_cache(CACHE_CAPACITY);
-            let (mut scalar, mut batch, mut cached) = (0.0f64, 0.0f64, 0.0f64);
+            let (mut scalar, mut batch) = (0.0f64, 0.0f64);
             for _ in 0..trials {
                 scalar = scalar.max(time_once(probes, || {
                     for &key in keys {
@@ -116,26 +97,17 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
                     sketch.estimate_batch_with_scratch(keys, &mut scratch, &mut ests);
                     std::hint::black_box(&ests);
                 }));
-                cached = cached.max(time_once(probes, || {
-                    for &key in keys {
-                        std::hint::black_box(engine.estimate(key));
-                    }
-                }));
             }
-            let (hits, misses) = engine.cache_stats();
-            let hit_rate = hits as f64 / ((hits + misses) as f64).max(1.0);
 
             table.row(&[
                 (*mix).into(),
                 rows.to_string(),
                 fmt_num(scalar),
                 fmt_num(batch),
-                fmt_num(cached),
                 format!("{:.2}x", batch / scalar),
-                format!("{:.0}%", hit_rate * 100.0),
             ]);
-            for (variant, mops) in [("scalar", scalar), ("batch", batch), ("cached", cached)] {
-                let mut record = ExperimentRecord::new("query", format!("{variant}-{mix}"))
+            for (variant, mops) in [("scalar", scalar), ("batch", batch)] {
+                let record = ExperimentRecord::new("query", format!("{variant}-{mix}"))
                     .param("n", scale.n as f64)
                     .param("m", scale.m as f64)
                     .param("probes", probes as f64)
@@ -144,9 +116,6 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
                     .param("buckets", BUCKETS as f64)
                     .metric("query_mops", mops)
                     .metric("speedup_vs_scalar", mops / scalar);
-                if variant == "cached" {
-                    record = record.metric("cache_hit_rate", hit_rate);
-                }
                 out.records.push(record);
             }
         }
@@ -177,7 +146,7 @@ pub fn bench_json(out: &ExperimentOutput, scale: &Scale, git_rev: &str) -> Strin
         scale.trials.max(1)
     ));
     s.push_str(&format!(
-        "  \"sketch\": {{\"buckets\": {BUCKETS}, \"depths\": [3, 5, 7, 9], \"cache_capacity\": {CACHE_CAPACITY}}},\n"
+        "  \"sketch\": {{\"buckets\": {BUCKETS}, \"depths\": [3, 5, 7, 9]}},\n"
     ));
     s.push_str("  \"records\": [\n");
     let lines: Vec<String> = out
@@ -219,8 +188,8 @@ mod tests {
     fn query_runs_and_reports_positive_rates() {
         let out = run(&Scale::small().with_n(2_000));
         assert_eq!(out.tables.len(), 1);
-        // 3 variants × 2 mixes × 4 depths.
-        assert_eq!(out.records.len(), 24);
+        // 2 variants × 2 mixes × 4 depths.
+        assert_eq!(out.records.len(), 16);
         for r in &out.records {
             assert!(
                 r.metrics["query_mops"] > 0.0,
@@ -231,27 +200,15 @@ mod tests {
         }
         let variants: std::collections::BTreeSet<&str> =
             out.records.iter().map(|r| r.algorithm.as_str()).collect();
-        for v in [
-            "scalar-zipf",
-            "batch-zipf",
-            "cached-zipf",
-            "scalar-uniform",
-            "batch-uniform",
-            "cached-uniform",
-        ] {
-            assert!(variants.contains(v), "missing variant {v}");
-        }
-        // The hot-key cache must actually hit on the skewed mix: the head
-        // of a Zipf(1.0) stream repeats far more often than once per key.
-        let zipf_cached = out
-            .records
-            .iter()
-            .find(|r| r.algorithm == "cached-zipf")
-            .unwrap();
-        assert!(
-            zipf_cached.metrics["cache_hit_rate"] > 0.5,
-            "cache hit rate {} on the zipf mix",
-            zipf_cached.metrics["cache_hit_rate"]
+        assert_eq!(
+            variants,
+            [
+                "scalar-zipf",
+                "batch-zipf",
+                "scalar-uniform",
+                "batch-uniform"
+            ]
+            .into()
         );
     }
 

@@ -19,17 +19,11 @@
 //! `ADD`+`ESTIMATE` kernel, which reads the estimate back from the `t`
 //! cells it just wrote. The state is bit-identical to separate calls.
 //! The tracker ([`TopKTracker`]) is a flat array with a cached minimum
-//! and does not hash the key at small `k`. Bulk arrivals can instead go
-//! through [`ApproxTopProcessor::observe_batch`], which feeds the sketch via the
-//! block ingestion engine ([`crate::ingest`]) and amortizes heap
-//! maintenance per block — the sketch state stays bit-identical either
-//! way; see the method docs for the (benign) effect on stored heap
-//! values.
+//! and does not hash the key at small `k`.
 
-use crate::ingest::{IngestLanes, BLOCK};
 use crate::median::Combiner;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateBatchScratch, EstimateScratch, GenericCountSketch};
+use crate::sketch::{CountSketch, EstimateScratch, GenericCountSketch};
 use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
@@ -73,11 +67,6 @@ pub struct ApproxTopProcessor<H = cs_hash::PairwiseHash, S = cs_hash::PairwiseSi
     tracker: TopKTracker,
     policy: HeapPolicy,
     scratch: EstimateScratch,
-    /// Standing lanes for the batched read path (transient, like
-    /// `scratch`: rebuilt empty by `from_parts`).
-    batch: EstimateBatchScratch,
-    cand_keys: Vec<ItemKey>,
-    cand_ests: Vec<i64>,
 }
 
 impl ApproxTopProcessor<cs_hash::PairwiseHash, cs_hash::PairwiseSign> {
@@ -99,9 +88,6 @@ where
             tracker: TopKTracker::new(k),
             policy: HeapPolicy::default(),
             scratch: EstimateScratch::new(),
-            batch: EstimateBatchScratch::new(),
-            cand_keys: Vec::with_capacity(BLOCK),
-            cand_ests: Vec::with_capacity(BLOCK),
         }
     }
 
@@ -130,93 +116,7 @@ where
         }
     }
 
-    /// Processes a block of arrivals through the batched ingestion
-    /// engine ([`GenericCountSketch::update_batch`]).
-    ///
-    /// The sketch ends **bit-identical** to calling [`Self::observe`]
-    /// once per key. Heap maintenance is amortized: each block is
-    /// absorbed first, then untracked arrivals are estimated against the
-    /// post-block counters, reusing the processor's one
-    /// [`EstimateScratch`]. A key first offered inside a block has its
-    /// later same-block occurrences already folded into that estimate,
-    /// so they are not incremented again — stored values therefore match
-    /// the per-item rule exactly whenever the estimate is collision-free
-    /// and differ only by intra-block collision noise otherwise.
-    ///
-    /// Because heap values become block-granular, tracker state depends
-    /// on where block boundaries fall: callers that need snapshots taken
-    /// mid-stream to resume **bit-identically** (tracker included)
-    /// should stick to [`Self::observe`]/[`Self::observe_stream`], whose
-    /// state is a pure function of the stream prefix.
-    pub fn observe_batch(&mut self, keys: &[ItemKey]) {
-        // Keys offered (and still tracked) in the current block; bounded
-        // by the block size, so a stack array suffices.
-        let mut offered = [ItemKey(0); BLOCK];
-        let mut lanes = IngestLanes::new();
-        for block in keys.chunks(BLOCK) {
-            self.sketch
-                .update_batch_weighted_with_lanes(block, 1, &mut lanes);
-            match self.policy {
-                HeapPolicy::IncrementTracked => {
-                    // Pre-estimate, through the batch kernel, the unique
-                    // keys untracked when the block starts — a superset
-                    // of what the sequential rule below can estimate,
-                    // short of rare mid-block evictions (those take the
-                    // scalar probe). All estimates are post-block values
-                    // either way, so hoisting them changes no decision.
-                    self.cand_keys.clear();
-                    for &key in block {
-                        if !self.tracker.contains(key) && !self.cand_keys.contains(&key) {
-                            self.cand_keys.push(key);
-                        }
-                    }
-                    self.sketch.estimate_batch_with_scratch(
-                        &self.cand_keys,
-                        &mut self.batch,
-                        &mut self.cand_ests,
-                    );
-                    let mut offered_len = 0usize;
-                    for &key in block {
-                        let offered_here = offered[..offered_len].contains(&key);
-                        if offered_here {
-                            // Its post-block estimate counted this
-                            // occurrence; re-offer only if evicted since.
-                            if self.tracker.contains(key) {
-                                continue;
-                            }
-                        } else if self.tracker.increment(key) {
-                            continue;
-                        }
-                        let est = match self.cand_keys.iter().position(|&c| c == key) {
-                            Some(p) => self.cand_ests[p],
-                            None => self.sketch.estimate_with_scratch(key, &mut self.scratch),
-                        };
-                        self.tracker.offer(key, est);
-                        if !offered_here && self.tracker.contains(key) {
-                            offered[offered_len] = key;
-                            offered_len += 1;
-                        }
-                    }
-                }
-                HeapPolicy::AlwaysReEstimate => {
-                    // Offers replace stored values, so duplicates within
-                    // a block are harmless (same estimate, same result);
-                    // the whole block goes through the batch kernel.
-                    self.sketch.estimate_batch_with_scratch(
-                        block,
-                        &mut self.batch,
-                        &mut self.cand_ests,
-                    );
-                    for (&key, &est) in block.iter().zip(&self.cand_ests) {
-                        self.tracker.offer(key, est);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Processes a whole stream, one arrival at a time (the durability
-    /// contract's path — see [`Self::observe_batch`] for the trade-off).
+    /// Processes a whole stream, one arrival at a time.
     pub fn observe_stream(&mut self, stream: &Stream) {
         for key in stream.iter() {
             self.observe(key);
@@ -252,7 +152,7 @@ where
     /// Reassembles a processor from its parts — used by the snapshot
     /// codec and by callers that rebuild a processor around an
     /// already-merged sketch (e.g. the parallel pipeline's resumable CLI
-    /// path). The scratch buffers are transient and rebuilt empty.
+    /// path). The scratch buffer is transient and rebuilt empty.
     pub fn from_parts(
         sketch: GenericCountSketch<H, S>,
         tracker: TopKTracker,
@@ -263,15 +163,12 @@ where
             tracker,
             policy,
             scratch: EstimateScratch::new(),
-            batch: EstimateBatchScratch::new(),
-            cand_keys: Vec::with_capacity(BLOCK),
-            cand_ests: Vec::with_capacity(BLOCK),
         }
     }
 
     /// Decomposes the processor into sketch, tracker and policy — the
-    /// parallel APPROXTOP merge re-bases each worker's candidates
-    /// against the merged sketch, so it needs the parts, not the whole.
+    /// threaded CLI path merges a resumed processor's sketch into the
+    /// pool's, so it needs the parts, not the whole.
     pub fn into_parts(self) -> (GenericCountSketch<H, S>, TopKTracker, HeapPolicy) {
         (self.sketch, self.tracker, self.policy)
     }
@@ -371,15 +268,6 @@ mod tests {
                 keys.contains(&ItemKey(0)),
                 "policy {policy:?} missed the top item"
             );
-            // And through the batched path.
-            let mut b =
-                ApproxTopProcessor::new(SketchParams::new(5, 512), 5, 9).with_policy(policy);
-            b.observe_batch(stream.as_slice());
-            assert_eq!(p.sketch().counters(), b.sketch().counters());
-            assert!(
-                b.result().keys().contains(&ItemKey(0)),
-                "policy {policy:?} (batched) missed the top item"
-            );
         }
     }
 
@@ -399,60 +287,6 @@ mod tests {
         }
         let one_shot = approx_top(&stream, 8, SketchParams::new(5, 256), 21);
         assert_eq!(p.result().items, one_shot.items);
-    }
-
-    #[test]
-    fn incremental_block_aligned_batches_match_one_call() {
-        // Feeding block-aligned slices reproduces a single observe_batch
-        // call exactly: the block decomposition — and hence the timing of
-        // every heap estimate — is identical.
-        let zipf = Zipf::new(100, 1.0);
-        let stream = zipf.stream(5000, 11, ZipfStreamKind::Sampled);
-        let keys = stream.as_slice();
-        let mut p = ApproxTopProcessor::new(SketchParams::new(5, 256), 8, 21);
-        let mut at = 0usize;
-        for len in [
-            crate::ingest::BLOCK,
-            7 * crate::ingest::BLOCK,
-            32 * crate::ingest::BLOCK,
-        ] {
-            p.observe_batch(&keys[at..at + len]);
-            at += len;
-        }
-        p.observe_batch(&keys[at..]);
-        let mut one_call = ApproxTopProcessor::new(SketchParams::new(5, 256), 8, 21);
-        one_call.observe_batch(keys);
-        assert_eq!(p.result().items, one_call.result().items);
-        assert_eq!(p.sketch().counters(), one_call.sketch().counters());
-    }
-
-    #[test]
-    fn batched_observation_keeps_sketch_bit_identical() {
-        // The heap may see estimates at block rather than arrival
-        // granularity, but the sketch itself must not diverge at all.
-        let zipf = Zipf::new(100, 1.0);
-        let stream = zipf.stream(5000, 11, ZipfStreamKind::Sampled);
-        let mut per_item = ApproxTopProcessor::new(SketchParams::new(5, 256), 8, 21);
-        for key in stream.iter() {
-            per_item.observe(key);
-        }
-        let mut batched = ApproxTopProcessor::new(SketchParams::new(5, 256), 8, 21);
-        batched.observe_batch(stream.as_slice());
-        assert_eq!(
-            per_item.sketch().counters(),
-            batched.sketch().counters(),
-            "sketch counters diverge between per-item and batched observation"
-        );
-        // And both report the truly dominant items.
-        let exact = ExactCounter::from_stream(&stream);
-        let truth: HashSet<ItemKey> = exact.top_k(3).into_iter().map(|(k, _)| k).collect();
-        for keys in [per_item.result().keys(), batched.result().keys()] {
-            let got: HashSet<ItemKey> = keys.into_iter().collect();
-            assert!(
-                truth.is_subset(&got),
-                "missing dominant items: {truth:?} vs {got:?}"
-            );
-        }
     }
 
     /// The paper's rule spelled out with separate ADD and ESTIMATE calls

@@ -79,40 +79,6 @@ impl IcebergProcessor {
         }
     }
 
-    /// Feeds a block of occurrences through the batched ingestion
-    /// engine. Same contract as
-    /// [`crate::approx_top::ApproxTopProcessor::observe_batch`]: the
-    /// sketch stays bit-identical to per-item [`Self::observe`] calls;
-    /// candidate-heap values are maintained at block granularity — which
-    /// is immaterial here, because [`Self::result`] re-estimates every
-    /// candidate against the finished sketch anyway.
-    pub fn observe_batch(&mut self, keys: &[ItemKey]) {
-        let mut offered = [ItemKey(0); crate::ingest::BLOCK];
-        let mut lanes = crate::ingest::IngestLanes::new();
-        for block in keys.chunks(crate::ingest::BLOCK) {
-            self.n += block.len() as u64;
-            self.sketch
-                .update_batch_weighted_with_lanes(block, 1, &mut lanes);
-            let mut offered_len = 0usize;
-            for &key in block {
-                let offered_here = offered[..offered_len].contains(&key);
-                if offered_here {
-                    if self.tracker.contains(key) {
-                        continue;
-                    }
-                } else if self.tracker.increment(key) {
-                    continue;
-                }
-                let est = self.sketch.estimate_with_scratch(key, &mut self.scratch);
-                self.tracker.offer(key, est);
-                if !offered_here && self.tracker.contains(key) {
-                    offered[offered_len] = key;
-                    offered_len += 1;
-                }
-            }
-        }
-    }
-
     /// Feeds a whole stream, one occurrence at a time.
     pub fn observe_stream(&mut self, stream: &Stream) {
         for key in stream.iter() {
@@ -263,22 +229,6 @@ mod tests {
     #[should_panic(expected = "need 0 <= eps < phi")]
     fn eps_at_least_phi_rejected() {
         IcebergProcessor::new(SketchParams::new(1, 1), 0.1, 0.1, 1, 0);
-    }
-
-    #[test]
-    fn batched_observation_matches_per_item_query_answers() {
-        let zipf = Zipf::new(300, 1.2);
-        let stream = zipf.stream(20_000, 9, ZipfStreamKind::Sampled);
-        let params = SketchParams::new(5, 512);
-        let mut per_item = IcebergProcessor::new(params, 0.02, 0.005, 2, 3);
-        per_item.observe_stream(&stream);
-        let mut batched = IcebergProcessor::new(params, 0.02, 0.005, 2, 3);
-        batched.observe_batch(stream.as_slice());
-        // Identical sketches and occurrence counts; the reported heavy
-        // items come from final re-estimates, so they agree too.
-        assert_eq!(per_item.result().n, batched.result().n);
-        assert_eq!(per_item.result().threshold, batched.result().threshold);
-        assert_eq!(per_item.result().items, batched.result().items);
     }
 
     #[test]

@@ -24,10 +24,9 @@
 //! Extensions beyond the paper's text, each exercised by the ablation
 //! benchmarks: mean and trimmed-mean row combiners ([`median`]), a fast
 //! multiply-shift/tabulation hasher configuration
-//! ([`sketch::FastCountSketch`]), and parallel sketching via additivity
-//! — a long-lived sharded worker pool, a lock-free atomic shared handle,
-//! and a deterministic parallel APPROXTOP ([`parallel`]), with the older
-//! spawn-per-call fan-out kept in [`concurrent`].
+//! ([`sketch::FastCountSketch`]), and parallel sketching via additivity:
+//! a long-lived worker pool whose workers each sketch one key-hash shard,
+//! merged by counter addition ([`parallel`]).
 //!
 //! ## Quick example
 //!
@@ -52,17 +51,14 @@
 pub mod approx_top;
 pub mod builder;
 pub mod candidate_top;
-pub mod concurrent;
 pub mod distributed;
 pub mod error;
 pub mod hierarchical;
 pub mod iceberg;
-pub mod ingest;
 pub mod maxchange;
 pub mod median;
 pub mod parallel;
 pub mod params;
-pub mod query;
 pub mod relchange;
 pub mod sketch;
 pub mod snapshot;
@@ -82,12 +78,8 @@ pub mod prelude {
     pub use crate::hierarchical::{HeavyItem, HierarchicalCountSketch};
     pub use crate::iceberg::{iceberg, IcebergProcessor, IcebergResult};
     pub use crate::maxchange::{max_change, MaxChangeResult};
-    pub use crate::parallel::{
-        parallel_approx_top, sketch_stream_pooled, AtomicCountSketch, ParallelApproxTop,
-        SketchPool,
-    };
+    pub use crate::parallel::{sketch_stream_pooled, SketchPool};
     pub use crate::params::SketchParams;
-    pub use crate::query::QueryEngine;
     pub use crate::relchange::{max_relative_change, ChangeObjective, RelChangeSketch};
     pub use crate::sketch::{
         CheckedEstimate, CountSketch, EstimateBatchScratch, EstimateScratch, FastCountSketch,

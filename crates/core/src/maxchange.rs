@@ -20,9 +20,8 @@
 //! Finally report the `k` items with the largest `|n_q^{S2} - n_q^{S1}|`
 //! among `A`.
 
-use crate::ingest::BLOCK;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateBatchScratch};
+use crate::sketch::{CountSketch, EstimateBatchScratch, BLOCK};
 use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use cs_stream::Stream;

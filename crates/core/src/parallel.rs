@@ -1,27 +1,18 @@
-//! Multi-core sharded ingestion: worker pool, lock-free atomic sketch,
-//! and a deterministic parallel APPROXTOP.
+//! Multi-core sharded ingestion through a worker pool.
 //!
 //! §3.2's additivity (sketches built with the same hash functions merge
 //! by counter addition) is a parallelization license: partition the
 //! stream, sketch the shards independently with the same `(params,
-//! seed)`, and add. This module turns that license into a long-lived
-//! pipeline — [`SketchPool`] — rather than the spawn-per-call fan-out in
-//! [`crate::concurrent`], plus a lock-free shared handle
-//! ([`AtomicCountSketch`]) and a sharded top-k pipeline
-//! ([`ParallelApproxTop`]).
+//! seed)`, and add. [`SketchPool`] turns that license into a long-lived
+//! pipeline.
 //!
 //! ## Sharding
 //!
 //! Streams are partitioned **by key hash** ([`cs_hash::shard_of`]), not
 //! by position: every occurrence of a key lands on one worker, in stream
-//! order. Two consequences:
-//!
-//! * per-worker top-k candidate sets are disjoint, so the parallel
-//!   APPROXTOP merge never has to reconcile two partial counts of the
-//!   same item, and
-//! * each worker's sketch sees a key's updates as a contiguous
-//!   subsequence, so per-key sequential semantics (e.g. single-key
-//!   saturation) are preserved exactly.
+//! order, so each worker's sketch sees a key's updates as a contiguous
+//! subsequence and per-key sequential semantics (e.g. single-key
+//! saturation) are preserved exactly.
 //!
 //! ## Determinism contract
 //!
@@ -46,30 +37,16 @@
 //!    updates (no silent wraparound, same invariant as the scalar
 //!    two-tier path), and that the result is a pure function of
 //!    `(stream, params, seed, worker count)` — reruns are reproducible.
-//!
-//! [`ParallelApproxTop`] resolves the candidate union against the merged
-//! sketch, so its reported estimates are thread-count-invariant whenever
-//! the candidate sets agree (w.h.p. under the paper's Lemma 5
-//! dimensioning; exact determinism per fixed worker count always).
 
-use crate::approx_top::{ApproxTopProcessor, ApproxTopResult};
-use crate::ingest::IngestLanes;
-use crate::median::combine;
 use crate::params::SketchParams;
 use crate::sketch::CountSketch;
 use cs_hash::{shard_of, ItemKey};
 use cs_stream::turnstile::Update;
 use cs_stream::{Stream, TurnstileStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Keys buffered per shard before a job is sent to the worker. Always a
-/// multiple of [`crate::ingest::BLOCK`], and jobs are emitted **exactly
-/// at** this length, so the job (and hence block) boundaries each worker
-/// sees are a pure function of the stream content — never of how callers
-/// happened to slice their `ingest` calls.
+/// Keys buffered per shard before a job is sent to the worker.
 const FLUSH_LEN: usize = 1024;
 
 /// Bounded depth of each worker's job channel: enough to keep a worker
@@ -89,8 +66,8 @@ enum Job {
 /// A long-lived pool of sketch workers fed by bounded channels.
 ///
 /// Each worker owns a private [`CountSketch`] built from the same
-/// `(params, seed)` and ingests its key-hash shard through the block
-/// engine ([`crate::ingest`]). [`SketchPool::finish`] joins the workers
+/// `(params, seed)` and applies its key-hash shard with one
+/// [`CountSketch::update`] per key. [`SketchPool::finish`] joins the workers
 /// and merges additively; see the module docs for the exact determinism
 /// contract.
 ///
@@ -131,11 +108,12 @@ impl SketchPool {
                 .name(format!("cs-pool-{w}"))
                 .spawn(move || {
                     let mut sketch = CountSketch::new(params, seed);
-                    let mut lanes = IngestLanes::new();
                     while let Ok(job) = rx.recv() {
                         match job {
                             Job::Weighted(keys, weight) => {
-                                sketch.update_batch_weighted_with_lanes(&keys, weight, &mut lanes);
+                                for &key in &keys {
+                                    sketch.update(key, weight);
+                                }
                             }
                             Job::Turnstile(updates) => {
                                 for u in &updates {
@@ -274,326 +252,6 @@ pub fn sketch_stream_pooled(
     pool.finish()
 }
 
-/// A sharded APPROXTOP pipeline: each worker runs a private
-/// [`ApproxTopProcessor`] (sketch + k-slot heap) over its key-hash
-/// shard; [`ParallelApproxTop::finish`] merges the sketches, unions the
-/// per-shard candidates (disjoint by construction), and resolves the
-/// union by re-estimating every candidate against the merged sketch.
-///
-/// The reported list is the top `k` candidates by merged-sketch
-/// estimate (ties broken toward smaller keys), so for a fixed worker
-/// count the result is a pure function of `(stream, params, k, seed)`.
-/// With one worker this *is* the sequential reference: the same sketch,
-/// the same candidate set, the same resolution. Across worker counts the
-/// candidate unions may differ, but whenever each true top-k item is
-/// tracked by its shard (the Lemma 5 regime) the resolved list is
-/// identical at every worker count — which the tests assert on planted
-/// heavy-hitter streams.
-pub struct ParallelApproxTop {
-    senders: Vec<SyncSender<Vec<ItemKey>>>,
-    handles: Vec<JoinHandle<ApproxTopProcessor>>,
-    pending: Vec<Vec<ItemKey>>,
-    k: usize,
-}
-
-impl ParallelApproxTop {
-    /// Spawns `workers` APPROXTOP workers, each with a private
-    /// `ApproxTopProcessor::new(params, k, seed)`.
-    ///
-    /// # Panics
-    /// Panics if `workers == 0` (or `k == 0`, via the tracker).
-    pub fn new(params: SketchParams, k: usize, seed: u64, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx): (SyncSender<Vec<ItemKey>>, Receiver<Vec<ItemKey>>) =
-                sync_channel(CHANNEL_DEPTH);
-            let handle = std::thread::Builder::new()
-                .name(format!("cs-top-{w}"))
-                .spawn(move || {
-                    let mut proc = ApproxTopProcessor::new(params, k, seed);
-                    while let Ok(keys) = rx.recv() {
-                        proc.observe_batch(&keys);
-                    }
-                    proc
-                })
-                .expect("failed to spawn approx-top worker");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        Self {
-            senders,
-            handles,
-            pending: vec![Vec::new(); workers],
-            k,
-        }
-    }
-
-    /// The number of workers (= shards).
-    pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Routes occurrences to their shard workers. Deliveries happen at
-    /// fixed `FLUSH_LEN` boundaries, so worker state never depends on
-    /// how callers slice their `ingest` calls.
-    pub fn ingest(&mut self, keys: &[ItemKey]) {
-        for &key in keys {
-            let shard = shard_of(key, self.workers());
-            self.pending[shard].push(key);
-            if self.pending[shard].len() == FLUSH_LEN {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                self.senders[shard]
-                    .send(batch)
-                    .expect("approx-top worker hung up");
-            }
-        }
-    }
-
-    /// Routes a whole stream.
-    pub fn ingest_stream(&mut self, stream: &Stream) {
-        self.ingest(stream.as_slice());
-    }
-
-    /// Finishes the run and also returns the merged sketch (the CLI uses
-    /// it for snapshots; tests use it to check bit-identity with the
-    /// sequential sketch).
-    pub fn finish_with_sketch(mut self) -> (ApproxTopResult, CountSketch) {
-        for shard in 0..self.workers() {
-            if !self.pending[shard].is_empty() {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                self.senders[shard]
-                    .send(batch)
-                    .expect("approx-top worker hung up");
-            }
-        }
-        drop(std::mem::take(&mut self.senders));
-        let parts: Vec<_> = self
-            .handles
-            .drain(..)
-            .map(|h| h.join().expect("approx-top worker panicked").into_parts())
-            .collect();
-        // True run footprint: every worker's sketch and heap existed at
-        // once, so the space bound is the sum, not the merged size.
-        let space_bytes: usize = parts
-            .iter()
-            .map(|(s, t, _)| s.space_bytes() + t.space_bytes())
-            .sum();
-        let mut parts = parts.into_iter();
-        let (mut merged, tracker, _) = parts.next().expect("at least one worker");
-        let mut candidates: Vec<ItemKey> =
-            tracker.items_desc().into_iter().map(|(k, _)| k).collect();
-        for (sketch, tracker, _) in parts {
-            if merged.merge(&sketch).is_err() {
-                merged
-                    .merge_saturating(&sketch)
-                    .expect("worker sketches share params and seed");
-            }
-            candidates.extend(tracker.items_desc().into_iter().map(|(k, _)| k));
-        }
-        // Shards are key-disjoint, but dedup defensively and sort so the
-        // resolution order is canonical.
-        candidates.sort_unstable();
-        candidates.dedup();
-        // Re-estimate the whole candidate union through the batched
-        // read kernel — one row-major sweep instead of per-key strides.
-        let estimates = merged.estimate_batch(&candidates);
-        let mut items: Vec<(ItemKey, i64)> = candidates.into_iter().zip(estimates).collect();
-        items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        items.truncate(self.k);
-        (
-            ApproxTopResult { items, space_bytes },
-            merged,
-        )
-    }
-
-    /// Finishes the run: merge, union, re-estimate, report top `k`.
-    pub fn finish(self) -> ApproxTopResult {
-        self.finish_with_sketch().0
-    }
-}
-
-/// One-shot parallel APPROXTOP over a stream.
-pub fn parallel_approx_top(
-    stream: &Stream,
-    k: usize,
-    params: SketchParams,
-    seed: u64,
-    workers: usize,
-) -> ApproxTopResult {
-    let mut top = ParallelApproxTop::new(params, k, seed, workers);
-    top.ingest_stream(stream);
-    top.finish()
-}
-
-/// A lock-free shared Count-Sketch handle.
-///
-/// The hot path is a relaxed [`AtomicI64::fetch_add`] per row — no
-/// mutexes, no CAS loops — guarded by the same headroom-watermark idea
-/// as the scalar two-tier path ([`CountSketch::update`]): a global
-/// `Σ|w|` reservation counter proves, before any cell is touched, that
-/// the additions cannot wrap. Once the watermark is exhausted, updates
-/// divert to a lazily allocated mutex-guarded **overflow sketch** whose
-/// `i128` clamp-and-flag mirrors the scalar slow tier; the atomic cells
-/// themselves are then never written past the proof, so they can never
-/// silently wrap even while other threads are mid-`fetch_add`.
-///
-/// [`AtomicCountSketch::snapshot`] folds the overflow tier back in with
-/// [`CountSketch::merge_saturating`] and restores the mass-floor
-/// invariant, so a snapshot's [`CountSketch::health`] faithfully reports
-/// any clamping — unlike the legacy striped
-/// [`crate::concurrent::SharedCountSketch`] this type replaces on the
-/// hot path.
-///
-/// Concurrent-read caveat (same as the striped variant): `estimate` and
-/// `snapshot` taken *during* concurrent writes are not an atomic cut
-/// across cells; quiescent snapshots are exact.
-#[derive(Debug, Clone)]
-pub struct AtomicCountSketch {
-    inner: Arc<AtomicInner>,
-}
-
-#[derive(Debug)]
-struct AtomicInner {
-    /// Read-only template holding the hash functions (never updated).
-    template: CountSketch,
-    /// Row-major counter cells, same layout as the scalar sketch.
-    cells: Vec<AtomicI64>,
-    /// Total `Σ|w|` reserved by fast-path updates — the headroom
-    /// watermark. A fast-path update first reserves its mass here and
-    /// proceeds only if the running total still fits `i64`, which proves
-    /// no cell can wrap.
-    mass_reserved: AtomicU64,
-    /// Whether any update has been diverted to the overflow tier.
-    overflowed: AtomicBool,
-    /// The slow tier: a scalar two-tier sketch absorbing every update
-    /// the watermark refused. Lazily allocated — the common all-fast
-    /// case never pays for it.
-    overflow: Mutex<Option<Box<CountSketch>>>,
-}
-
-impl AtomicCountSketch {
-    /// Creates an empty atomic sketch.
-    pub fn new(params: SketchParams, seed: u64) -> Self {
-        let template = CountSketch::new(params, seed);
-        let cells = (0..template.rows() * template.buckets())
-            .map(|_| AtomicI64::new(0))
-            .collect();
-        Self {
-            inner: Arc::new(AtomicInner {
-                template,
-                cells,
-                mass_reserved: AtomicU64::new(0),
-                overflowed: AtomicBool::new(false),
-                overflow: Mutex::new(None),
-            }),
-        }
-    }
-
-    /// Adds one occurrence (lock-free unless the watermark is exhausted).
-    pub fn add(&self, key: ItemKey) {
-        self.update(key, 1);
-    }
-
-    /// Turnstile update (lock-free unless the watermark is exhausted).
-    pub fn update(&self, key: ItemKey, weight: i64) {
-        let inner = &*self.inner;
-        let amount = weight.unsigned_abs();
-        // Reserve this update's mass. `fetch_update` serializes the
-        // reservations, so at most `i64::MAX` total absolute mass is ever
-        // granted to the fast path — the per-cell no-wrap proof.
-        let prev = inner
-            .mass_reserved
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |m| {
-                Some(m.saturating_add(amount))
-            })
-            .expect("reservation closure is total");
-        if prev.saturating_add(amount) <= i64::MAX as u64 {
-            // Fast tier: |weight| ≤ i64::MAX here, so `sign * weight` is
-            // exact, and the granted-mass bound keeps every cell's
-            // partial sum inside i64 regardless of thread interleaving.
-            let buckets = inner.template.buckets();
-            for (i, (bucket, sign)) in inner.template.row_cells(key).enumerate() {
-                inner.cells[i * buckets + bucket].fetch_add(sign * weight, Ordering::Relaxed);
-            }
-        } else {
-            // Slow tier: never touch the atomic cells past the proof —
-            // divert to the scalar overflow sketch, whose own two-tier
-            // path clamps and flags exactly.
-            let mut guard = inner.overflow.lock().expect("overflow lock poisoned");
-            guard
-                .get_or_insert_with(|| Box::new(inner.template.clone()))
-                .update(key, weight);
-            inner.overflowed.store(true, Ordering::Release);
-        }
-    }
-
-    /// Estimates a count: the combiner over per-row probes of the atomic
-    /// cells (plus the overflow tier when present).
-    pub fn estimate(&self, key: ItemKey) -> i64 {
-        let inner = &*self.inner;
-        let guard = if inner.overflowed.load(Ordering::Acquire) {
-            Some(inner.overflow.lock().expect("overflow lock poisoned"))
-        } else {
-            None
-        };
-        let side = guard.as_ref().and_then(|g| g.as_deref());
-        let buckets = inner.template.buckets();
-        let mut rows = Vec::with_capacity(inner.template.rows());
-        for (i, (bucket, sign)) in inner.template.row_cells(key).enumerate() {
-            let idx = i * buckets + bucket;
-            let mut c = inner.cells[idx].load(Ordering::Relaxed);
-            if let Some(side) = side {
-                c = c.saturating_add(side.counters()[idx]);
-            }
-            rows.push(sign.saturating_mul(c));
-        }
-        let mut scratch = Vec::with_capacity(rows.len());
-        combine(inner.template.combiner(), &rows, &mut scratch)
-    }
-
-    /// Freezes into a plain sketch: copies the atomic cells, restores
-    /// the mass-floor invariant, and folds in the overflow tier
-    /// (clamping and flagging any cell the combined mass pushes past the
-    /// `i64` limits, so [`CountSketch::health`] reflects the truth).
-    pub fn snapshot(&self) -> CountSketch {
-        let inner = &*self.inner;
-        let mut s = inner.template.clone();
-        for (dst, cell) in s.counters_mut().iter_mut().zip(&inner.cells) {
-            *dst = cell.load(Ordering::Relaxed);
-        }
-        // Counters were filled behind the sketch's back: re-establish
-        // `|counter| ≤ abs_mass` before the merge below relies on it.
-        s.refresh_mass_floor();
-        if inner.overflowed.load(Ordering::Acquire) {
-            let guard = inner.overflow.lock().expect("overflow lock poisoned");
-            if let Some(side) = guard.as_deref() {
-                s.merge_saturating(side)
-                    .expect("overflow sketch shares params and seed");
-            }
-        }
-        s
-    }
-
-    /// Heap bytes of the atomic cells plus the template (and overflow
-    /// tier when allocated).
-    pub fn space_bytes(&self) -> usize {
-        let inner = &*self.inner;
-        let mut bytes =
-            inner.template.space_bytes() + inner.cells.len() * std::mem::size_of::<AtomicI64>();
-        if let Some(side) = inner
-            .overflow
-            .lock()
-            .expect("overflow lock poisoned")
-            .as_deref()
-        {
-            bytes += side.space_bytes();
-        }
-        bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,8 +351,8 @@ mod tests {
 
     #[test]
     fn pool_call_slicing_does_not_matter() {
-        // Ragged ingest calls vs one call: FLUSH_LEN buffering makes the
-        // delivered job boundaries identical.
+        // Ragged ingest calls vs one call: the merged sketch must not
+        // depend on how callers slice their input.
         let stream = zipf_stream(10_000, 8);
         let keys = stream.as_slice();
         let params = SketchParams::new(5, 128);
@@ -720,7 +378,6 @@ mod tests {
         for _ in 0..3 {
             sequential.update(key, i64::MAX);
         }
-        #[cfg(feature = "saturation-tracking")]
         assert!(sequential.health().saturated_cells > 0);
         for workers in [1, 2, 4, 8] {
             let mut pool = SketchPool::new(params, 1, workers);
@@ -747,159 +404,5 @@ mod tests {
     #[should_panic(expected = "need at least one worker")]
     fn pool_zero_workers_rejected() {
         SketchPool::new(SketchParams::new(1, 1), 0, 0);
-    }
-
-    #[test]
-    fn parallel_approx_top_deterministic_across_worker_counts() {
-        // Planted heavy hitters, well-separated counts: every shard
-        // tracks its heavies, so the resolved list is identical at every
-        // worker count (and equals the 1-worker sequential reference).
-        let zipf = Zipf::new(1000, 1.2);
-        let stream = zipf.stream(50_000, 5, ZipfStreamKind::DeterministicRounded);
-        let params = SketchParams::new(7, 1024);
-        let reference = parallel_approx_top(&stream, 10, params, 42, 1);
-        assert_eq!(reference.items.len(), 10);
-        assert!(reference.keys().contains(&ItemKey(0)));
-        for workers in [2, 4, 8] {
-            let got = parallel_approx_top(&stream, 10, params, 42, workers);
-            assert_eq!(got.items, reference.items, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_approx_top_sketch_matches_sequential() {
-        let stream = zipf_stream(20_000, 17);
-        let params = SketchParams::new(5, 512);
-        let mut sequential = CountSketch::new(params, 11);
-        sequential.absorb(&stream, 1);
-        for workers in [1, 2, 4] {
-            let mut top = ParallelApproxTop::new(params, 8, 11, workers);
-            top.ingest_stream(&stream);
-            let (_, sketch) = top.finish_with_sketch();
-            assert_sketch_identical(&sketch, &sequential, &format!("workers = {workers}"));
-        }
-    }
-
-    #[test]
-    fn parallel_approx_top_space_sums_workers() {
-        let stream = zipf_stream(5_000, 9);
-        let params = SketchParams::new(5, 128);
-        let one = parallel_approx_top(&stream, 5, params, 2, 1);
-        let four = parallel_approx_top(&stream, 5, params, 2, 4);
-        assert!(four.space_bytes > 3 * one.space_bytes);
-    }
-
-    #[test]
-    fn atomic_matches_plain_sequential() {
-        let stream = zipf_stream(10_000, 7);
-        let params = SketchParams::new(5, 128);
-        let atomic = AtomicCountSketch::new(params, 3);
-        for key in stream.iter() {
-            atomic.add(key);
-        }
-        let mut plain = CountSketch::new(params, 3);
-        plain.absorb(&stream, 1);
-        assert_sketch_identical(&atomic.snapshot(), &plain, "atomic sequential");
-        for id in 0..100u64 {
-            assert_eq!(atomic.estimate(ItemKey(id)), plain.estimate(ItemKey(id)));
-        }
-    }
-
-    #[test]
-    fn atomic_concurrent_adds_match_plain() {
-        let params = SketchParams::new(5, 128);
-        let atomic = AtomicCountSketch::new(params, 11);
-        let stream = zipf_stream(20_000, 2);
-        let chunks = stream.chunks(4);
-        std::thread::scope(|scope| {
-            for chunk in &chunks {
-                let handle = atomic.clone();
-                scope.spawn(move || {
-                    for key in chunk.iter() {
-                        handle.add(key);
-                    }
-                });
-            }
-        });
-        let mut plain = CountSketch::new(params, 11);
-        plain.absorb(&stream, 1);
-        assert_sketch_identical(&atomic.snapshot(), &plain, "atomic concurrent");
-    }
-
-    #[test]
-    fn atomic_overflow_diverts_and_flags() {
-        let params = SketchParams::new(3, 32);
-        let atomic = AtomicCountSketch::new(params, 1);
-        let key = ItemKey(5);
-        atomic.update(key, i64::MAX);
-        atomic.update(key, i64::MAX); // exhausts the watermark → slow tier
-        atomic.update(ItemKey(6), 100); // also slow tier now
-        let snap = atomic.snapshot();
-        #[cfg(feature = "saturation-tracking")]
-        assert!(
-            snap.health().saturated_cells > 0,
-            "clamped atomic sketch must not report healthy"
-        );
-        // Sequential reference: identical clamp-and-flag states.
-        let mut plain = CountSketch::new(params, 1);
-        plain.update(key, i64::MAX);
-        plain.update(key, i64::MAX);
-        plain.update(ItemKey(6), 100);
-        assert_sketch_identical(&snap, &plain, "atomic overflow");
-    }
-
-    #[test]
-    #[cfg(feature = "saturation-tracking")]
-    fn atomic_unflagged_cells_are_exact() {
-        // Even past the watermark, any cell that never clamps must hold
-        // the exact signed sum — checked against an i128 oracle.
-        let params = SketchParams::new(3, 16);
-        let atomic = AtomicCountSketch::new(params, 4);
-        let updates: Vec<(ItemKey, i64)> = vec![
-            (ItemKey(1), i64::MAX),
-            (ItemKey(2), -500),
-            (ItemKey(1), -i64::MAX),
-            (ItemKey(3), 123_456),
-            (ItemKey(2), 500),
-            (ItemKey(1), 42),
-        ];
-        let template = CountSketch::new(params, 4);
-        let mut oracle = vec![0i128; template.rows() * template.buckets()];
-        for &(key, w) in &updates {
-            atomic.update(key, w);
-            for (i, (bucket, sign)) in template.row_cells(key).enumerate() {
-                oracle[i * template.buckets() + bucket] += i128::from(sign) * i128::from(w);
-            }
-        }
-        let snap = atomic.snapshot();
-        for row in 0..snap.rows() {
-            for bucket in 0..snap.buckets() {
-                if !snap.is_cell_saturated(row, bucket) {
-                    let idx = row * snap.buckets() + bucket;
-                    assert_eq!(
-                        i128::from(snap.counters()[idx]),
-                        oracle[idx],
-                        "unflagged cell ({row}, {bucket}) is not exact"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn atomic_snapshot_restores_mass_floor() {
-        // After a snapshot, further batched updates on the snapshot must
-        // stay overflow-safe: the watermark invariant |c| ≤ abs_mass is
-        // re-established by refresh_mass_floor.
-        let params = SketchParams::new(3, 16);
-        let atomic = AtomicCountSketch::new(params, 9);
-        for id in 0..1000u64 {
-            atomic.update(ItemKey(id), 1_000_000);
-        }
-        let mut snap = atomic.snapshot();
-        // A fast-tier update after restore must not wrap anything.
-        snap.update(ItemKey(1), i64::MAX / 2);
-        let checked = snap.estimate_checked(ItemKey(1));
-        assert!(checked.clean_rows > 0);
     }
 }

@@ -25,9 +25,8 @@
 //! set uses exact re-counts exactly as §4.2 does, so the *final ranking*
 //! among the `l` candidates is exact for every objective.
 
-use crate::ingest::BLOCK;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateBatchScratch};
+use crate::sketch::{CountSketch, EstimateBatchScratch, BLOCK};
 use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use cs_stream::Stream;

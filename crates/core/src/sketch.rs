@@ -110,8 +110,6 @@ pub struct GenericCountSketch<H, S> {
     /// cell no longer tracks its true signed mass, so estimates that
     /// probe it are suspect — [`GenericCountSketch::estimate_checked`]
     /// excludes such rows and [`GenericCountSketch::health`] reports them.
-    /// Maintained only with the `saturation-tracking` feature (default
-    /// on); without it the bitset stays all-zero and clamping is silent.
     pub(crate) saturated: Vec<u64>,
     pub(crate) hashers: Vec<H>,
     pub(crate) signs: Vec<S>,
@@ -120,10 +118,10 @@ pub struct GenericCountSketch<H, S> {
     /// Upper bound on `|counter|` over every cell: the saturating sum of
     /// `|weight|` across all updates ever absorbed (refreshed to the
     /// tight `max |counter|` after bulk counter writes). While
-    /// `abs_mass + n·|w| ≤ i64::MAX` a block of `n` weight-`w` updates
-    /// provably cannot overflow any cell, so ingestion may take the
-    /// branch-free pure-`i64` path and skip the per-cell `i128`
-    /// clamp-and-flag entirely — the two-tier overflow scheme.
+    /// `abs_mass + |w| ≤ i64::MAX` an update of weight `w` provably
+    /// cannot overflow any cell, so it may take the branch-free
+    /// pure-`i64` path and skip the per-cell `i128` clamp-and-flag
+    /// entirely — the two-tier overflow scheme.
     pub(crate) abs_mass: u64,
 }
 
@@ -289,7 +287,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// counters — the fast tier is only taken when clamping cannot occur.
     #[inline]
     pub fn update(&mut self, key: ItemKey, weight: i64) {
-        match self.headroom_after(1, weight) {
+        match self.headroom_after(weight) {
             Some(mass) => {
                 self.abs_mass = mass;
                 // Canonicalize the key once per hash family, not once per
@@ -322,7 +320,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         weight: i64,
         scratch: &mut EstimateScratch,
     ) -> i64 {
-        match self.headroom_after(1, weight) {
+        match self.headroom_after(weight) {
             Some(mass) if self.rows <= FUSED_ROWS => {
                 self.abs_mass = mass;
                 let k = key.raw();
@@ -368,23 +366,20 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         }
     }
 
-    /// The watermark after absorbing `items` updates of `weight` each, or
-    /// `None` if some cell could then exceed the `i64` range. Since
+    /// The watermark after absorbing one update of `weight`, or `None`
+    /// if some cell could then exceed the `i64` range. Since
     /// `|counter| ≤ abs_mass` holds for every cell, `Some` proves the
-    /// whole block is clamp-free.
+    /// update is clamp-free.
     #[inline]
-    pub(crate) fn headroom_after(&self, items: usize, weight: i64) -> Option<u64> {
-        let total = self.abs_mass as u128 + items as u128 * weight.unsigned_abs() as u128;
-        if total <= i64::MAX as u128 {
-            Some(total as u64)
-        } else {
-            None
-        }
+    fn headroom_after(&self, weight: i64) -> Option<u64> {
+        self.abs_mass
+            .checked_add(weight.unsigned_abs())
+            .filter(|&total| total <= i64::MAX as u64)
     }
 
     /// Restores the `abs_mass` invariant (`|counter| ≤ abs_mass` for all
     /// cells) after counters were overwritten wholesale — snapshot
-    /// restore, concurrent snapshot assembly. The tight bound
+    /// restore. The tight bound
     /// `max |counter|` is the most headroom the invariant allows us to
     /// reclaim without replaying the stream.
     pub(crate) fn refresh_mass_floor(&mut self) {
@@ -397,8 +392,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     }
 
     /// Clamps an exact `i128` cell value into `i64`, flagging the cell as
-    /// saturated if clamping happened (flag elided without the
-    /// `saturation-tracking` feature).
+    /// saturated if clamping happened.
     #[inline]
     fn clamp_and_flag(&mut self, idx: usize, exact: i128) -> i64 {
         if exact > i128::from(i64::MAX) {
@@ -412,20 +406,10 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         }
     }
 
-    /// Records that cell `idx` has been clamped. With the
-    /// `saturation-tracking` feature disabled this compiles to nothing:
-    /// the bitset stays all-zero, trading diagnosability for one fewer
-    /// random store on the (already slow) clamping tier.
+    /// Records that cell `idx` has been clamped.
     #[inline]
     fn flag_saturated(&mut self, idx: usize) {
-        #[cfg(feature = "saturation-tracking")]
-        {
-            self.saturated[idx / 64] |= 1 << (idx % 64);
-        }
-        #[cfg(not(feature = "saturation-tracking"))]
-        {
-            let _ = idx;
-        }
+        self.saturated[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Whether the counter at `(row, bucket)` has ever been clamped.
@@ -459,13 +443,12 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         }
     }
 
-    /// Adds every occurrence of a stream, each with `weight`.
-    ///
-    /// Routed through the block-lane batch engine ([`crate::ingest`]);
-    /// the resulting counters and saturation flags are bit-identical to
-    /// calling [`Self::update`] per occurrence.
+    /// Adds every occurrence of a stream, each with `weight`: one
+    /// [`Self::update`] per occurrence.
     pub fn absorb(&mut self, stream: &Stream, weight: i64) {
-        self.update_batch_weighted(stream.as_slice(), weight);
+        for key in stream.iter() {
+            self.update(key, weight);
+        }
     }
 
     /// Applies every signed update of a turnstile stream (the sketch is
@@ -641,16 +624,23 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         &self.counters
     }
 
-    /// Mutable counter array — crate-internal, used by the concurrent
-    /// wrapper's snapshot and the snapshot codec.
+    /// Mutable counter array — crate-internal, used by the snapshot
+    /// codec.
     pub(crate) fn counters_mut(&mut self) -> &mut [i64] {
         &mut self.counters
     }
 
-    /// Saturation bitset words (row-major cell order, 64 cells per word)
-    /// — crate-internal, persisted by the snapshot codec.
-    pub(crate) fn saturated_words(&self) -> &[u64] {
+    /// Saturation bitset words (row-major cell order, 64 cells per word),
+    /// for tests and diagnostics; persisted by the snapshot codec.
+    pub fn saturated_words(&self) -> &[u64] {
         &self.saturated
+    }
+
+    /// The overflow watermark: an upper bound on `|counter|` over every
+    /// cell, for tests and diagnostics. Updates take the pure-`i64` tier
+    /// while it stays at most `i64::MAX`.
+    pub fn abs_mass(&self) -> u64 {
+        self.abs_mass
     }
 
     /// Mutable saturation bitset — crate-internal, restored by the
@@ -694,9 +684,8 @@ impl EstimateScratch {
     }
 }
 
-/// Reusable lanes for [`GenericCountSketch::estimate_batch_with_scratch`]
-/// — the read-path sibling of [`crate::ingest::IngestLanes`]. Row-major:
-/// lane `i*BLOCK + j` holds row `i`'s sign-tagged bucket (and later its
+/// Reusable lanes for [`GenericCountSketch::estimate_batch_with_scratch`].
+/// Row-major: lane `i*READ_BLOCK + j` holds row `i`'s sign-tagged bucket (and later its
 /// signed row estimate) for the j-th key of the current block. Create
 /// once and reuse; zeroing ~16 KiB of lanes per call would eat the
 /// batch win.
@@ -714,16 +703,24 @@ pub struct EstimateBatchScratch {
     pub(crate) sort: Vec<i64>,
 }
 
-/// Keys per read-path block. Twice the write path's
-/// [`crate::ingest::BLOCK`]: the gather pass lives on memory-level
-/// parallelism once the counter array outgrows L1, and a wider block
-/// keeps more independent counter loads in flight; reads have no
-/// two-tier overflow bookkeeping, so the wider lanes stay cheap.
-pub(crate) const READ_BLOCK: usize = 2 * crate::ingest::BLOCK;
+/// Keys per block of the max-change and relative-change pass-2 scans,
+/// whose untracked arrivals are estimated together through
+/// [`GenericCountSketch::estimate_batch_with_scratch`].
+pub(crate) const BLOCK: usize = 32;
 
-/// Lane count: one read block per row, sketch depths up to the
-/// ingestion engine's [`crate::ingest::LANE_ROWS`].
-const BATCH_LANES: usize = READ_BLOCK * crate::ingest::LANE_ROWS;
+/// Keys per read-path block. The gather pass lives on memory-level
+/// parallelism once the counter array outgrows L1, and a wide block
+/// keeps many independent counter loads in flight.
+pub(crate) const READ_BLOCK: usize = 2 * BLOCK;
+
+/// Widest sketch the read-path lanes cover. Taller sketches (rare: the
+/// paper's `t` is `O(log n/δ)`, and the repo's experiments top out at
+/// `t = 11`) take the scalar path per key.
+const LANE_ROWS: usize = 16;
+
+/// Lane count: one read block per row, sketch depths up to
+/// [`LANE_ROWS`].
+const BATCH_LANES: usize = READ_BLOCK * LANE_ROWS;
 
 impl EstimateBatchScratch {
     /// Fresh (zeroed) lanes and empty combiner buffers.
@@ -750,9 +747,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// estimates `s_i(q)·C[i][h_i(q)]` (saturating multiply included)
     /// feed the same combiner; only the order of memory traffic changes.
     ///
-    /// The kernel mirrors the write path's block engine
-    /// ([`crate::ingest`]): each block of 64 keys is
-    /// canonicalized once per hash family and hashed into the scratch
+    /// Each block of 64 keys is canonicalized once per hash family and hashed into the scratch
     /// lanes rows-outer (every key's `2t` multiply chains are
     /// independent and pipeline), then the counters are gathered
     /// **row-major** — each row's bucket array is walked for the whole
@@ -772,7 +767,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     ) {
         const BLOCK: usize = READ_BLOCK;
         out.clear();
-        let lanes_fit = self.rows <= crate::ingest::LANE_ROWS;
+        let lanes_fit = self.rows <= LANE_ROWS;
         if !lanes_fit {
             for &key in keys {
                 self.row_estimates(key, &mut scratch.rows);
@@ -1152,7 +1147,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn batch_estimate_matches_scalar_on_saturated_cells() {
         let mut s = CountSketch::new(SketchParams::new(3, 4), 5);
         for id in 0..16u64 {
@@ -1195,7 +1189,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn update_saturates_instead_of_wrapping() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MAX);
@@ -1212,7 +1205,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn negative_saturation_clamps_at_min() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MIN);
@@ -1225,7 +1217,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn strict_merge_refuses_overflow_and_leaves_self_untouched() {
         let params = SketchParams::new(1, 1);
         let mut a = CountSketch::new(params, 0);
@@ -1256,7 +1247,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn estimate_checked_excludes_saturated_rows() {
         // Row 0 of a 3-row sketch saturates; the checked estimate should
         // report 2 clean rows and still produce a sane value.
@@ -1281,7 +1271,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn clear_resets_saturation() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MAX);

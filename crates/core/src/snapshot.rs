@@ -352,7 +352,7 @@ fn read_counters<H: BucketHasher, S: SignHasher>(
         *w = v;
     }
     // The counters were filled wholesale: re-establish the headroom
-    // watermark the batched ingestion fast path relies on.
+    // watermark the pure-`i64` update tier relies on.
     sketch.refresh_mass_floor();
     Ok(sketch)
 }
@@ -848,7 +848,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn saturation_flags_survive_the_roundtrip() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MAX);
@@ -1049,7 +1048,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "saturation-tracking")]
     fn inspect_counts_saturated_cells_per_row() {
         let mut s = CountSketch::new(SketchParams::new(1, 1), 0);
         s.update(ItemKey(1), i64::MAX);

@@ -18,9 +18,8 @@ pub trait BucketHasher {
     /// Maps a block of keys to buckets: `out[j] = bucket(keys[j])`.
     ///
     /// Semantically identical to calling [`BucketHasher::bucket`] per key
-    /// — implementations may only pipeline, never change the mapping. The
-    /// batched sketch ingestion hot loop calls this once per row per
-    /// block, so the per-key evaluations are independent and specialized
+    /// — implementations may only pipeline, never change the mapping: the
+    /// per-key evaluations are independent, and specialized
     /// implementations let them overlap in the CPU pipeline instead of
     /// serializing behind per-item loop control.
     ///
@@ -78,8 +77,7 @@ pub trait SignHasher {
     /// Evaluates a block of keys: `out[j] = sign(keys[j])`.
     ///
     /// Semantically identical to per-key [`SignHasher::sign`] calls; see
-    /// [`BucketHasher::bucket_block`] for why batched ingestion wants the
-    /// block form.
+    /// [`BucketHasher::bucket_block`] for what the block form buys.
     ///
     /// # Panics
     /// Panics if `out.len() < keys.len()`.

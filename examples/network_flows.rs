@@ -8,7 +8,7 @@
 //! ```
 
 use frequent_items::prelude::*;
-use frequent_items::sketch::concurrent::sketch_stream_parallel;
+use frequent_items::sketch::parallel::sketch_stream_pooled;
 use frequent_items::stream::moments;
 
 /// A 5-tuple flow id. Hashing it yields the sketch key.
@@ -87,7 +87,7 @@ fn main() {
     // Line-rate trick: shard packets across 4 "RX queues", sketch each
     // independently with the same seed, merge — bit-identical to the
     // sequential sketch (additivity, §3.2).
-    let merged = sketch_stream_parallel(&packets, params, 0xE1E, 4);
+    let merged = sketch_stream_pooled(&packets, params, 0xE1E, 4);
     let mut sequential = CountSketch::new(params, 0xE1E);
     sequential.absorb(&packets, 1);
     assert_eq!(merged.counters(), sequential.counters());

@@ -85,12 +85,8 @@ pub mod prelude {
     };
     pub use cs_core::approx_top::HeapPolicy;
     pub use cs_core::maxchange::{max_change, DiffSketch, MaxChangeResult};
-    pub use cs_core::parallel::{
-        parallel_approx_top, sketch_stream_pooled, AtomicCountSketch, ParallelApproxTop,
-        SketchPool,
-    };
+    pub use cs_core::parallel::{sketch_stream_pooled, SketchPool};
     pub use cs_core::median::Combiner;
-    pub use cs_core::query::QueryEngine;
     pub use cs_core::sketch::{
         CheckedEstimate, EstimateBatchScratch, EstimateScratch, SketchHealth,
     };

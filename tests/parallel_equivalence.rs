@@ -1,7 +1,7 @@
-//! Property tests of the parallel ingestion pipeline: pool, atomic and
-//! sequential ingestion must agree on counters, saturation flags and
-//! top-k output — including under adversarial weights at the `i64`
-//! limits and across mid-stream snapshot/restore.
+//! Property tests of the parallel ingestion pipeline: pool and
+//! sequential ingestion must agree on counters and saturation flags —
+//! including under adversarial weights at the `i64` limits and across
+//! mid-stream snapshot/restore.
 //!
 //! The determinism contract under saturation is layered (see
 //! `cs_core::parallel`): bounded-mass streams are fully bit-identical at
@@ -9,7 +9,7 @@
 //! must hold the exact signed sum (checked against an `i128` oracle).
 
 use frequent_items::prelude::*;
-use frequent_items::sketch::parallel::{parallel_approx_top, sketch_stream_pooled};
+use frequent_items::sketch::parallel::sketch_stream_pooled;
 use proptest::prelude::*;
 
 /// Counters and saturation flags both agree.
@@ -82,9 +82,8 @@ proptest! {
         }
     }
 
-    /// Adversarial weights (up to ±i64::MAX): every path — pool at
-    /// several worker counts, the atomic shared handle, and sequential —
-    /// must keep all unflagged cells exactly equal to the i128 oracle
+    /// Adversarial weights (up to ±i64::MAX): both paths — pool at
+    /// several worker counts, and sequential — must keep all unflagged cells exactly equal to the i128 oracle
     /// (no silent wraparound, ever), and each path must be reproducible.
     #[test]
     fn prop_unflagged_cells_are_exact_under_adversarial_weights(
@@ -145,12 +144,6 @@ proptest! {
             }
             assert_identical(&again.finish(), &merged, "pool rerun");
         }
-
-        let atomic = AtomicCountSketch::new(params, seed);
-        for &(key, w) in &updates {
-            atomic.update(key, w);
-        }
-        check(&atomic.snapshot(), "atomic");
     }
 
     /// Mid-stream snapshot/restore commutes with pooled ingestion: pool
@@ -180,42 +173,6 @@ proptest! {
         let whole = sketch_stream_pooled(&stream, params, seed, workers);
         assert_identical(&restored, &whole, "snapshot/restore mid-stream");
     }
-
-    /// The parallel ApproxTop is a pure function of the worker count —
-    /// and on streams with a clear frequency separation, identical
-    /// across worker counts (candidate unions all contain the heavies).
-    #[test]
-    fn prop_parallel_approx_top_reproducible(
-        seed: u64,
-        workers in 1usize..5,
-        ids in prop::collection::vec(0u64..50, 1..400),
-    ) {
-        let params = SketchParams::new(5, 128);
-        let stream = Stream::from_ids(ids.iter().copied());
-        let a = parallel_approx_top(&stream, 5, params, seed, workers);
-        let b = parallel_approx_top(&stream, 5, params, seed, workers);
-        prop_assert_eq!(a.items, b.items);
-    }
-}
-
-#[test]
-fn parallel_approx_top_agrees_across_workers_on_separated_stream() {
-    // Planted geometric frequencies: every shard tracks its heavies, so
-    // the re-estimated top-k is identical at every worker count and the
-    // 1-worker run is the sequential reference.
-    let mut ids = Vec::new();
-    for item in 0u64..40 {
-        let count = 2000usize >> (item / 4).min(8);
-        ids.extend(std::iter::repeat_n(item, count.max(3)));
-    }
-    let stream = Stream::from_ids(ids);
-    let params = SketchParams::new(7, 512);
-    let reference = parallel_approx_top(&stream, 8, params, 42, 1);
-    assert_eq!(reference.items.len(), 8);
-    for workers in [2usize, 3, 4, 8] {
-        let got = parallel_approx_top(&stream, 8, params, 42, workers);
-        assert_eq!(got.items, reference.items, "workers = {workers}");
-    }
 }
 
 #[test]
@@ -240,26 +197,4 @@ fn pool_single_key_saturation_matches_sequential_at_any_worker_count() {
             &format!("saturating key, workers = {workers}"),
         );
     }
-}
-
-#[test]
-fn atomic_concurrent_ingestion_matches_sequential() {
-    let params = SketchParams::new(5, 128);
-    let zipf = Zipf::new(200, 1.1);
-    let stream = zipf.stream(30_000, 3, ZipfStreamKind::Sampled);
-    let atomic = AtomicCountSketch::new(params, 17);
-    let chunks = stream.chunks(4);
-    std::thread::scope(|scope| {
-        for chunk in &chunks {
-            let handle = atomic.clone();
-            scope.spawn(move || {
-                for key in chunk.iter() {
-                    handle.add(key);
-                }
-            });
-        }
-    });
-    let mut sequential = CountSketch::new(params, 17);
-    sequential.absorb(&stream, 1);
-    assert_identical(&atomic.snapshot(), &sequential, "atomic 4-thread ingest");
 }

@@ -1,15 +1,14 @@
 //! End-to-end equivalence of the read-path query kernel with scalar
 //! `estimate`, across the public API surface: the batched ESTIMATE
 //! kernel for every combiner and depth (network and generic), extreme
-//! weights up to `±i64::MAX` (saturated counters included), block
-//! boundary lengths, and the `QueryEngine`'s hot-key cache — which must
-//! be invisible in results and invalidated by every write.
+//! weights up to `±i64::MAX` (saturated counters included), and block
+//! boundary lengths.
 
 use frequent_items::prelude::*;
 use proptest::prelude::*;
 
 /// Read-path block length mirrored from the kernel (`READ_BLOCK`); the
-/// boundary cases below bracket it and the write path's 32-key block.
+/// boundary cases below bracket it and half of it.
 const BLOCK: usize = 64;
 
 fn zipf_stream(n: usize, seed: u64) -> Stream {
@@ -59,41 +58,6 @@ fn batch_matches_scalar_on_saturated_counters() {
     }
 }
 
-#[test]
-fn query_engine_estimates_match_and_cache_is_invisible() {
-    let stream = zipf_stream(30_000, 19);
-    let mut sketch = CountSketch::new(SketchParams::new(5, 256), 23);
-    sketch.absorb(&stream, 1);
-    let mut engine = QueryEngine::new(sketch.clone()).with_hot_key_cache(64);
-    // Repeat probes so the second round is served from the cache; both
-    // rounds must equal the plain sketch estimate.
-    for _ in 0..2 {
-        for id in 0..500u64 {
-            assert_eq!(engine.estimate(ItemKey(id)), sketch.estimate(ItemKey(id)));
-        }
-    }
-    let (hits, _) = engine.cache_stats();
-    assert!(hits > 0, "second probe round never hit the cache");
-}
-
-#[test]
-fn query_engine_cache_invalidates_on_every_write() {
-    let mut engine = QueryEngine::new(CountSketch::new(SketchParams::new(5, 128), 29))
-        .with_hot_key_cache(32);
-    let key = ItemKey(42);
-    assert_eq!(engine.estimate(key), 0);
-    // Each write bumps the epoch; a cached pre-write value must never be
-    // served afterwards.
-    engine.update(key, 100);
-    assert_eq!(engine.estimate(key), engine.sketch().estimate(key));
-    engine.add(key);
-    assert_eq!(engine.estimate(key), engine.sketch().estimate(key));
-    engine.update_batch_weighted(&[key, ItemKey(7)], -25);
-    assert_eq!(engine.estimate(key), engine.sketch().estimate(key));
-    engine.absorb(&zipf_stream(1_000, 31), 2);
-    assert_eq!(engine.estimate(key), engine.sketch().estimate(key));
-}
-
 proptest! {
     /// The batch kernel is bit-identical to scalar `estimate` for every
     /// combiner under arbitrary signed weights — including the
@@ -119,28 +83,6 @@ proptest! {
         prop_assert_eq!(batch.len(), keys.len());
         for (j, &key) in keys.iter().enumerate() {
             prop_assert_eq!(batch[j], s.estimate(key), "{:?} len {} key {:?}", combiner, len, key);
-        }
-    }
-
-    /// A `QueryEngine` with a hot-key cache agrees with the bare sketch
-    /// under interleaved writes and repeated probes: stale cache entries
-    /// must never leak through an epoch bump.
-    #[test]
-    fn prop_cached_engine_equals_sketch_under_writes(
-        seed: u64,
-        ops in prop::collection::vec((0u64..32, -50i64..50), 1..60),
-    ) {
-        let mut sketch = CountSketch::new(SketchParams::new(3, 32), seed);
-        let mut engine = QueryEngine::new(sketch.clone()).with_hot_key_cache(8);
-        for &(key, w) in &ops {
-            if w == 0 {
-                // Probe-only step: warms the cache.
-                prop_assert_eq!(engine.estimate(ItemKey(key)), sketch.estimate(ItemKey(key)));
-            } else {
-                sketch.update(ItemKey(key), w);
-                engine.update(ItemKey(key), w);
-            }
-            prop_assert_eq!(engine.estimate(ItemKey(key)), sketch.estimate(ItemKey(key)));
         }
     }
 }

@@ -2,7 +2,7 @@
 //! exercised through the public facade.
 
 use frequent_items::prelude::*;
-use frequent_items::sketch::concurrent::sketch_stream_parallel;
+use frequent_items::sketch::parallel::sketch_stream_pooled;
 use proptest::prelude::*;
 
 proptest! {
@@ -69,7 +69,7 @@ proptest! {
     ) {
         let params = SketchParams::new(3, 64);
         let stream = Stream::from_ids(ids.iter().copied());
-        let par = sketch_stream_parallel(&stream, params, seed, threads);
+        let par = sketch_stream_pooled(&stream, params, seed, threads);
         let mut seq = CountSketch::new(params, seed);
         seq.absorb(&stream, 1);
         prop_assert_eq!(par.counters(), seq.counters());
