@@ -78,11 +78,7 @@ impl BucketHasher for TabulationHash {
 impl SignHasher for TabulationHash {
     #[inline]
     fn sign(&self, key: u64) -> i64 {
-        if self.raw(key) & 1 == 0 {
-            1
-        } else {
-            -1
-        }
+        1 - 2 * ((self.raw(key) & 1) as i64)
     }
 
     #[inline]
