@@ -58,15 +58,16 @@ const CHANNEL_DEPTH: usize = 2;
 /// worker applies its jobs in routing order.
 enum Job {
     /// `weight` occurrences of each key, in stream order.
-    Weighted(Vec<ItemKey>, i64),
+    Weighted(Stream, i64),
     /// Signed turnstile updates, in stream order.
-    Turnstile(Vec<Update>),
+    Turnstile(TurnstileStream),
 }
 
 /// A long-lived pool of sketch workers fed by bounded channels.
 ///
 /// Each worker owns a private [`CountSketch`] built from the same
-/// `(params, seed)` and applies its key-hash shard with one
+/// `(params, seed)` and applies each job of its key-hash shard with
+/// [`CountSketch::absorb`] or [`CountSketch::absorb_turnstile`]: one
 /// [`CountSketch::update`] per key. [`SketchPool::finish`] joins the workers
 /// and merges additively; see the module docs for the exact determinism
 /// contract.
@@ -110,16 +111,8 @@ impl SketchPool {
                     let mut sketch = CountSketch::new(params, seed);
                     while let Ok(job) = rx.recv() {
                         match job {
-                            Job::Weighted(keys, weight) => {
-                                for &key in &keys {
-                                    sketch.update(key, weight);
-                                }
-                            }
-                            Job::Turnstile(updates) => {
-                                for u in &updates {
-                                    sketch.update(u.key, u.delta);
-                                }
-                            }
+                            Job::Weighted(keys, weight) => sketch.absorb(&keys, weight),
+                            Job::Turnstile(updates) => sketch.absorb_turnstile(&updates),
                         }
                     }
                     sketch
@@ -196,7 +189,7 @@ impl SketchPool {
         if !self.keys[shard].is_empty() {
             let batch = std::mem::take(&mut self.keys[shard]);
             self.senders[shard]
-                .send(Job::Weighted(batch, self.weight))
+                .send(Job::Weighted(Stream::from_keys(batch), self.weight))
                 .expect("pool worker hung up");
         }
     }
@@ -205,7 +198,7 @@ impl SketchPool {
         if !self.updates[shard].is_empty() {
             let batch = std::mem::take(&mut self.updates[shard]);
             self.senders[shard]
-                .send(Job::Turnstile(batch))
+                .send(Job::Turnstile(TurnstileStream::from_updates(batch)))
                 .expect("pool worker hung up");
         }
     }
