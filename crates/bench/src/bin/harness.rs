@@ -36,52 +36,36 @@
 //! artifacts are only ever written by a full-scale run, so a CI smoke
 //! sweep (`harness all --small`) cannot clobber them.
 //!
-//! `check-throughput` is the CI regression gate:
+//! The three gates share one path (`cs_bench::gate`): each refuses a
+//! `--current` file benchmarked at another git revision than HEAD
+//! (stale numbers must never pass a gate — regenerate them at HEAD),
+//! checks one row against `--baseline` within `--tolerance`, and exits
+//! non-zero on any failure:
 //!
 //! ```text
 //! harness check-throughput [--baseline ci/throughput_baseline.json]
 //!                          [--current BENCH_throughput.json]
 //!                          [--algorithm count-sketch] [--tolerance 0.2]
+//! harness check-parallel   [--baseline ci/parallel_baseline.json]
+//!                          [--current BENCH_parallel.json]
+//!                          [--tolerance 0.5] [--min-speedup 1.7]
+//! harness check-query      [--baseline ci/query_baseline.json]
+//!                          [--current BENCH_query.json]
+//!                          [--tolerance 0.5] [--min-ratio 2.0]
 //! ```
 //!
-//! exits non-zero if the algorithm's update throughput in `--current`
-//! falls more than `tolerance` below the baseline, or if `--current` was
-//! benchmarked at a different git revision than the checkout (stale
-//! numbers must never pass a gate — regenerate them at HEAD).
-//!
-//! `check-parallel` gates the scaling sweep the same way:
-//!
-//! ```text
-//! harness check-parallel [--baseline ci/parallel_baseline.json]
-//!                        [--current BENCH_parallel.json]
-//!                        [--tolerance 0.5] [--min-speedup 1.7]
-//! ```
-//!
-//! fails on a stale git revision, on a 1-thread pool regression beyond
-//! `--tolerance`, and — only when the benchmarked host had ≥ 4 cores —
-//! on a pool 4-thread/1-thread speedup below `--min-speedup`. On smaller
-//! hosts the speedup gate prints a loud warning instead of arming, since
-//! parallel speedup on a 1-core box is noise.
-//!
-//! `check-query` gates the read path:
-//!
-//! ```text
-//! harness check-query [--baseline ci/query_baseline.json]
-//!                     [--current BENCH_query.json]
-//!                     [--tolerance 0.5] [--min-ratio 2.0]
-//! ```
-//!
-//! fails on a stale git revision, on a scalar `t = 5` Zipf-mix
-//! regression beyond `--tolerance`, and on a batch/scalar kernel ratio
-//! at `t = 5` below `--min-ratio`. The ratio gate is *always* armed: it
-//! compares two single-threaded paths over the same probes in the same
-//! process, so unlike parallel speedup it is meaningful on any host.
+//! `check-parallel` also requires a pool 4-thread/1-thread speedup of at
+//! least `--min-speedup`, armed only when the benchmarked host had ≥ 4
+//! cores (on smaller hosts it warns). `check-query` also requires the
+//! recorded batch/scalar ratio at `t = 5` to reach `--min-ratio`, on any
+//! host: it compares two single-threaded paths in one process.
 
 use cs_bench::experiments::{
     ablation, approxtop, crossover, error_curves, fault_matrix, hierarchical, list_size, maxchange,
     parallel, payload, query, table1, throughput, ExperimentOutput,
 };
-use cs_bench::{artifact_path, Scale};
+use cs_bench::gate::{self, Note};
+use cs_bench::{artifact_path, bench_file, Scale};
 use std::io::Write;
 
 fn usage() -> ! {
@@ -102,224 +86,6 @@ fn git_rev() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
-}
-
-/// Reads a file or exits loudly.
-fn read_or_die(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// Fails loudly when `path`'s recorded `git_rev` differs from the
-/// checkout's HEAD: a gate that passes on stale numbers is worse than no
-/// gate, because it certifies a revision nobody benchmarked. Outside a
-/// checkout (rev `unknown`) the check degrades to a warning.
-fn assert_fresh_rev(path: &str, text: &str) {
-    let head = git_rev();
-    if head == "unknown" {
-        eprintln!("warning: not in a git checkout; cannot verify {path} is fresh");
-        return;
-    }
-    match throughput::parse_git_rev(text) {
-        Some(rev) if rev == head => {}
-        Some(rev) => {
-            eprintln!(
-                "FAIL: {path} was benchmarked at git rev {rev} but HEAD is {head}; \
-                 stale numbers cannot pass a gate — regenerate the file at HEAD"
-            );
-            std::process::exit(1);
-        }
-        None => {
-            eprintln!("FAIL: {path} has no git_rev header; regenerate it with the harness");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `check-throughput`: compares the `count-sketch` (or `--algorithm`)
-/// update rate in `--current` against `--baseline`, failing the process
-/// if it regressed by more than `--tolerance` (fraction, default 0.2) or
-/// if `--current` is stale with respect to HEAD.
-fn check_throughput(args: &[String]) -> ! {
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let baseline_path = get("--baseline").unwrap_or_else(|| "ci/throughput_baseline.json".into());
-    let current_path = get("--current").unwrap_or_else(|| "BENCH_throughput.json".into());
-    let algorithm = get("--algorithm").unwrap_or_else(|| "count-sketch".into());
-    let tolerance: f64 = get("--tolerance")
-        .map(|s| s.parse().expect("--tolerance must be a number"))
-        .unwrap_or(0.2);
-    let current_text = read_or_die(&current_path);
-    assert_fresh_rev(&current_path, &current_text);
-    let baseline = throughput::parse_bench_json(&read_or_die(&baseline_path));
-    let current = throughput::parse_bench_json(&current_text);
-    let pick = |map: &std::collections::BTreeMap<String, f64>, path: &str| {
-        *map.get(&algorithm).unwrap_or_else(|| {
-            eprintln!("no '{algorithm}' record in {path}");
-            std::process::exit(1);
-        })
-    };
-    let base = pick(&baseline, &baseline_path);
-    let cur = pick(&current, &current_path);
-    let floor = base * (1.0 - tolerance);
-    if cur < floor {
-        eprintln!(
-            "FAIL: {algorithm} update throughput {cur:.1} Mops/s is below \
-             {floor:.1} Mops/s ({:.0}% tolerance on baseline {base:.1})",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "ok: {algorithm} update throughput {cur:.1} Mops/s >= {floor:.1} Mops/s \
-         ({:.0}% tolerance on baseline {base:.1})",
-        tolerance * 100.0
-    );
-    std::process::exit(0);
-}
-
-/// `check-parallel`: the scaling-sweep gate. Three checks, in order:
-/// `--current` must have been benchmarked at HEAD; the 1-thread pool
-/// rate must be within `--tolerance` of the baseline (the pool's serial
-/// overhead must not creep); and on hosts with ≥ 4 cores the pool's
-/// 4-thread/1-thread speedup must reach `--min-speedup`. The speedup
-/// gate deliberately compares the pool against *itself* at 1 thread —
-/// comparing against plain sequential would conflate channel overhead
-/// (gated separately via the baseline) with scaling.
-fn check_parallel(args: &[String]) -> ! {
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let baseline_path = get("--baseline").unwrap_or_else(|| "ci/parallel_baseline.json".into());
-    let current_path = get("--current").unwrap_or_else(|| "BENCH_parallel.json".into());
-    let tolerance: f64 = get("--tolerance")
-        .map(|s| s.parse().expect("--tolerance must be a number"))
-        .unwrap_or(0.5);
-    let min_speedup: f64 = get("--min-speedup")
-        .map(|s| s.parse().expect("--min-speedup must be a number"))
-        .unwrap_or(1.7);
-    let current_text = read_or_die(&current_path);
-    assert_fresh_rev(&current_path, &current_text);
-    let baseline = parallel::parse_bench_json(&read_or_die(&baseline_path));
-    let current = parallel::parse_bench_json(&current_text);
-    let pick = |map: &std::collections::BTreeMap<String, f64>, key: &str, path: &str| {
-        *map.get(key).unwrap_or_else(|| {
-            eprintln!("no '{key}' record in {path}");
-            std::process::exit(1);
-        })
-    };
-    let base1 = pick(&baseline, "pool@1", &baseline_path);
-    let cur1 = pick(&current, "pool@1", &current_path);
-    let floor = base1 * (1.0 - tolerance);
-    if cur1 < floor {
-        eprintln!(
-            "FAIL: pool 1-thread ingest {cur1:.1} Mops/s is below {floor:.1} Mops/s \
-             ({:.0}% tolerance on baseline {base1:.1})",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "ok: pool 1-thread ingest {cur1:.1} Mops/s >= {floor:.1} Mops/s \
-         ({:.0}% tolerance on baseline {base1:.1})",
-        tolerance * 100.0
-    );
-    let cores = parallel::parse_host_cores(&current_text).unwrap_or(1);
-    if cores >= 4 {
-        let cur4 = pick(&current, "pool@4", &current_path);
-        let speedup = cur4 / cur1;
-        if speedup < min_speedup {
-            eprintln!(
-                "FAIL: pool 4-thread speedup {speedup:.2}x ({cur4:.1} / {cur1:.1} Mops/s) \
-                 is below the required {min_speedup:.2}x on a {cores}-core host"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "ok: pool 4-thread speedup {speedup:.2}x ({cur4:.1} / {cur1:.1} Mops/s) \
-             >= {min_speedup:.2}x on a {cores}-core host"
-        );
-    } else {
-        eprintln!(
-            "WARNING: {current_path} was benchmarked on a {cores}-core host; the \
-             {min_speedup:.2}x 4-thread speedup gate is NOT armed (needs >= 4 cores) — \
-             parallel speedup measured on an oversubscribed box is noise, not signal"
-        );
-    }
-    std::process::exit(0);
-}
-
-/// `check-query`: the read-path gate. Three checks, in order:
-/// `--current` must have been benchmarked at HEAD; the scalar `t = 5`
-/// Zipf-mix rate must be within `--tolerance` of the baseline (the
-/// baseline read path must not creep); and the batch/scalar ratio at
-/// `t = 5` must reach `--min-ratio` (default 2.0) — the batched kernel's
-/// reason to exist, measured within one process so it is armed on every
-/// host.
-fn check_query(args: &[String]) -> ! {
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let baseline_path = get("--baseline").unwrap_or_else(|| "ci/query_baseline.json".into());
-    let current_path = get("--current").unwrap_or_else(|| "BENCH_query.json".into());
-    let tolerance: f64 = get("--tolerance")
-        .map(|s| s.parse().expect("--tolerance must be a number"))
-        .unwrap_or(0.5);
-    let min_ratio: f64 = get("--min-ratio")
-        .map(|s| s.parse().expect("--min-ratio must be a number"))
-        .unwrap_or(2.0);
-    let current_text = read_or_die(&current_path);
-    assert_fresh_rev(&current_path, &current_text);
-    let baseline = query::parse_bench_json(&read_or_die(&baseline_path));
-    let current = query::parse_bench_json(&current_text);
-    let pick = |map: &std::collections::BTreeMap<String, f64>, key: &str, path: &str| {
-        *map.get(key).unwrap_or_else(|| {
-            eprintln!("no '{key}' record in {path}");
-            std::process::exit(1);
-        })
-    };
-    let base_scalar = pick(&baseline, "scalar-zipf@5", &baseline_path);
-    let cur_scalar = pick(&current, "scalar-zipf@5", &current_path);
-    let floor = base_scalar * (1.0 - tolerance);
-    if cur_scalar < floor {
-        eprintln!(
-            "FAIL: scalar t=5 query throughput {cur_scalar:.1} Mops/s is below \
-             {floor:.1} Mops/s ({:.0}% tolerance on baseline {base_scalar:.1})",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "ok: scalar t=5 query throughput {cur_scalar:.1} Mops/s >= {floor:.1} Mops/s \
-         ({:.0}% tolerance on baseline {base_scalar:.1})",
-        tolerance * 100.0
-    );
-    let cur_batch = pick(&current, "batch-zipf@5", &current_path);
-    let ratio = cur_batch / cur_scalar;
-    if ratio < min_ratio {
-        eprintln!(
-            "FAIL: batch/scalar kernel ratio {ratio:.2}x ({cur_batch:.1} / {cur_scalar:.1} \
-             Mops/s) at t=5 is below the required {min_ratio:.2}x"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "ok: batch/scalar kernel ratio {ratio:.2}x ({cur_batch:.1} / {cur_scalar:.1} Mops/s) \
-         at t=5 >= {min_ratio:.2}x"
-    );
-    std::process::exit(0);
 }
 
 fn run_experiment(name: &str, scale: &Scale) -> Option<ExperimentOutput> {
@@ -375,14 +141,19 @@ fn main() {
         usage();
     }
     let experiment = args[0].as_str();
-    if experiment == "check-throughput" {
-        check_throughput(&args[1..]);
-    }
-    if experiment == "check-parallel" {
-        check_parallel(&args[1..]);
-    }
-    if experiment == "check-query" {
-        check_query(&args[1..]);
+    if let Some(notes) = gate::check(experiment, &args[1..], &git_rev()) {
+        let mut passed = true;
+        for note in notes {
+            match note {
+                Note::Ok(line) => println!("{line}"),
+                Note::Warn(line) => eprintln!("{line}"),
+                Note::Fail(line) => {
+                    eprintln!("{line}");
+                    passed = false;
+                }
+            }
+        }
+        std::process::exit(if passed { 0 } else { 1 });
     }
     // `harness report --records <path>` re-renders stored records
     // without running anything.
@@ -443,21 +214,18 @@ fn main() {
         // Defaults go through `artifact_path` so `--small` runs write
         // `BENCH_*.small.json` and can never overwrite the committed
         // full-scale artifacts (the `harness all --small` clobber bug).
-        let bench_json_payload = match name {
-            "throughput" => Some((
-                artifact_path("BENCH_throughput", "json", small),
-                throughput::bench_json(&out, &scale, &git_rev()),
-            )),
-            "parallel" => Some((
-                artifact_path("BENCH_parallel", "json", small),
-                parallel::bench_json(&out, &scale, &git_rev(), parallel::host_cores()),
-            )),
-            "query" => Some((
-                artifact_path("BENCH_query", "json", small),
-                query::bench_json(&out, &scale, &git_rev()),
-            )),
+        let header = match name {
+            "throughput" => Some(throughput::bench_header(&scale)),
+            "parallel" => Some(parallel::bench_header(&scale)),
+            "query" => Some(query::bench_header(&scale)),
             _ => None,
         };
+        let bench_json_payload = header.map(|header| {
+            (
+                artifact_path(&format!("BENCH_{name}"), "json", small),
+                bench_file::write(name, &git_rev(), &header, &out.records),
+            )
+        });
         if let Some((default_path, json)) = bench_json_payload {
             let path = args
                 .iter()

@@ -12,8 +12,8 @@
 //! state per run), like the throughput table. The stream is 10× the
 //! scale's `n` (capped at 2M items) so per-ingest wall time dominates
 //! thread startup. The harness serializes the sweep as
-//! `BENCH_parallel.json` (see [`bench_json`]); `harness check-parallel`
-//! gates CI on it.
+//! `BENCH_parallel.json` (header from [`bench_header`], codec in
+//! [`crate::bench_file`]); `harness check-parallel` gates CI on it.
 //!
 //! Interpreting the numbers requires knowing the host: on a single
 //! hardware thread the pool *loses* to sequential (channel
@@ -29,7 +29,6 @@ use cs_metrics::stats::median;
 use cs_metrics::table::fmt_num;
 use cs_metrics::Table;
 use cs_stream::{Zipf, ZipfStreamKind};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Sketch shape shared by both variants (same as the throughput table).
@@ -139,69 +138,26 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
     out
 }
 
-/// Renders the `BENCH_parallel.json` payload — the same shape as
-/// `BENCH_throughput.json` (schema header, workload, git revision, one
-/// record per line) plus a `host_cores` field, because parallel numbers
-/// are meaningless without knowing how many hardware threads the host
-/// actually had. [`parse_bench_json`] and `harness check-parallel`
-/// recover everything without a full JSON parser.
-pub fn bench_json(out: &ExperimentOutput, scale: &Scale, git_rev: &str, host_cores: usize) -> String {
-    let rev: String = git_rev
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric() || *c == '-')
-        .collect();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"bench-parallel-v1\",\n");
-    s.push_str(&format!("  \"git_rev\": \"{rev}\",\n"));
-    s.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    s.push_str(&format!(
-        "  \"workload\": {{\"distribution\": \"zipf\", \"z\": 1.0, \"n\": {}, \"m\": {}, \"trials\": {}}},\n",
-        stream_len(scale),
-        scale.m,
-        scale.trials.max(1)
-    ));
-    s.push_str(&format!(
-        "  \"sketch\": {{\"rows\": {ROWS}, \"buckets\": {BUCKETS}}},\n"
-    ));
-    s.push_str("  \"records\": [\n");
-    let lines: Vec<String> = out
-        .records
-        .iter()
-        .filter(|r| r.experiment == "parallel")
-        .map(|r| format!("    {}", r.to_json_line()))
-        .collect();
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-/// Recovers `"variant@threads" → update Mops/s` (e.g. `"pool@4"`) from a
-/// [`bench_json`] payload. Non-record lines are skipped, so the whole
-/// file can be fed in as-is.
-pub fn parse_bench_json(text: &str) -> BTreeMap<String, f64> {
-    text.lines()
-        .filter_map(|line| {
-            let line = line.trim().trim_end_matches(',');
-            if !line.starts_with("{\"experiment\"") {
-                return None;
-            }
-            ExperimentRecord::from_json_line(line).ok()
-        })
-        .filter_map(|r| {
-            let mops = r.metrics.get("update_mops").copied()?;
-            let threads = r.params.get("threads").copied()? as u64;
-            Some((format!("{}@{threads}", r.algorithm), mops))
-        })
-        .collect()
-}
-
-/// Recovers the `host_cores` header field from a [`bench_json`] payload.
-pub fn parse_host_cores(text: &str) -> Option<u64> {
-    text.lines().find_map(|line| {
-        let rest = line.trim().strip_prefix("\"host_cores\":")?;
-        rest.trim().trim_end_matches(',').parse().ok()
-    })
+/// The header fields of `BENCH_parallel.json` after `schema` and
+/// `git_rev`: `host_cores` (parallel numbers mean nothing without the
+/// host's hardware thread count), the workload and the sketch shape.
+pub fn bench_header(scale: &Scale) -> Vec<(&'static str, String)> {
+    vec![
+        ("host_cores", host_cores().to_string()),
+        (
+            "workload",
+            format!(
+                "{{\"distribution\": \"zipf\", \"z\": 1.0, \"n\": {}, \"m\": {}, \"trials\": {}}}",
+                stream_len(scale),
+                scale.m,
+                scale.trials.max(1)
+            ),
+        ),
+        (
+            "sketch",
+            format!("{{\"rows\": {ROWS}, \"buckets\": {BUCKETS}}}"),
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -232,34 +188,5 @@ mod tests {
                 assert!((r.metrics["speedup_vs_1t"] - 1.0).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn bench_json_roundtrips_through_parser() {
-        let mut out = ExperimentOutput::default();
-        for (threads, mops) in [(1u64, 10.0), (4, 31.5)] {
-            out.records.push(
-                ExperimentRecord::new("parallel", "pool")
-                    .param("threads", threads as f64)
-                    .metric("update_mops", mops)
-                    .metric("speedup_vs_1t", mops / 10.0),
-            );
-        }
-        // Records from other experiments must not leak in.
-        out.records
-            .push(ExperimentRecord::new("throughput", "pool").metric("update_mops", 999.0));
-        let json = bench_json(&out, &Scale::small(), "abc123", 8);
-        assert!(json.contains("\"schema\": \"bench-parallel-v1\""));
-        assert!(json.contains("\"git_rev\": \"abc123\""));
-        let parsed = parse_bench_json(&json);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed["pool@1"], 10.0);
-        assert_eq!(parsed["pool@4"], 31.5);
-        assert_eq!(parse_host_cores(&json), Some(8));
-    }
-
-    #[test]
-    fn host_cores_missing_is_none() {
-        assert_eq!(parse_host_cores("{\n  \"schema\": \"x\"\n}"), None);
     }
 }

@@ -1,7 +1,6 @@
 //! **Runtime table** — wall-clock update and query throughput of every
-//! algorithm on one Zipf(1.0) stream (criterion gives precise per-op
-//! numbers; this gives EXPERIMENTS.md one comparable table without
-//! parsing criterion output).
+//! algorithm on one Zipf(1.0) stream, plus the Count-Sketch's exact
+//! overflow tier on its own, in one comparable table.
 //!
 //! Every number is the **best of `scale.trials` timed rounds** (fresh
 //! algorithm instance per run), with every algorithm interleaved inside
@@ -10,8 +9,9 @@
 //! observation is the closest to the code's actual cost, and
 //! interleaving lands a scheduler or thermal stall on every algorithm of
 //! the round rather than on one. The harness additionally
-//! serializes the table as `BENCH_throughput.json` (see [`bench_json`])
-//! so the perf trajectory is machine-checkable across revisions.
+//! serializes the table as `BENCH_throughput.json` (header from
+//! [`bench_header`], codec in [`crate::bench_file`]) so the perf
+//! trajectory is machine-checkable across revisions.
 
 use crate::config::Scale;
 use crate::experiments::ExperimentOutput;
@@ -26,7 +26,6 @@ use cs_metrics::experiment::ExperimentRecord;
 use cs_metrics::table::fmt_num;
 use cs_metrics::Table;
 use cs_stream::{Stream, Zipf, ZipfStreamKind};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Rows × buckets every sketch-shaped algorithm in the table uses.
@@ -122,6 +121,27 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
                         s
                     },
                     Some(&|s: &FastCountSketch, p| s.estimate(p) as u64),
+                )
+            }),
+        ),
+        // The exact tier alone: `update_exact` once per key, the
+        // always-clamping `i128` path `update` falls back to when the
+        // headroom watermark runs out. Its gap to `count-sketch` is what
+        // the watermark saves (update only).
+        (
+            "count-sketch (exact tier)",
+            Box::new(move || {
+                time_once(
+                    stream,
+                    probes,
+                    |st| {
+                        let mut s = CountSketch::new(params, 1);
+                        for &key in st.as_slice() {
+                            s.update_exact(key, 1);
+                        }
+                        s
+                    },
+                    None::<&dyn Fn(&CountSketch, ItemKey) -> u64>,
                 )
             }),
         ),
@@ -255,69 +275,24 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
     out
 }
 
-/// Renders the repo-root `BENCH_throughput.json` payload: schema header,
-/// workload description, git revision, and one [`ExperimentRecord`] JSON
-/// line per algorithm. Each record sits on its own line so
-/// [`parse_bench_json`] (and the CI regression gate built on it) can
-/// recover them without a full JSON parser.
-pub fn bench_json(out: &ExperimentOutput, scale: &Scale, git_rev: &str) -> String {
-    let rev: String = git_rev
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric() || *c == '-')
-        .collect();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"bench-throughput-v1\",\n");
-    s.push_str(&format!("  \"git_rev\": \"{rev}\",\n"));
-    s.push_str(&format!(
-        "  \"workload\": {{\"distribution\": \"zipf\", \"z\": 1.0, \"n\": {}, \"m\": {}, \"trials\": {}}},\n",
-        scale.n,
-        scale.m,
-        scale.trials.max(1)
-    ));
-    s.push_str(&format!(
-        "  \"sketch\": {{\"rows\": {ROWS}, \"buckets\": {BUCKETS}}},\n"
-    ));
-    s.push_str("  \"records\": [\n");
-    let lines: Vec<String> = out
-        .records
-        .iter()
-        .filter(|r| r.experiment == "throughput")
-        .map(|r| format!("    {}", r.to_json_line()))
-        .collect();
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-/// Recovers `algorithm → update Mops/s` from a [`bench_json`] payload.
-/// Lines that are not record objects are skipped, so the whole file can
-/// be fed in as-is.
-pub fn parse_bench_json(text: &str) -> BTreeMap<String, f64> {
-    text.lines()
-        .filter_map(|line| {
-            let line = line.trim().trim_end_matches(',');
-            if !line.starts_with("{\"experiment\"") {
-                return None;
-            }
-            ExperimentRecord::from_json_line(line).ok()
-        })
-        .filter_map(|r| {
-            let mops = r.metrics.get("update_mops").copied()?;
-            Some((r.algorithm, mops))
-        })
-        .collect()
-}
-
-/// Recovers the `git_rev` header field from a [`bench_json`]-shaped
-/// payload (this experiment's and the parallel sweep's files share the
-/// header layout). `None` when absent or empty.
-pub fn parse_git_rev(text: &str) -> Option<String> {
-    text.lines().find_map(|line| {
-        let rest = line.trim().strip_prefix("\"git_rev\":")?;
-        let rev = rest.trim().trim_end_matches(',').trim_matches('"').to_string();
-        (!rev.is_empty()).then_some(rev)
-    })
+/// The header fields of `BENCH_throughput.json` after `schema` and
+/// `git_rev`: the workload and the sketch shape.
+pub fn bench_header(scale: &Scale) -> Vec<(&'static str, String)> {
+    vec![
+        (
+            "workload",
+            format!(
+                "{{\"distribution\": \"zipf\", \"z\": 1.0, \"n\": {}, \"m\": {}, \"trials\": {}}}",
+                scale.n,
+                scale.m,
+                scale.trials.max(1)
+            ),
+        ),
+        (
+            "sketch",
+            format!("{{\"rows\": {ROWS}, \"buckets\": {BUCKETS}}}"),
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -328,7 +303,13 @@ mod tests {
     fn throughput_runs_and_reports_positive_rates() {
         let out = run(&Scale::small());
         assert_eq!(out.tables.len(), 1);
-        assert!(out.records.len() >= 12);
+        assert!(out.records.len() >= 13);
+        let exact = out
+            .records
+            .iter()
+            .find(|r| r.algorithm == "count-sketch (exact tier)")
+            .expect("exact-tier row");
+        assert_eq!(exact.metrics["query_mops"], -1.0, "update-only row");
         for r in &out.records {
             assert!(
                 r.metrics["update_mops"] > 0.0,
@@ -336,44 +317,5 @@ mod tests {
                 r.algorithm
             );
         }
-    }
-
-    #[test]
-    fn bench_json_roundtrips_through_parser() {
-        let mut out = ExperimentOutput::default();
-        for (name, mops) in [("count-sketch", 31.5), ("space-saving", 12.0)] {
-            out.records.push(
-                ExperimentRecord::new("throughput", name)
-                    .param("n", 1000.0)
-                    .metric("update_mops", mops)
-                    .metric("query_mops", 2.0),
-            );
-        }
-        // Records from other experiments must not leak in.
-        out.records
-            .push(ExperimentRecord::new("table1", "count-sketch").metric("update_mops", 999.0));
-        let json = bench_json(&out, &Scale::small(), "abc123");
-        assert!(json.contains("\"schema\": \"bench-throughput-v1\""));
-        assert!(json.contains("\"git_rev\": \"abc123\""));
-        let parsed = parse_bench_json(&json);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed["count-sketch"], 31.5);
-        assert_eq!(parsed["space-saving"], 12.0);
-    }
-
-    #[test]
-    fn bench_json_sanitizes_git_rev() {
-        let out = ExperimentOutput::default();
-        let json = bench_json(&out, &Scale::small(), "abc\"123\n$(rm)");
-        assert!(json.contains("\"git_rev\": \"abc123rm\""));
-    }
-
-    #[test]
-    fn git_rev_parses_from_header() {
-        let out = ExperimentOutput::default();
-        let json = bench_json(&out, &Scale::small(), "d06ae93");
-        assert_eq!(parse_git_rev(&json).as_deref(), Some("d06ae93"));
-        assert_eq!(parse_git_rev("{}"), None);
-        assert_eq!(parse_git_rev("{\n  \"git_rev\": \"\",\n}"), None);
     }
 }

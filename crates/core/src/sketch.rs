@@ -350,8 +350,8 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
 
     /// The exact slow tier: carries every cell sum in `i128` so even
     /// `sign · i64::MIN` is handled correctly, clamping and flagging any
-    /// cell that would overflow. Public so the microbenchmarks can
-    /// compare the tiers directly; [`Self::update`] dispatches here
+    /// cell that would overflow. Public so `harness throughput` can
+    /// time the tiers directly; [`Self::update`] dispatches here
     /// automatically when headroom runs out.
     #[inline]
     pub fn update_exact(&mut self, key: ItemKey, weight: i64) {

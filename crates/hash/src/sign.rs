@@ -82,15 +82,6 @@ impl SignHasher for PairwiseSign {
     }
 
     #[inline]
-    fn sign_block(&self, keys: &[u64], out: &mut [i64]) {
-        // Branch-free parity-to-sign (`1 - 2·bit`); the field evaluations
-        // are independent across keys and pipeline.
-        for (o, &k) in out[..keys.len()].iter_mut().zip(keys) {
-            *o = 1 - 2 * ((self.inner.field_eval(k) & 1) as i64);
-        }
-    }
-
-    #[inline]
     fn canon(&self, key: u64) -> u64 {
         crate::prime::fold(key)
     }
@@ -126,13 +117,6 @@ impl SignHasher for FourWiseSign {
     #[inline]
     fn sign(&self, key: u64) -> i64 {
         Sign::from_parity(self.inner.field_eval(key)).as_i64()
-    }
-
-    #[inline]
-    fn sign_block(&self, keys: &[u64], out: &mut [i64]) {
-        for (o, &k) in out[..keys.len()].iter_mut().zip(keys) {
-            *o = 1 - 2 * ((self.inner.field_eval(k) & 1) as i64);
-        }
     }
 
     fn space_bytes(&self) -> usize {
@@ -224,21 +208,6 @@ mod tests {
             let s = PairwiseSign::draw(&mut SeedSequence::new(seed));
             let back = PairwiseSign::draw(&mut SeedSequence::new(seed));
             prop_assert_eq!(s.sign(key), back.sign(key));
-        }
-
-        #[test]
-        fn prop_sign_block_matches_scalar(seed: u64, keys in prop::collection::vec(any::<u64>(), 0..64)) {
-            let p = PairwiseSign::draw(&mut SeedSequence::new(seed));
-            let f = FourWiseSign::draw(&mut SeedSequence::new(seed));
-            let mut out = vec![0i64; keys.len()];
-            p.sign_block(&keys, &mut out);
-            for (j, &k) in keys.iter().enumerate() {
-                prop_assert_eq!(out[j], p.sign(k));
-            }
-            f.sign_block(&keys, &mut out);
-            for (j, &k) in keys.iter().enumerate() {
-                prop_assert_eq!(out[j], f.sign(k));
-            }
         }
     }
 }

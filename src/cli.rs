@@ -341,6 +341,18 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.sites == 0 {
         return Err("--sites must be at least 1".into());
     }
+    if opts.command == "iceberg" {
+        // Written so that NaN fails both checks.
+        if !(opts.phi > 0.0 && opts.phi <= 1.0) {
+            return Err(format!("--phi {} must be in (0, 1]", opts.phi));
+        }
+        if !(opts.eps >= 0.0 && opts.eps < opts.phi) {
+            return Err(format!(
+                "--eps {} must be at least 0 and below --phi {}",
+                opts.eps, opts.phi
+            ));
+        }
+    }
     if matches!(opts.command.as_str(), "serve" | "ship") {
         // A site ships its sketch as one CSWP frame; refuse a geometry
         // whose snapshot no frame can carry before sketching anything.
@@ -938,6 +950,18 @@ mod tests {
         assert!(parse_args(&args("top -k 0")).is_err());
         assert!(parse_args(&args("diff only-one.txt")).is_err());
         assert!(parse_args(&args("top a.txt b.txt")).is_err());
+        // The iceberg threshold needs 0 < phi <= 1 and 0 <= eps < phi
+        // (the default eps is 0.002).
+        for (flags, named) in [
+            ("--phi 0.001", "--eps"),
+            ("--phi 1.5", "--phi"),
+            ("--phi NaN", "--phi"),
+            ("--eps -1", "--eps"),
+        ] {
+            let err = parse_args(&args(&format!("iceberg {flags}"))).unwrap_err();
+            assert!(err.starts_with(named), "iceberg {flags}: {err}");
+        }
+        assert!(parse_args(&args("iceberg --phi 1 --eps 0")).is_ok());
     }
 
     #[test]
