@@ -5,7 +5,7 @@
 //! `git_rev`, then whatever the experiment adds: `host_cores`,
 //! `workload`, `sketch`) sit one per line, followed by a `records` array
 //! holding one [`ExperimentRecord`] JSON line per row. That layout lets
-//! [`records`] and [`header_field`] read a file line by line, without a
+//! [`rows`] and [`header_field`] read a file line by line, without a
 //! full JSON parser.
 
 use cs_metrics::experiment::ExperimentRecord;
@@ -42,7 +42,7 @@ pub fn write(
 
 /// The records of a bench file, in file order. Lines that are not record
 /// objects are skipped, so the whole file can be fed in as-is.
-pub fn records(text: &str) -> impl Iterator<Item = ExperimentRecord> + '_ {
+fn records(text: &str) -> impl Iterator<Item = ExperimentRecord> + '_ {
     text.lines().filter_map(|line| {
         let line = line.trim().trim_end_matches(',');
         if !line.starts_with("{\"experiment\"") {
@@ -52,7 +52,7 @@ pub fn records(text: &str) -> impl Iterator<Item = ExperimentRecord> + '_ {
     })
 }
 
-/// `row → metric` over a bench file's [`records`]. A row is the record's
+/// `row → metric` over a bench file's records. A row is the record's
 /// algorithm, suffixed with `@` and the value of the `at` parameter when
 /// one is given (`"pool@4"`, `"batch-zipf@5"`). Records that lack the
 /// metric or the parameter are skipped.

@@ -34,31 +34,12 @@ pub enum Note {
     Fail(String),
 }
 
-/// Which gate runs: its default files, tolerance, and the metric and row
-/// parameter of its floor.
+/// Which gate runs.
 #[derive(Clone, Copy)]
 enum Gate {
     Throughput,
     Parallel,
     Query,
-}
-
-impl Gate {
-    fn defaults(self) -> (&'static str, &'static str, f64) {
-        match self {
-            Gate::Throughput => ("ci/throughput_baseline.json", "BENCH_throughput.json", 0.2),
-            Gate::Parallel => ("ci/parallel_baseline.json", "BENCH_parallel.json", 0.5),
-            Gate::Query => ("ci/query_baseline.json", "BENCH_query.json", 0.5),
-        }
-    }
-
-    fn metric(self) -> (&'static str, Option<&'static str>) {
-        match self {
-            Gate::Throughput => ("update_mops", None),
-            Gate::Parallel => ("update_mops", Some("threads")),
-            Gate::Query => ("query_mops", Some("rows")),
-        }
-    }
 }
 
 /// Runs the gate `name` (`check-throughput`, `check-parallel` or
@@ -73,8 +54,9 @@ pub fn check(name: &str, args: &[String], head: &str) -> Option<Vec<Note>> {
         "check-query" => Gate::Query,
         _ => return None,
     };
+    let experiment = &name["check-".len()..];
     let mut notes = Vec::new();
-    if let Err(failure) = run(gate, args, head, &mut notes) {
+    if let Err(failure) = run(gate, experiment, args, head, &mut notes) {
         notes.push(Note::Fail(failure));
     }
     Some(notes)
@@ -125,14 +107,27 @@ fn fresh(head: &str, path: &str, text: &str, notes: &mut Vec<Note>) -> Result<()
     }
 }
 
-fn run(gate: Gate, args: &[String], head: &str, notes: &mut Vec<Note>) -> Result<(), String> {
-    let (baseline_default, current_default, tolerance_default) = gate.defaults();
-    let baseline_path = flag(args, "--baseline").unwrap_or_else(|| baseline_default.into());
-    let current_path = flag(args, "--current").unwrap_or_else(|| current_default.into());
-    let tolerance = number(args, "--tolerance", tolerance_default)?;
+fn run(
+    gate: Gate,
+    experiment: &str,
+    args: &[String],
+    head: &str,
+    notes: &mut Vec<Note>,
+) -> Result<(), String> {
+    // The default tolerance, and the metric and row parameter the floor
+    // reads.
+    let (tolerance, metric, at) = match gate {
+        Gate::Throughput => (0.2, "update_mops", None),
+        Gate::Parallel => (0.5, "update_mops", Some("threads")),
+        Gate::Query => (0.5, "query_mops", Some("rows")),
+    };
+    let baseline_path =
+        flag(args, "--baseline").unwrap_or_else(|| format!("ci/{experiment}_baseline.json"));
+    let current_path =
+        flag(args, "--current").unwrap_or_else(|| format!("BENCH_{experiment}.json"));
+    let tolerance = number(args, "--tolerance", tolerance)?;
     let current_text = read(&current_path)?;
     fresh(head, &current_path, &current_text, notes)?;
-    let (metric, at) = gate.metric();
     let baseline = bench_file::rows(&read(&baseline_path)?, metric, at);
     let current = bench_file::rows(&current_text, metric, at);
 
