@@ -1,31 +1,35 @@
 //! The two-pass max-change algorithm (§4.2).
 //!
 //! Given streams `S1, S2`, find the items maximizing `|n_q^{S2} - n_q^{S1}|`.
-//! The paper's algorithm, implemented verbatim:
 //!
 //! **Pass 1** — update counters only: for each `q` in `S1`,
 //! `h_i[q] -= s_i[q]`; for each `q` in `S2`, `h_i[q] += s_i[q]`. The
 //! sketch now holds the *difference vector* (this is sketch additivity:
 //! `sketch(S2) - sketch(S1)`).
 //!
-//! **Pass 2** — over `S1` and `S2`: for each `q`, compute
-//! `n̂_q = median_i{h_i[q]·s_i[q]}` (an estimate of the signed change),
-//! maintain the set `A` of `l` objects with the largest `|n̂_q|`, and for
-//! every item in `A` maintain exact occurrence counts in each stream.
-//! Because `n̂_q` is *fixed* during pass 2 and the admission threshold
-//! only rises, an item's membership is decided at its first occurrence
-//! and "once an item is removed it is never added back" — so the exact
-//! counts of the survivors are genuinely exact.
+//! **Pass 2** — over `S1` and `S2`: keep the set `A` of `l` objects with
+//! the largest `|n̂_q|`, `n̂_q = median_i{h_i[q]·s_i[q]}`, and exact
+//! occurrence counts in each stream for every item in `A`. Because `n̂_q`
+//! is *fixed* during pass 2 and the admission threshold `T` (the smallest
+//! tracked `|n̂|`) only rises, an item's membership is decided at its
+//! first occurrence and "once an item is removed it is never added
+//! back", so the survivors' counts are exact. For the same reason an
+//! untracked arrival needs no exact `n̂_q`, only proof that
+//! `|n̂_q| ≤ T`: once `⌊t/2⌋+1` rows have `|h_i[q]·s_i[q]| ≤ T`, the
+//! median lies in `[−T, T]` and cannot beat `T`
+//! ([`GenericCountSketch::estimate_above`]). A tracked arrival costs one
+//! lookup in an `l`-key map.
 //!
 //! Finally report the `k` items with the largest `|n_q^{S2} - n_q^{S1}|`
 //! among `A`.
+//!
+//! [`GenericCountSketch::estimate_above`]: crate::sketch::GenericCountSketch::estimate_above
 
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateBatchScratch, BLOCK};
-use crate::topk::TopKTracker;
+use crate::sketch::CountSketch;
+use crate::topk::{SlotIndex, TopKTracker};
 use cs_hash::ItemKey;
 use cs_stream::Stream;
-use std::collections::HashMap;
 
 /// One reported max-change item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,71 +101,18 @@ impl DiffSketch {
     /// keeps `l ≥ k` to absorb estimation error; §4.1 suggests `l = O(k)`).
     pub fn top_changes(&self, s1: &Stream, s2: &Stream, k: usize, l: usize) -> MaxChangeResult {
         assert!(l >= k, "need l >= k");
-        // Working memory is O(l): the tracker plus exact counts and the
-        // cached estimate for *tracked* items only. Untracked arrivals
-        // re-probe the sketch (estimates are fixed in pass 2, so a
-        // rejection at first occurrence is a rejection forever).
-        let mut tracker = TopKTracker::new(l);
-        let mut exact: HashMap<ItemKey, (u64, u64)> = HashMap::new();
-        let mut estimates: HashMap<ItemKey, i64> = HashMap::new();
-        let mut scratch = EstimateBatchScratch::new();
-        let mut cand_keys: Vec<ItemKey> = Vec::with_capacity(BLOCK);
-        let mut cand_ests: Vec<i64> = Vec::with_capacity(BLOCK);
-
-        let mut pass = |stream: &Stream, which: usize| {
-            for block in stream.as_slice().chunks(BLOCK) {
-                // n̂_q is fixed throughout pass 2, so the estimates of a
-                // block's untracked arrivals can be hoisted out of the
-                // sequential scan and computed through the batch kernel
-                // without changing a single admission decision.
-                cand_keys.clear();
-                for &key in block {
-                    if !tracker.contains(key) && !cand_keys.contains(&key) {
-                        cand_keys.push(key);
-                    }
-                }
-                self.sketch
-                    .estimate_batch_with_scratch(&cand_keys, &mut scratch, &mut cand_ests);
-                for &key in block {
-                    if !tracker.contains(key) {
-                        let est = match cand_keys.iter().position(|&c| c == key) {
-                            Some(p) => cand_ests[p],
-                            // Tracked at block start but evicted mid-block:
-                            // rare enough for the scalar probe.
-                            None => self.sketch.estimate(key),
-                        };
-                        if let Some((evicted, _)) = tracker.offer(key, est.abs()) {
-                            exact.remove(&evicted);
-                            estimates.remove(&evicted);
-                        }
-                        if tracker.contains(key) {
-                            exact.insert(key, (0, 0));
-                            estimates.insert(key, est);
-                        }
-                    }
-                    if let Some(counts) = exact.get_mut(&key) {
-                        if which == 1 {
-                            counts.0 += 1;
-                        } else {
-                            counts.1 += 1;
-                        }
-                    }
-                }
-            }
-        };
-        pass(s1, 1);
-        pass(s2, 2);
-
-        let mut candidates: Vec<ChangeItem> = tracker
-            .items_desc()
+        // A floor is a tracked |n̂|, never negative; −1 (tracker not
+        // full) makes the probe return the full estimate.
+        let tracked = pass_two(s1, s2, l, |key, floor| {
+            let est = self.sketch.estimate_above(key, floor.unwrap_or(-1))?;
+            Some((est.saturating_abs(), est))
+        });
+        let mut candidates: Vec<ChangeItem> = tracked
             .into_iter()
-            .map(|(key, _)| {
-                let (c1, c2) = exact.get(&key).copied().unwrap_or((0, 0));
-                ChangeItem {
-                    key,
-                    exact_change: c2 as i64 - c1 as i64,
-                    estimated_change: estimates.get(&key).copied().unwrap_or(0),
-                }
+            .map(|(key, [c1, c2], estimated_change)| ChangeItem {
+                key,
+                exact_change: c2 as i64 - c1 as i64,
+                estimated_change,
             })
             .collect();
         candidates.sort_unstable_by(|a, b| {
@@ -173,6 +124,59 @@ impl DiffSketch {
         let items = candidates.iter().take(k).copied().collect();
         MaxChangeResult { items, candidates }
     }
+}
+
+/// Pass 2 over `S1` then `S2`, shared by max-change and the
+/// relative-change objectives. `rank(key, floor)` scores an untracked
+/// arrival as `(value, estimate)`; `floor` is the tracker's minimum once
+/// it holds `l` keys, and `rank` may return `None` for a key whose value
+/// cannot exceed it. Returns the `l` survivors, in no particular order,
+/// as `(key, [count in S1, count in S2], estimate)`.
+pub(crate) fn pass_two(
+    s1: &Stream,
+    s2: &Stream,
+    l: usize,
+    mut rank: impl FnMut(ItemKey, Option<i64>) -> Option<(i64, i64)>,
+) -> Vec<(ItemKey, [u64; 2], i64)> {
+    let mut tracker = TopKTracker::new(l);
+    // Exactly the tracked keys: an admitted key takes its evicted
+    // predecessor's slot. At most `l` keys, so even keys crafted to
+    // collide cost a lookup no more than an `l`-cell scan.
+    let mut index = SlotIndex::default();
+    let mut slots: Vec<(ItemKey, [u64; 2], i64)> = Vec::new();
+    for (which, stream) in [s1, s2].into_iter().enumerate() {
+        for &key in stream.as_slice() {
+            if let Some(s) = index.get(key) {
+                slots[s].1[which] += 1;
+                continue;
+            }
+            let floor = (tracker.len() == l).then(|| tracker.min_value()).flatten();
+            let Some((value, estimate)) = rank(key, floor) else {
+                continue;
+            };
+            // `offer` admits only a value strictly above the minimum.
+            if floor.is_some_and(|f| value <= f) {
+                continue;
+            }
+            let mut counts = [0; 2];
+            counts[which] = 1;
+            let entry = (key, counts, estimate);
+            let s = match tracker.offer(key, value) {
+                Some((evicted, _)) => {
+                    let s = index.get(evicted).expect("evicted key was tracked");
+                    index.remove(evicted);
+                    slots[s] = entry;
+                    s
+                }
+                None => {
+                    slots.push(entry);
+                    slots.len() - 1
+                }
+            };
+            index.set(key, s, slots.len(), |s| slots[s].0);
+        }
+    }
+    slots
 }
 
 /// The complete two-pass algorithm in one call.
@@ -207,7 +211,10 @@ pub fn max_change(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::median::Combiner;
     use cs_stream::{ChangeSpec, ExactCounter, StreamPair};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn planted_pair() -> StreamPair {
         StreamPair::zipf_background(
@@ -369,5 +376,133 @@ mod tests {
     fn l_below_k_rejected() {
         let s = Stream::new();
         max_change(&s, &s, 5, 3, SketchParams::new(3, 16), 0);
+    }
+
+    #[test]
+    fn min_estimate_keeps_the_largest_change() {
+        // |i64::MIN| saturates to i64::MAX: the key must be admitted, not
+        // overflow in debug or rank as 0 in release.
+        let mut s2 = CountSketch::new(SketchParams::new(5, 64), 7);
+        s2.update(ItemKey(2), i64::MIN);
+        let d =
+            DiffSketch::from_sketches(&CountSketch::new(SketchParams::new(5, 64), 7), &s2).unwrap();
+        assert_eq!(d.estimate_change(ItemKey(2)), i64::MIN);
+        let (s1, s2) = (
+            Stream::from_ids([100, 101]),
+            Stream::from_ids([2, 100, 101]),
+        );
+        let result = d.top_changes(&s1, &s2, 1, 1);
+        assert_eq!(result, reference_top_changes(d.sketch(), &s1, &s2, 1, 1));
+        assert_eq!(
+            result.items,
+            vec![ChangeItem {
+                key: ItemKey(2),
+                exact_change: 1,
+                estimated_change: i64::MIN,
+            }]
+        );
+    }
+
+    /// The pass 2 this module used to run, kept as the reference: a
+    /// scalar `estimate` per untracked arrival, `offer`, and exact counts
+    /// for tracked keys.
+    fn reference_top_changes(
+        sketch: &CountSketch,
+        s1: &Stream,
+        s2: &Stream,
+        k: usize,
+        l: usize,
+    ) -> MaxChangeResult {
+        let mut tracker = TopKTracker::new(l);
+        let mut exact: HashMap<ItemKey, [u64; 2]> = HashMap::new();
+        let mut estimates: HashMap<ItemKey, i64> = HashMap::new();
+        for (which, stream) in [s1, s2].into_iter().enumerate() {
+            for key in stream.iter() {
+                if !tracker.contains(key) {
+                    let est = sketch.estimate(key);
+                    if let Some((evicted, _)) = tracker.offer(key, est.saturating_abs()) {
+                        exact.remove(&evicted);
+                        estimates.remove(&evicted);
+                    }
+                    if tracker.contains(key) {
+                        exact.insert(key, [0, 0]);
+                        estimates.insert(key, est);
+                    }
+                }
+                if let Some(counts) = exact.get_mut(&key) {
+                    counts[which] += 1;
+                }
+            }
+        }
+        let mut candidates: Vec<ChangeItem> = tracker
+            .items_desc()
+            .into_iter()
+            .map(|(key, _)| ChangeItem {
+                key,
+                exact_change: exact[&key][1] as i64 - exact[&key][0] as i64,
+                estimated_change: estimates[&key],
+            })
+            .collect();
+        candidates.sort_unstable_by(|a, b| {
+            b.exact_change
+                .unsigned_abs()
+                .cmp(&a.exact_change.unsigned_abs())
+                .then(a.key.cmp(&b.key))
+        });
+        let items = candidates.iter().take(k).copied().collect();
+        MaxChangeResult { items, candidates }
+    }
+
+    /// Weights that drive cells to the `i64` limits and flag them.
+    const EXTREME: [i64; 5] = [i64::MAX, i64::MIN, i64::MAX - 1, i64::MIN + 1, 1 << 62];
+
+    proptest! {
+        #[test]
+        fn prop_top_changes_matches_reference(
+            rows in 1usize..=9,
+            buckets in 1usize..48,
+            combiner_pick in 0u8..3,
+            seed in 0u64..1000,
+            key_space in 1u64..160,
+            raw1 in prop::collection::vec(0u64..1_000_000, 0..400),
+            raw2 in prop::collection::vec(0u64..1_000_000, 0..400),
+            k in 1usize..=8,
+            l_pick in 0u8..4,
+            extremes in prop::collection::vec((0u64..1_000_000, 0usize..5, 0u8..2), 0..4),
+        ) {
+            // Keys from a small space and few buckets: estimates collide,
+            // many tie at the admission threshold, and the tracker evicts.
+            let combiner = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean]
+                [combiner_pick as usize];
+            let l = [1, k, 33, 64][l_pick as usize].max(k);
+            let s1 = Stream::from_ids(raw1.iter().map(|r| r % key_space));
+            let s2 = Stream::from_ids(raw2.iter().map(|r| r % key_space));
+            let params = SketchParams::new(rows, buckets);
+
+            // One-sketch pass 1.
+            let mut diff = DiffSketch::new(params, seed);
+            diff.absorb_first(&s1);
+            diff.absorb_second(&s2);
+            diff.sketch = diff.sketch.with_combiner(combiner);
+            prop_assert_eq!(
+                diff.top_changes(&s1, &s2, k, l),
+                reference_top_changes(diff.sketch(), &s1, &s2, k, l)
+            );
+
+            // Two stored sketches, some cells saturated at the limits.
+            let mut sk = [CountSketch::new(params, seed), CountSketch::new(params, seed)];
+            sk[0].absorb(&s1, 1);
+            sk[1].absorb(&s2, 1);
+            for &(raw, w, side) in &extremes {
+                sk[side as usize].update(ItemKey(raw % key_space), EXTREME[w]);
+            }
+            let sk2 = sk[1].clone().with_combiner(combiner);
+            let diff = DiffSketch::from_sketches(&sk[0], &sk2)
+                .unwrap_or_else(|_| DiffSketch::from_sketches(&CountSketch::new(params, seed), &sk2).unwrap());
+            prop_assert_eq!(
+                diff.top_changes(&s1, &s2, k, l),
+                reference_top_changes(diff.sketch(), &s1, &s2, k, l)
+            );
+        }
     }
 }

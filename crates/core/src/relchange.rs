@@ -25,12 +25,11 @@
 //! set uses exact re-counts exactly as §4.2 does, so the *final ranking*
 //! among the `l` candidates is exact for every objective.
 
+use crate::maxchange::pass_two;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateBatchScratch, BLOCK};
-use crate::topk::TopKTracker;
+use crate::sketch::{CountSketch, EstimateScratch};
 use cs_hash::ItemKey;
 use cs_stream::Stream;
-use std::collections::HashMap;
 
 /// How to score a change between two streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,63 +141,17 @@ impl RelChangeSketch {
         objective: ChangeObjective,
     ) -> Vec<ScoredChange> {
         assert!(l >= k, "need l >= k");
-        let mut tracker = TopKTracker::new(l);
-        let mut exact: HashMap<ItemKey, (u64, u64)> = HashMap::new();
-        let mut scratch = EstimateBatchScratch::new();
-        let mut cand_keys: Vec<ItemKey> = Vec::with_capacity(BLOCK);
-        let mut cand_deltas: Vec<i64> = Vec::with_capacity(BLOCK);
-        let mut cand_totals: Vec<i64> = Vec::with_capacity(BLOCK);
         const FIXED: f64 = 65_536.0;
-
-        let mut pass = |stream: &Stream, which: usize| {
-            for block in stream.as_slice().chunks(BLOCK) {
-                // Both sketches are frozen during pass 2; hoist each
-                // block's untracked probes into two batch-kernel calls
-                // (diff then sum) — admission decisions are unchanged.
-                cand_keys.clear();
-                for &key in block {
-                    if !tracker.contains(key) && !cand_keys.contains(&key) {
-                        cand_keys.push(key);
-                    }
-                }
-                self.diff
-                    .estimate_batch_with_scratch(&cand_keys, &mut scratch, &mut cand_deltas);
-                self.sum
-                    .estimate_batch_with_scratch(&cand_keys, &mut scratch, &mut cand_totals);
-                for &key in block {
-                    if !tracker.contains(key) {
-                        let (delta, total) = match cand_keys.iter().position(|&c| c == key) {
-                            Some(p) => (cand_deltas[p], cand_totals[p]),
-                            // Evicted mid-block after being tracked at
-                            // block start: rare, take the scalar probes.
-                            None => (self.diff.estimate(key), self.sum.estimate(key)),
-                        };
-                        let c1 = (total - delta) / 2;
-                        let c2 = (total + delta) / 2;
-                        let score = (objective.score(c1, c2) * FIXED).min(i64::MAX as f64) as i64;
-                        if let Some((evicted, _)) = tracker.offer(key, score) {
-                            exact.remove(&evicted);
-                        }
-                        if tracker.contains(key) {
-                            exact.insert(key, (0, 0));
-                        }
-                    }
-                    if let Some(counts) = exact.get_mut(&key) {
-                        if which == 1 {
-                            counts.0 += 1;
-                        } else {
-                            counts.1 += 1;
-                        }
-                    }
-                }
-            }
-        };
-        pass(s1, 1);
-        pass(s2, 2);
-
-        let mut scored: Vec<ScoredChange> = exact
+        let mut scratch = EstimateScratch::new();
+        let tracked = pass_two(s1, s2, l, |key, _| {
+            let delta = self.diff.estimate_with_scratch(key, &mut scratch);
+            let total = self.sum.estimate_with_scratch(key, &mut scratch);
+            let score = objective.score((total - delta) / 2, (total + delta) / 2);
+            Some(((score * FIXED).min(i64::MAX as f64) as i64, delta))
+        });
+        let mut scored: Vec<ScoredChange> = tracked
             .into_iter()
-            .map(|(key, (c1, c2))| ScoredChange {
+            .map(|(key, [c1, c2], _)| ScoredChange {
                 key,
                 count_s1: c1,
                 count_s2: c2,
@@ -235,7 +188,10 @@ pub fn max_relative_change(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::median::Combiner;
     use cs_stream::{ChangeSpec, StreamPair};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn objective_scores() {
@@ -382,5 +338,92 @@ mod tests {
         let back =
             crate::sketch::CountSketch::from_snapshot_bytes(&sk.diff.to_snapshot_bytes()).unwrap();
         assert_eq!(back.counters(), sk.diff.counters());
+    }
+
+    /// The pass 2 this module used to run, kept as the reference: scalar
+    /// diff and sum estimates per untracked arrival, `offer`, and exact
+    /// counts for tracked keys.
+    fn reference_top_changes(
+        sk: &RelChangeSketch,
+        s1: &Stream,
+        s2: &Stream,
+        k: usize,
+        l: usize,
+        objective: ChangeObjective,
+    ) -> Vec<ScoredChange> {
+        let mut tracker = crate::topk::TopKTracker::new(l);
+        let mut exact: HashMap<ItemKey, [u64; 2]> = HashMap::new();
+        for (which, stream) in [s1, s2].into_iter().enumerate() {
+            for key in stream.iter() {
+                if !tracker.contains(key) {
+                    let (delta, total) = sk.estimate(key);
+                    let score = objective.score((total - delta) / 2, (total + delta) / 2);
+                    let fixed = (score * 65_536.0).min(i64::MAX as f64) as i64;
+                    if let Some((evicted, _)) = tracker.offer(key, fixed) {
+                        exact.remove(&evicted);
+                    }
+                    if tracker.contains(key) {
+                        exact.insert(key, [0, 0]);
+                    }
+                }
+                if let Some(counts) = exact.get_mut(&key) {
+                    counts[which] += 1;
+                }
+            }
+        }
+        let mut scored: Vec<ScoredChange> = exact
+            .into_iter()
+            .map(|(key, [c1, c2])| ScoredChange {
+                key,
+                count_s1: c1,
+                count_s2: c2,
+                score: objective.score(c1 as i64, c2 as i64),
+            })
+            .collect();
+        scored.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap()
+                .then(a.key.cmp(&b.key))
+        });
+        scored.truncate(k);
+        scored
+    }
+
+    proptest! {
+        #[test]
+        fn prop_top_changes_matches_reference(
+            rows in 1usize..=9,
+            buckets in 1usize..48,
+            combiner_pick in 0u8..3,
+            seed in 0u64..1000,
+            key_space in 1u64..160,
+            raw1 in prop::collection::vec(0u64..1_000_000, 0..400),
+            raw2 in prop::collection::vec(0u64..1_000_000, 0..400),
+            k in 1usize..=8,
+            l_pick in 0u8..4,
+            objective_pick in 0u8..3,
+            smoothing in 0.5f64..200.0,
+        ) {
+            let combiner = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean]
+                [combiner_pick as usize];
+            let objective = [
+                ChangeObjective::Absolute,
+                ChangeObjective::Percent { smoothing },
+                ChangeObjective::Balanced { smoothing },
+            ][objective_pick as usize];
+            let l = [1, k, 33, 64][l_pick as usize].max(k);
+            let s1 = Stream::from_ids(raw1.iter().map(|r| r % key_space));
+            let s2 = Stream::from_ids(raw2.iter().map(|r| r % key_space));
+            let mut sk = RelChangeSketch::new(SketchParams::new(rows, buckets), seed);
+            sk.absorb_first(&s1);
+            sk.absorb_second(&s2);
+            sk.diff = sk.diff.with_combiner(combiner);
+            sk.sum = sk.sum.with_combiner(combiner);
+            prop_assert_eq!(
+                sk.top_changes(&s1, &s2, k, l, objective),
+                reference_top_changes(&sk, &s1, &s2, k, l, objective)
+            );
+        }
     }
 }

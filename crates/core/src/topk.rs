@@ -81,9 +81,10 @@ type SlotCell = (ItemKey, usize);
 
 /// Open-addressed `key → slot` map: linear probing from a
 /// multiplicative (Fibonacci) hash of the key, kept at most a quarter
-/// full (short probe runs) and rebuilt larger as the tracker fills.
+/// full (short probe runs) and rebuilt larger as its slots fill. It
+/// indexes the tracker's entries, and the max-change pass-2 counts.
 #[derive(Debug, Clone, Default)]
-struct SlotIndex {
+pub(crate) struct SlotIndex {
     /// `slot == EMPTY` marks a free cell.
     cells: Vec<SlotCell>,
     /// `64 - log2(cells.len())`: the hash keeps the product's top bits.
@@ -116,7 +117,7 @@ impl SlotIndex {
     }
 
     #[inline]
-    fn get(&self, key: ItemKey) -> Option<usize> {
+    pub(crate) fn get(&self, key: ItemKey) -> Option<usize> {
         if self.cells.is_empty() {
             return None;
         }
@@ -124,17 +125,23 @@ impl SlotIndex {
         (s != EMPTY).then_some(s)
     }
 
-    /// Maps `key` to `slot`, inserting or overwriting. `entries` is the
-    /// tracker's array with `key` already at `slot`; a table that
-    /// outgrew its quarter load is first rebuilt from it.
-    fn set(&mut self, key: ItemKey, slot: usize, entries: &[(i64, ItemKey)]) {
-        if 4 * entries.len() > self.cells.len() {
-            let size = Self::cells_for(entries.len()).expect("entries fit in memory");
+    /// Maps `key` to `slot`, inserting or overwriting. Slots `0..len`
+    /// hold the keys `key_at(s)`, `key` already at `slot`; a table that
+    /// outgrew its quarter load is first rebuilt from them.
+    pub(crate) fn set(
+        &mut self,
+        key: ItemKey,
+        slot: usize,
+        len: usize,
+        key_at: impl Fn(usize) -> ItemKey,
+    ) {
+        if 4 * len > self.cells.len() {
+            let size = Self::cells_for(len).expect("slots fit in memory");
             self.cells = vec![(ItemKey(0), EMPTY); size];
             self.shift = 64 - size.trailing_zeros();
-            for (s, &(_, k)) in entries.iter().enumerate() {
-                let i = self.probe(k);
-                self.cells[i] = (k, s);
+            for s in 0..len {
+                let i = self.probe(key_at(s));
+                self.cells[i] = (key_at(s), s);
             }
         }
         let i = self.probe(key);
@@ -143,7 +150,7 @@ impl SlotIndex {
 
     /// Unmaps `key` (which must be mapped), shifting later cells of its
     /// probe run back so no lookup ever stops early.
-    fn remove(&mut self, key: ItemKey) {
+    pub(crate) fn remove(&mut self, key: ItemKey) {
         let mask = self.cells.len() - 1;
         let mut hole = self.probe(key);
         let mut j = hole;
@@ -245,7 +252,7 @@ impl TopKTracker {
             let s = self.entries.len();
             self.entries.push((value, key));
             if self.entries.len() > SCAN_MAX {
-                self.index.set(key, s, &self.entries);
+                self.index.set(key, s, s + 1, |s| self.entries[s].1);
             }
             if s / MIN_BLOCK == self.block_min.len() {
                 self.block_min.push(s);
@@ -259,7 +266,8 @@ impl TopKTracker {
             self.entries[m] = (value, key);
             if self.entries.len() > SCAN_MAX {
                 self.index.remove(min_k);
-                self.index.set(key, m, &self.entries);
+                self.index
+                    .set(key, m, self.entries.len(), |s| self.entries[s].1);
             }
             self.raised(m);
             Some((min_k, min_v))
@@ -275,7 +283,8 @@ impl TopKTracker {
         if self.entries.len() > SCAN_MAX {
             self.index.remove(key);
             if let Some(&(_, moved)) = self.entries.get(s) {
-                self.index.set(moved, s, &self.entries);
+                self.index
+                    .set(moved, s, self.entries.len(), |s| self.entries[s].1);
             }
         } else {
             self.index = SlotIndex::default();

@@ -201,6 +201,13 @@ impl Default for Options {
     }
 }
 
+/// The largest sketch `fi` builds, in counters (`t·b`): 2 GiB of
+/// `i64` cells. `serve` and `ship` are held to the smaller frame limit.
+pub const MAX_CELLS: usize = 1 << 28;
+
+// Every `-b` under the cell maximum is a range `PairwiseHash` can draw.
+const _: () = assert!((MAX_CELLS as u64) < cs_hash::prime::P);
+
 /// Parses arguments (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
@@ -364,6 +371,20 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     opts.rows,
                     opts.buckets,
                     len.map_or("over usize::MAX".into(), |l| l.to_string())
+                ))
+            }
+        }
+    } else {
+        // Refuse a sketch no host could allocate, or whose bucket range
+        // the hash field cannot draw, before sketching anything.
+        match opts.rows.checked_mul(opts.buckets) {
+            Some(cells) if cells <= MAX_CELLS => {}
+            cells => {
+                return Err(format!(
+                    "-t {} -b {}: {} sketch cells exceed the {MAX_CELLS}-cell maximum",
+                    opts.rows,
+                    opts.buckets,
+                    cells.map_or("over usize::MAX".into(), |c| c.to_string())
                 ))
             }
         }
@@ -962,6 +983,22 @@ mod tests {
             assert!(err.starts_with(named), "iceberg {flags}: {err}");
         }
         assert!(parse_args(&args("iceberg --phi 1 --eps 0")).is_ok());
+        // A geometry whose bucket range the hash field cannot draw, or
+        // whose counters no host could allocate, names the flags.
+        for cmd in ["top", "diff a b", "iceberg", "coordinate a"] {
+            for flags in [
+                "-t 3 -b 4611686018427387904",
+                "-b 2305843009213693951",
+                "-b 2305843009213693950",
+                "-b 1000000000000",
+                "-t 2 -b 134217729",
+            ] {
+                let err = parse_args(&args(&format!("{cmd} {flags}"))).unwrap_err();
+                assert!(err.starts_with("-t "), "{cmd} {flags}: {err}");
+                assert!(err.contains(" -b "), "{cmd} {flags}: {err}");
+            }
+            assert!(parse_args(&args(&format!("{cmd} -t 2 -b 134217728"))).is_ok());
+        }
     }
 
     #[test]
