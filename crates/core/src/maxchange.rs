@@ -10,24 +10,19 @@
 //! **Pass 2** — over `S1` and `S2`: keep the set `A` of `l` objects with
 //! the largest `|n̂_q|`, `n̂_q = median_i{h_i[q]·s_i[q]}`, and exact
 //! occurrence counts in each stream for every item in `A`. Because `n̂_q`
-//! is *fixed* during pass 2 and the admission threshold `T` (the smallest
+//! is *fixed* during pass 2 and the admission threshold (the smallest
 //! tracked `|n̂|`) only rises, an item's membership is decided at its
 //! first occurrence and "once an item is removed it is never added
-//! back", so the survivors' counts are exact. For the same reason an
-//! untracked arrival needs no exact `n̂_q`, only proof that
-//! `|n̂_q| ≤ T`: once `⌊t/2⌋+1` rows have `|h_i[q]·s_i[q]| ≤ T`, the
-//! median lies in `[−T, T]` and cannot beat `T`
-//! ([`GenericCountSketch::estimate_above`]). A tracked arrival costs one
-//! lookup in an `l`-key map.
+//! back", so the survivors' counts are exact. An arrival therefore
+//! costs one tracker lookup: a tracked key is counted, and an untracked
+//! one is estimated once and admitted only if it beats the threshold.
 //!
 //! Finally report the `k` items with the largest `|n_q^{S2} - n_q^{S1}|`
 //! among `A`.
-//!
-//! [`GenericCountSketch::estimate_above`]: crate::sketch::GenericCountSketch::estimate_above
 
 use crate::params::SketchParams;
-use crate::sketch::CountSketch;
-use crate::topk::{SlotIndex, TopKTracker};
+use crate::sketch::{CountSketch, EstimateScratch};
+use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
 
@@ -101,11 +96,11 @@ impl DiffSketch {
     /// keeps `l ≥ k` to absorb estimation error; §4.1 suggests `l = O(k)`).
     pub fn top_changes(&self, s1: &Stream, s2: &Stream, k: usize, l: usize) -> MaxChangeResult {
         assert!(l >= k, "need l >= k");
-        // A floor is a tracked |n̂|, never negative; −1 (tracker not
-        // full) makes the probe return the full estimate.
-        let tracked = pass_two(s1, s2, l, |key, floor| {
-            let est = self.sketch.estimate_above(key, floor.unwrap_or(-1))?;
-            Some((est.saturating_abs(), est))
+        // |i64::MIN| saturates: that estimate ranks highest, not lowest.
+        let mut scratch = EstimateScratch::new();
+        let tracked = pass_two(s1, s2, l, |key| {
+            let est = self.sketch.estimate_with_scratch(key, &mut scratch);
+            (est.saturating_abs(), est)
         });
         let mut candidates: Vec<ChangeItem> = tracked
             .into_iter()
@@ -127,56 +122,44 @@ impl DiffSketch {
 }
 
 /// Pass 2 over `S1` then `S2`, shared by max-change and the
-/// relative-change objectives. `rank(key, floor)` scores an untracked
-/// arrival as `(value, estimate)`; `floor` is the tracker's minimum once
-/// it holds `l` keys, and `rank` may return `None` for a key whose value
-/// cannot exceed it. Returns the `l` survivors, in no particular order,
-/// as `(key, [count in S1, count in S2], estimate)`.
+/// relative-change objectives. `rank(key)` scores an untracked arrival
+/// as `(value, estimate)`, and the tracker keeps the `l` largest values.
+/// Returns the survivors, in no particular order, as
+/// `(key, [count in S1, count in S2], estimate)`.
 pub(crate) fn pass_two(
     s1: &Stream,
     s2: &Stream,
     l: usize,
-    mut rank: impl FnMut(ItemKey, Option<i64>) -> Option<(i64, i64)>,
+    mut rank: impl FnMut(ItemKey) -> (i64, i64),
 ) -> Vec<(ItemKey, [u64; 2], i64)> {
     let mut tracker = TopKTracker::new(l);
-    // Exactly the tracked keys: an admitted key takes its evicted
-    // predecessor's slot. At most `l` keys, so even keys crafted to
-    // collide cost a lookup no more than an `l`-cell scan.
-    let mut index = SlotIndex::default();
-    let mut slots: Vec<(ItemKey, [u64; 2], i64)> = Vec::new();
+    // Parallel to the tracker's slots: an admitted key takes the slot of
+    // the minimum it evicts, so its counts start afresh.
+    let mut slots: Vec<([u64; 2], i64)> = Vec::new();
     for (which, stream) in [s1, s2].into_iter().enumerate() {
         for &key in stream.as_slice() {
-            if let Some(s) = index.get(key) {
-                slots[s].1[which] += 1;
+            if let Some(s) = tracker.slot(key) {
+                slots[s].0[which] += 1;
                 continue;
             }
-            let floor = (tracker.len() == l).then(|| tracker.min_value()).flatten();
-            let Some((value, estimate)) = rank(key, floor) else {
+            let (value, estimate) = rank(key);
+            let Some(s) = tracker.admit(key, value) else {
                 continue;
             };
-            // `offer` admits only a value strictly above the minimum.
-            if floor.is_some_and(|f| value <= f) {
-                continue;
-            }
             let mut counts = [0; 2];
             counts[which] = 1;
-            let entry = (key, counts, estimate);
-            let s = match tracker.offer(key, value) {
-                Some((evicted, _)) => {
-                    let s = index.get(evicted).expect("evicted key was tracked");
-                    index.remove(evicted);
-                    slots[s] = entry;
-                    s
-                }
-                None => {
-                    slots.push(entry);
-                    slots.len() - 1
-                }
-            };
-            index.set(key, s, slots.len(), |s| slots[s].0);
+            if s == slots.len() {
+                slots.push((counts, estimate));
+            } else {
+                slots[s] = (counts, estimate);
+            }
         }
     }
-    slots
+    tracker
+        .keys()
+        .zip(slots)
+        .map(|(key, (counts, estimate))| (key, counts, estimate))
+        .collect()
 }
 
 /// The complete two-pass algorithm in one call.

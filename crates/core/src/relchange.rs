@@ -143,11 +143,11 @@ impl RelChangeSketch {
         assert!(l >= k, "need l >= k");
         const FIXED: f64 = 65_536.0;
         let mut scratch = EstimateScratch::new();
-        let tracked = pass_two(s1, s2, l, |key, _| {
+        let tracked = pass_two(s1, s2, l, |key| {
             let delta = self.diff.estimate_with_scratch(key, &mut scratch);
             let total = self.sum.estimate_with_scratch(key, &mut scratch);
             let score = objective.score((total - delta) / 2, (total + delta) / 2);
-            Some(((score * FIXED).min(i64::MAX as f64) as i64, delta))
+            ((score * FIXED).min(i64::MAX as f64) as i64, delta)
         });
         let mut scored: Vec<ScoredChange> = tracked
             .into_iter()

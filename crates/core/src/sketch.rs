@@ -516,33 +516,6 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         combine(self.combiner, &scratch.rows, &mut scratch.sort)
     }
 
-    /// Threshold probe: `None` if `|ESTIMATE(C, q)| ≤ threshold` is
-    /// settled (magnitudes saturate, so `|i64::MIN|` is `i64::MAX`),
-    /// else `Some` of the exact estimate. Under the median the key is
-    /// canonicalized once and the rows stop as soon as `⌊t/2⌋+1` of them
-    /// have `|s_i(q)·C[i][h_i(q)]| ≤ threshold`: every middle value, at
-    /// odd and even `t`, then lies in `[−threshold, threshold]`, and so
-    /// does the median. When fewer rows qualify, under the mean
-    /// combiners, and for any negative threshold, it returns the full
-    /// estimate.
-    pub fn estimate_above(&self, key: ItemKey, threshold: i64) -> Option<i64> {
-        if self.combiner == Combiner::Median {
-            let kb = self.hashers[0].canon(key.raw());
-            let mut need = self.rows / 2 + 1;
-            let rows = self.counters.chunks_exact(self.buckets);
-            for (h, row) in self.hashers.iter().zip(rows) {
-                // |s_i(q)·C| = |C|, saturating included: no sign hash.
-                if row[h.bucket_canon(kb)].saturating_abs() <= threshold {
-                    need -= 1;
-                    if need == 0 {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(self.estimate(key))
-    }
-
     /// Whether two sketches share dimensions and hash functions (equal
     /// seeds of the same construction imply equal functions).
     pub fn compatible<H2: BucketHasher, S2: SignHasher>(
@@ -1464,70 +1437,6 @@ mod tests {
                 expect += one.counters()[0];
             }
             prop_assert_eq!(total, expect);
-        }
-    }
-
-    #[test]
-    fn estimate_above_counts_rows_at_the_threshold() {
-        // One key alone in the sketch: every row reads exactly 40.
-        let mut s = CountSketch::new(SketchParams::new(5, 64), 3);
-        s.update(ItemKey(9), 40);
-        assert_eq!(s.estimate_above(ItemKey(9), 40), None);
-        assert_eq!(s.estimate_above(ItemKey(9), 39), Some(40));
-        assert_eq!(s.estimate_above(ItemKey(9), -1), Some(40));
-        let mean = s.with_combiner(Combiner::Mean);
-        assert_eq!(mean.estimate_above(ItemKey(9), 40), Some(40));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_estimate_above_is_the_estimate_or_a_proof(
-            rows in 1usize..=20,
-            buckets in 1usize..24,
-            combiner_pick in 0u8..3,
-            seed in 0u64..1000,
-            ops in prop::collection::vec((0u64..40, -3i64..4, 0u8..16), 0..120),
-            probe in 0u64..40,
-            threshold_pick in 0u8..4,
-            row_pick in 0usize..20,
-            offset in -2i64..3,
-        ) {
-            // Small weights, with an occasional limit-sized one that clamps
-            // and flags cells.
-            let combiner = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean]
-                [combiner_pick as usize];
-            let mut s = CountSketch::new(SketchParams::new(rows, buckets), seed)
-                .with_combiner(combiner);
-            for &(id, w, extreme) in &ops {
-                let w = match extreme {
-                    0 => i64::MAX,
-                    1 => i64::MIN,
-                    _ => w,
-                };
-                s.update(ItemKey(id), w);
-            }
-            let key = ItemKey(probe);
-            let mut row_ests = Vec::new();
-            s.row_estimates(key, &mut row_ests);
-            let est = s.estimate(key);
-            // Thresholds at a row's magnitude (ties), around the estimate,
-            // negative, and the largest.
-            let threshold = match threshold_pick {
-                0 => row_ests[row_pick % rows].saturating_abs().saturating_add(offset),
-                1 => est.saturating_abs().saturating_add(offset),
-                2 => -1,
-                _ => i64::MAX,
-            };
-            let got = s.estimate_above(key, threshold);
-            match got {
-                None => prop_assert!(est.saturating_abs() <= threshold),
-                Some(v) => prop_assert_eq!(v, est),
-            }
-            // The probe stops exactly when a strict majority of rows is
-            // within the threshold, and only under the median.
-            let within = row_ests.iter().filter(|e| e.saturating_abs() <= threshold).count();
-            let stops = combiner == Combiner::Median && within > rows / 2;
-            prop_assert_eq!(got.is_none(), stops);
         }
     }
 }

@@ -81,10 +81,9 @@ type SlotCell = (ItemKey, usize);
 
 /// Open-addressed `key → slot` map: linear probing from a
 /// multiplicative (Fibonacci) hash of the key, kept at most a quarter
-/// full (short probe runs) and rebuilt larger as its slots fill. It
-/// indexes the tracker's entries, and the max-change pass-2 counts.
+/// full (short probe runs) and rebuilt larger as the tracker fills.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SlotIndex {
+struct SlotIndex {
     /// `slot == EMPTY` marks a free cell.
     cells: Vec<SlotCell>,
     /// `64 - log2(cells.len())`: the hash keeps the product's top bits.
@@ -117,7 +116,7 @@ impl SlotIndex {
     }
 
     #[inline]
-    pub(crate) fn get(&self, key: ItemKey) -> Option<usize> {
+    fn get(&self, key: ItemKey) -> Option<usize> {
         if self.cells.is_empty() {
             return None;
         }
@@ -125,23 +124,17 @@ impl SlotIndex {
         (s != EMPTY).then_some(s)
     }
 
-    /// Maps `key` to `slot`, inserting or overwriting. Slots `0..len`
-    /// hold the keys `key_at(s)`, `key` already at `slot`; a table that
-    /// outgrew its quarter load is first rebuilt from them.
-    pub(crate) fn set(
-        &mut self,
-        key: ItemKey,
-        slot: usize,
-        len: usize,
-        key_at: impl Fn(usize) -> ItemKey,
-    ) {
-        if 4 * len > self.cells.len() {
-            let size = Self::cells_for(len).expect("slots fit in memory");
+    /// Maps `key` to `slot`, inserting or overwriting. `entries` is the
+    /// tracker's array with `key` already at `slot`; a table that
+    /// outgrew its quarter load is first rebuilt from it.
+    fn set(&mut self, key: ItemKey, slot: usize, entries: &[(i64, ItemKey)]) {
+        if 4 * entries.len() > self.cells.len() {
+            let size = Self::cells_for(entries.len()).expect("entries fit in memory");
             self.cells = vec![(ItemKey(0), EMPTY); size];
             self.shift = 64 - size.trailing_zeros();
-            for s in 0..len {
-                let i = self.probe(key_at(s));
-                self.cells[i] = (key_at(s), s);
+            for (s, &(_, k)) in entries.iter().enumerate() {
+                let i = self.probe(k);
+                self.cells[i] = (k, s);
             }
         }
         let i = self.probe(key);
@@ -150,7 +143,7 @@ impl SlotIndex {
 
     /// Unmaps `key` (which must be mapped), shifting later cells of its
     /// probe run back so no lookup ever stops early.
-    pub(crate) fn remove(&mut self, key: ItemKey) {
+    fn remove(&mut self, key: ItemKey) {
         let mask = self.cells.len() - 1;
         let mut hole = self.probe(key);
         let mut j = hole;
@@ -248,17 +241,27 @@ impl TopKTracker {
             self.set(s, value);
             return None;
         }
+        let min = (self.entries.len() == self.capacity).then(|| self.entries[self.min]);
+        self.admit(key, value)?;
+        min.map(|(v, k)| (k, v))
+    }
+
+    /// Step 2 for a key known to be untracked: inserts it if there is
+    /// room, or if `value` beats the current minimum (taking the evicted
+    /// minimum's slot). Returns the slot `key` now holds, if admitted.
+    #[inline]
+    pub(crate) fn admit(&mut self, key: ItemKey, value: i64) -> Option<usize> {
         if self.entries.len() < self.capacity {
             let s = self.entries.len();
             self.entries.push((value, key));
             if self.entries.len() > SCAN_MAX {
-                self.index.set(key, s, s + 1, |s| self.entries[s].1);
+                self.index.set(key, s, &self.entries);
             }
             if s / MIN_BLOCK == self.block_min.len() {
                 self.block_min.push(s);
             }
             self.lowered(s);
-            return None;
+            return Some(s);
         }
         let m = self.min;
         let (min_v, min_k) = self.entries[m];
@@ -266,11 +269,10 @@ impl TopKTracker {
             self.entries[m] = (value, key);
             if self.entries.len() > SCAN_MAX {
                 self.index.remove(min_k);
-                self.index
-                    .set(key, m, self.entries.len(), |s| self.entries[s].1);
+                self.index.set(key, m, &self.entries);
             }
             self.raised(m);
-            Some((min_k, min_v))
+            Some(m)
         } else {
             None
         }
@@ -283,8 +285,7 @@ impl TopKTracker {
         if self.entries.len() > SCAN_MAX {
             self.index.remove(key);
             if let Some(&(_, moved)) = self.entries.get(s) {
-                self.index
-                    .set(moved, s, self.entries.len(), |s| self.entries[s].1);
+                self.index.set(moved, s, &self.entries);
             }
         } else {
             self.index = SlotIndex::default();
@@ -329,9 +330,14 @@ impl TopKTracker {
             .saturating_add(index)
     }
 
+    /// The tracked keys in slot order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = ItemKey> + '_ {
+        self.entries.iter().map(|&(_, k)| k)
+    }
+
     /// The slot holding `key`, if tracked.
     #[inline]
-    fn slot(&self, key: ItemKey) -> Option<usize> {
+    pub(crate) fn slot(&self, key: ItemKey) -> Option<usize> {
         if self.entries.len() > SCAN_MAX {
             self.index.get(key)
         } else {

@@ -201,8 +201,14 @@ impl Default for Options {
     }
 }
 
-/// The largest sketch `fi` builds, in counters (`t·b`): 2 GiB of
-/// `i64` cells. `serve` and `ship` are held to the smaller frame limit.
+/// The largest sketch `fi` builds, in counters (`t·b`): 2 GiB of `i64`
+/// cells. This is a policy limit, not a hardware one. It is about 600×
+/// the largest sketch the benchmarks use (`-t 7 -b 65536`), and it makes
+/// a mistyped `-b` exit 2 at parsing instead of aborting on a failed
+/// allocation or exhausting a shared host. A larger host could build
+/// more (`-t 5 -b 100000000` is 4 GB); raise the constant to allow it.
+/// The limit is per sketch: `top --threads N` builds one per worker.
+/// `serve` and `ship` are held to the smaller frame limit.
 pub const MAX_CELLS: usize = 1 << 28;
 
 // Every `-b` under the cell maximum is a range `PairwiseHash` can draw.
@@ -375,8 +381,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     } else {
-        // Refuse a sketch no host could allocate, or whose bucket range
-        // the hash field cannot draw, before sketching anything.
+        // Refuse a sketch over the policy limit before sketching
+        // anything; this also keeps `-b` a range the hash field can draw.
         match opts.rows.checked_mul(opts.buckets) {
             Some(cells) if cells <= MAX_CELLS => {}
             cells => {
@@ -984,7 +990,7 @@ mod tests {
         }
         assert!(parse_args(&args("iceberg --phi 1 --eps 0")).is_ok());
         // A geometry whose bucket range the hash field cannot draw, or
-        // whose counters no host could allocate, names the flags.
+        // whose counters exceed the policy limit, names the flags.
         for cmd in ["top", "diff a b", "iceberg", "coordinate a"] {
             for flags in [
                 "-t 3 -b 4611686018427387904",

@@ -3,8 +3,8 @@
 //! `fi ship` and `fi serve` must refuse it as a bad invocation (exit 2),
 //! before sketching or binding anything, and never panic (exit 101).
 //! The other commands refuse a bucket count the hash field cannot draw
-//! and a sketch over `MAX_CELLS` counters the same way, never panicking
-//! (101) or aborting on a failed allocation (134).
+//! and a sketch over the `MAX_CELLS` policy limit the same way, never
+//! panicking (101) or aborting on a failed allocation (134).
 
 use std::process::Command;
 
@@ -44,7 +44,7 @@ fn serve_and_ship_reject_a_sketch_no_frame_can_carry() {
 }
 
 #[test]
-fn sketching_commands_reject_geometry_no_host_can_build() {
+fn sketching_commands_reject_geometry_over_the_cell_limit() {
     let dir = std::env::temp_dir().join(format!("fi-geometry-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("tiny.txt");
