@@ -45,10 +45,11 @@ pub struct SiteReport {
 pub fn site_report(stream: &Stream, l: usize, params: SketchParams, seed: u64) -> SiteReport {
     let mut processor = crate::approx_top::ApproxTopProcessor::new(params, l.max(1), seed);
     processor.observe_stream(stream);
-    let result = processor.result();
+    let candidates = processor.result().keys();
+    let (sketch, _, _) = processor.into_parts();
     SiteReport {
-        sketch: processor.sketch().clone(),
-        candidates: result.keys(),
+        sketch,
+        candidates,
         local_n: stream.len() as u64,
     }
 }

@@ -8,17 +8,17 @@
 //! uninterrupted run* — a property the crate's proptests assert rather
 //! than assume.
 //!
-//! ## Wire layout (`CSNP` v1, all integers little-endian)
+//! ## Wire layout (`CSNP` v2, all fixed-width integers little-endian)
 //!
 //! ```text
 //! magic      u32  = 0x4353_4E50 ("CSNP")
-//! version    u32  = 1
+//! version    u32  = 2
 //! kind       u32  = 1 (sketch) | 2 (approx-top processor) | 3 (sliding window)
 //! combiner   u32  = 0 median | 1 mean | 2 trimmed mean
 //! rows       u64
 //! buckets    u64            -- post-rounding, a fixed point of redrawing
 //! seed       u64
-//! counters   rows·buckets × i64       -- kind 3: the window sum sketch
+//! counters   rows·buckets × varint    -- kind 3: the window sum sketch
 //! saturation ⌈rows·buckets/64⌉ × u64   -- overflow flags, 1 bit per cell
 //! [kind 2 only]
 //!   policy   u32  = 0 increment-tracked | 1 always-re-estimate
@@ -37,6 +37,22 @@
 //!   entry          entries × (key u64, value i64)
 //! crc32      u32  -- CRC-32 (IEEE) over every preceding byte
 //! ```
+//!
+//! A counter section is dense: one varint per cell, row-major. Each
+//! varint is the counter's zigzag code (`0, -1, 1, -2, …` → `0, 1, 2,
+//! 3, …`) in unsigned LEB128, seven bits per byte, low group first, the
+//! high bit set on every byte but the last. Most cells of a real sketch
+//! are near zero, so most take one byte; `i64::MIN` and `i64::MAX` take
+//! ten. The reader accepts exactly the encoding the writer emits: a
+//! varint longer than ten bytes, one whose tenth byte carries bits past
+//! 64, and a non-minimal one (a final `00` byte after the first, as in
+//! `80 00` for 0) are [`CoreError::CorruptSnapshot`], so every state
+//! has exactly one encoding and decode → encode is byte-identical.
+//!
+//! **v1** differs only in its version word and in storing each counter
+//! as a raw `i64` (8 bytes). Writers emit v2 only; the loaders and
+//! [`inspect_snapshot_bytes`] read both, and decode either straight
+//! into the sketch's counter array.
 //!
 //! The kind-3 window sum is *stored*, not recomputed from the epochs on
 //! load: with saturation tracking the sum sketch's overflow flags are
@@ -76,7 +92,12 @@ use std::io;
 use std::path::Path;
 
 const MAGIC: u32 = 0x4353_4E50; // "CSNP"
-const VERSION: u32 = 1;
+/// The version writers emit: counters as zigzag LEB128 varints.
+const VERSION: u32 = 2;
+/// The first layout, counters as raw `i64`; still read.
+const VERSION_RAW: u32 = 1;
+/// The longest varint: ⌈64 / 7⌉ bytes.
+const MAX_VARINT: usize = 10;
 const KIND_SKETCH: u32 = 1;
 const KIND_PROCESSOR: u32 = 2;
 const KIND_WINDOW: u32 = 3;
@@ -118,13 +139,79 @@ fn policy_from(code: u32) -> Result<HeapPolicy, CoreError> {
     }
 }
 
+/// Maps signed to unsigned so that small magnitudes of either sign get
+/// small codes: `0, -1, 1, -2, …` → `0, 1, 2, 3, …`.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
+/// Bytes the LEB128 varint of `z` takes: one per started 7-bit group.
+fn varint_len(z: u64) -> usize {
+    (64 - (z | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Decodes the LEB128 varint at `body[pos..]`; returns it and the
+/// position after it. Rejects a truncated, over-long, overflowing or
+/// non-minimal encoding, so each value has exactly one.
+#[inline]
+fn read_varint(body: &[u8], mut pos: usize) -> Result<(u64, usize), CoreError> {
+    let mut value = 0u64;
+    let mut shift = 0;
+    loop {
+        let Some(&byte) = body.get(pos) else {
+            return Err(CoreError::CorruptSnapshot(
+                "counter section truncated".into(),
+            ));
+        };
+        pos += 1;
+        if byte < 0x80 {
+            if byte == 0 && shift > 0 {
+                return Err(CoreError::CorruptSnapshot("non-minimal varint".into()));
+            }
+            if shift == 63 && byte > 1 {
+                return Err(CoreError::CorruptSnapshot(
+                    "varint overflows 64 bits".into(),
+                ));
+            }
+            return Ok((value | u64::from(byte) << shift, pos));
+        }
+        if shift == 63 {
+            return Err(CoreError::CorruptSnapshot(format!(
+                "varint longer than {MAX_VARINT} bytes"
+            )));
+        }
+        value |= u64::from(byte & 0x7f) << shift;
+        shift += 7;
+    }
+}
+
+/// Exact bytes of a sketch's counter and saturation sections as
+/// [`push_counters`] writes them, so every writer sizes its buffer once.
+fn counters_len<H: BucketHasher, S: SignHasher>(sketch: &GenericCountSketch<H, S>) -> usize {
+    let varints: usize = sketch
+        .counters()
+        .iter()
+        .map(|&c| varint_len(zigzag(c)))
+        .sum();
+    varints + sketch.saturated_words().len() * 8
+}
+
 /// Appends a sketch's counter and saturation sections (no header).
 fn push_counters<H: BucketHasher, S: SignHasher>(
     buf: &mut Vec<u8>,
     sketch: &GenericCountSketch<H, S>,
 ) {
     for &c in sketch.counters() {
-        buf.extend_from_slice(&c.to_le_bytes());
+        let mut z = zigzag(c);
+        while z >= 0x80 {
+            buf.push(z as u8 | 0x80);
+            z >>= 7;
+        }
+        buf.push(z as u8);
     }
     for &w in sketch.saturated_words() {
         buf.extend_from_slice(&w.to_le_bytes());
@@ -157,6 +244,8 @@ fn seal(mut buf: Vec<u8>) -> Vec<u8> {
 struct Reader<'a> {
     body: &'a [u8],
     pos: usize,
+    /// [`VERSION`] or [`VERSION_RAW`]: only how counters are read differs.
+    version: u32,
 }
 
 impl<'a> Reader<'a> {
@@ -178,7 +267,7 @@ impl<'a> Reader<'a> {
             )));
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != VERSION {
+        if version != VERSION && version != VERSION_RAW {
             return Err(CoreError::CorruptSnapshot(format!(
                 "unsupported snapshot version {version}"
             )));
@@ -194,6 +283,7 @@ impl<'a> Reader<'a> {
             Self {
                 body: &bytes[..body_end],
                 pos: 12,
+                version,
             },
             kind,
         ))
@@ -241,8 +331,41 @@ impl<'a> Reader<'a> {
         self.u64().map(|v| v as i64)
     }
 
-    fn skip(&mut self, n: usize) -> Result<(), CoreError> {
-        self.take(n).map(drop)
+    /// The fewest bytes a counter+saturation section of `cells` cells
+    /// can take in this version (exact for v1), or `None` if it
+    /// overflows `usize`.
+    fn min_section_bytes(&self, cells: usize) -> Option<usize> {
+        let per_cell = if self.version == VERSION_RAW { 8 } else { 1 };
+        section_bytes(cells, per_cell)
+    }
+
+    /// Fills `out` from one counter section, decoding in place: no
+    /// intermediate buffer.
+    fn counters(&mut self, out: &mut [i64]) -> Result<(), CoreError> {
+        if self.version == VERSION_RAW {
+            let raw = self.take(out.len() * 8)?;
+            for (c, b) in out.iter_mut().zip(raw.chunks_exact(8)) {
+                *c = i64::from_le_bytes(b.try_into().expect("8 bytes"));
+            }
+            return Ok(());
+        }
+        let mut pos = self.pos;
+        for c in out {
+            let (z, next) = read_varint(self.body, pos)?;
+            *c = unzigzag(z);
+            pos = next;
+        }
+        self.pos = pos;
+        Ok(())
+    }
+
+    /// Fills `out` from one section of raw saturation words.
+    fn words(&mut self, out: &mut [u64]) -> Result<(), CoreError> {
+        let raw = self.take(out.len() * 8)?;
+        for (w, b) in out.iter_mut().zip(raw.chunks_exact(8)) {
+            *w = u64::from_le_bytes(b.try_into().expect("8 bytes"));
+        }
+        Ok(())
     }
 
     fn finish(self) -> Result<(), CoreError> {
@@ -257,16 +380,16 @@ impl<'a> Reader<'a> {
 }
 
 /// The sketch fields after the kind code. The dimensions are validated,
-/// and the counter section they imply is checked against the buffer,
-/// before anything is sized from them, so a forged length cannot
+/// and the smallest counter section they imply is checked against the
+/// buffer, before anything is sized from them, so a forged length cannot
 /// trigger a huge allocation.
 struct Geometry {
     combiner: Combiner,
     rows: usize,
     buckets: usize,
     seed: u64,
-    /// Bytes of one counter+saturation section.
-    section: usize,
+    /// The fewest bytes one counter+saturation section can take.
+    min_section: usize,
 }
 
 fn read_geometry(r: &mut Reader<'_>) -> Result<Geometry, CoreError> {
@@ -282,11 +405,12 @@ fn read_geometry(r: &mut Reader<'_>) -> Result<Geometry, CoreError> {
     let cells = rows
         .checked_mul(buckets)
         .ok_or_else(|| CoreError::CorruptSnapshot("rows × buckets overflows".into()))?;
-    let section = checked_section_bytes(cells)
+    let min_section = r
+        .min_section_bytes(cells)
         .ok_or_else(|| CoreError::CorruptSnapshot("section size overflows".into()))?;
-    if r.remaining() < section {
+    if r.remaining() < min_section {
         return Err(CoreError::CorruptSnapshot(format!(
-            "counter section needs {section} bytes, {} remain",
+            "counter section needs at least {min_section} bytes, {} remain",
             r.remaining()
         )));
     }
@@ -295,7 +419,7 @@ fn read_geometry(r: &mut Reader<'_>) -> Result<Geometry, CoreError> {
         rows,
         buckets,
         seed,
-        section,
+        min_section,
     })
 }
 
@@ -316,70 +440,41 @@ where
     read_counters(r, sketch)
 }
 
-/// Takes one headerless counter+saturation section of `cells` cells off
-/// the reader — one length check for the whole section — and returns
-/// its counters and saturation words as little-endian `u64` values.
-fn counter_section<'a>(
-    r: &mut Reader<'a>,
-    cells: usize,
-) -> Result<
-    (
-        impl Iterator<Item = u64> + 'a,
-        impl Iterator<Item = u64> + 'a,
-    ),
-    CoreError,
-> {
-    let (counters, words) = r.take(counter_section_bytes(cells))?.split_at(cells * 8);
-    let le = |bytes: &'a [u8]| {
-        bytes
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    };
-    Ok((le(counters), le(words)))
-}
-
 /// Fills `sketch`, whose geometry the caller has validated, from one
 /// counter+saturation section.
 fn read_counters<H: BucketHasher, S: SignHasher>(
     r: &mut Reader<'_>,
     mut sketch: GenericCountSketch<H, S>,
 ) -> Result<GenericCountSketch<H, S>, CoreError> {
-    let (counters, words) = counter_section(r, sketch.counters().len())?;
-    for (c, v) in sketch.counters_mut().iter_mut().zip(counters) {
-        *c = v as i64;
-    }
-    for (w, v) in sketch.saturated_words_mut().iter_mut().zip(words) {
-        *w = v;
-    }
+    r.counters(sketch.counters_mut())?;
+    r.words(sketch.saturated_words_mut())?;
     // The counters were filled wholesale: re-establish the headroom
     // watermark the pure-`i64` update tier relies on.
     sketch.refresh_mass_floor();
     Ok(sketch)
 }
 
-/// Bytes one counter+saturation section occupies for `cells` cells.
-fn counter_section_bytes(cells: usize) -> usize {
-    cells * 8 + cells.div_ceil(64) * 8
+/// Bytes of a counter+saturation section of `cells` cells at
+/// `per_cell` bytes a counter, or `None` if it overflows `usize`.
+fn section_bytes(cells: usize, per_cell: usize) -> Option<usize> {
+    cells
+        .checked_mul(per_cell)?
+        .checked_add(cells.div_ceil(64) * 8)
 }
 
-/// [`counter_section_bytes`] for a cell count no sketch has been
-/// allocated for: `None` if it overflows `usize`.
-fn checked_section_bytes(cells: usize) -> Option<usize> {
-    cells.checked_mul(8)?.checked_add(cells.div_ceil(64) * 8)
-}
-
-/// Length of the kind-1 snapshot [`CountSketch::to_snapshot_bytes`]
-/// writes for a `rows × buckets` sketch — header, counters, saturation
-/// words and checksum — or `None` if it overflows `usize`. Lets a caller
-/// bound a sketch's wire size before allocating it.
+/// The longest kind-1 snapshot [`CountSketch::to_snapshot_bytes`] can
+/// write for a `rows × buckets` sketch — header, ten-byte varints (every
+/// counter at `|c| ≥ 2⁶²`), saturation words and checksum — or `None`
+/// if it overflows `usize`. Lets a caller bound a sketch's wire size
+/// from its geometry alone, before allocating it.
 pub fn sketch_snapshot_len(rows: usize, buckets: usize) -> Option<usize> {
-    checked_section_bytes(rows.checked_mul(buckets)?)?.checked_add(HEADER + 4)
+    section_bytes(rows.checked_mul(buckets)?, MAX_VARINT)?.checked_add(HEADER + 4)
 }
 
 impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// Serializes the sketch to the checksummed `CSNP` snapshot format.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER + counter_section_bytes(self.counters().len()) + 4);
+        let mut buf = Vec::with_capacity(HEADER + counters_len(self) + 4);
         push_sketch_body(&mut buf, KIND_SKETCH, self);
         seal(buf)
     }
@@ -403,9 +498,7 @@ impl<H: BucketHasher, S: SignHasher> ApproxTopProcessor<H, S> {
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let sketch = self.sketch();
         let tracker = self.tracker();
-        let mut buf = Vec::with_capacity(
-            HEADER + counter_section_bytes(sketch.counters().len()) + tracker.len() * 16 + 24,
-        );
+        let mut buf = Vec::with_capacity(HEADER + counters_len(sketch) + tracker.len() * 16 + 24);
         push_sketch_body(&mut buf, KIND_PROCESSOR, sketch);
         buf.extend_from_slice(&policy_code(self.policy()).to_le_bytes());
         buf.extend_from_slice(&(tracker.capacity() as u64).to_le_bytes());
@@ -465,11 +558,14 @@ impl SlidingSketch {
     /// the checksummed `CSNP` snapshot format (kind 3).
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let window = self.window_sketch();
-        let per = counter_section_bytes(window.counters().len());
+        let sections: usize = std::iter::once(window)
+            .chain(self.completed_sketches())
+            .chain(std::iter::once(self.current_sketch()))
+            .map(counters_len)
+            .sum();
         let items = self.tracker().items_desc();
-        let mut buf = Vec::with_capacity(
-            HEADER + per * (self.completed_sketches().len() + 2) + items.len() * 16 + 96,
-        );
+        // Five geometry fields and the entry count (u64 each), and the CRC.
+        let mut buf = Vec::with_capacity(HEADER + sections + 48 + items.len() * 16 + 4);
         push_sketch_body(&mut buf, KIND_WINDOW, window);
         buf.extend_from_slice(&(self.epoch_len() as u64).to_le_bytes());
         buf.extend_from_slice(&(self.window_epochs() as u64).to_le_bytes());
@@ -523,14 +619,13 @@ impl SlidingSketch {
         }
         // Bound every epoch section against the buffer before any
         // allocation, so a forged count cannot trigger a huge one.
-        let per = counter_section_bytes(params.rows * params.buckets);
         let need = completed_count
             .checked_add(1)
-            .and_then(|n| n.checked_mul(per))
+            .and_then(|n| n.checked_mul(r.min_section_bytes(params.rows * params.buckets)?))
             .ok_or_else(|| CoreError::CorruptSnapshot("epoch section size overflows".into()))?;
         if r.remaining() < need {
             return Err(CoreError::CorruptSnapshot(format!(
-                "epoch sections need {need} bytes, {} remain",
+                "epoch sections need at least {need} bytes, {} remain",
                 r.remaining()
             )));
         }
@@ -634,6 +729,9 @@ pub struct WindowInfo {
 /// live sketch. Drives `fi inspect`.
 #[derive(Debug, Clone)]
 pub struct SnapshotInfo {
+    /// Format version the snapshot was written in: 1 (raw `i64`
+    /// counters) or 2 (varint counters).
+    pub version: u32,
     /// Snapshot kind (sketch or processor).
     pub kind: SnapshotKind,
     /// The estimate combiner the sketch was configured with.
@@ -678,6 +776,7 @@ impl SnapshotInfo {
 /// [`CoreError`], never a panic.
 pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, CoreError> {
     let (mut r, kind_code) = Reader::open_any(bytes)?;
+    let version = r.version;
     let kind = match kind_code {
         KIND_SKETCH => SnapshotKind::Sketch,
         KIND_PROCESSOR => SnapshotKind::Processor,
@@ -693,13 +792,15 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
         rows,
         buckets,
         seed,
-        section,
+        min_section,
     } = read_geometry(&mut r)?;
     let cells = rows * buckets;
-    let (counter_values, words) = counter_section(&mut r, cells)?;
-    let counters: Vec<i64> = counter_values.map(|v| v as i64).collect();
+    let mut counters = vec![0i64; cells];
+    let mut words = vec![0u64; cells.div_ceil(64)];
+    r.counters(&mut counters)?;
+    r.words(&mut words)?;
     let mut row_saturated = vec![0usize; rows];
-    for (w, mut word) in words.enumerate() {
+    for (w, mut word) in words.iter().copied().enumerate() {
         while word != 0 {
             let bit = word.trailing_zeros() as usize;
             let cell = w * 64 + bit;
@@ -767,14 +868,22 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
                     "{completed_epochs} completed epochs exceed a {window_epochs}-epoch window"
                 )));
             }
-            // Skip the epoch + current-sketch counter sections.
-            let epoch_bytes = completed_epochs
+            // Decode past the epoch + current-sketch counter sections,
+            // which validates their varints, after bounding their count.
+            let need = completed_epochs
                 .checked_add(1)
-                .and_then(|n| n.checked_mul(section))
-                .ok_or_else(|| {
-                    CoreError::CorruptSnapshot("epoch section size overflows".into())
-                })?;
-            r.skip(epoch_bytes)?;
+                .and_then(|n| n.checked_mul(min_section))
+                .ok_or_else(|| CoreError::CorruptSnapshot("epoch section size overflows".into()))?;
+            if r.remaining() < need {
+                return Err(CoreError::CorruptSnapshot(format!(
+                    "epoch sections need at least {need} bytes, {} remain",
+                    r.remaining()
+                )));
+            }
+            for _ in 0..=completed_epochs {
+                r.counters(&mut counters)?;
+                r.words(&mut words)?;
+            }
             let tracked = read_tracked(&mut r, capacity)?;
             (
                 None,
@@ -791,6 +900,7 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
     };
     r.finish()?;
     Ok(SnapshotInfo {
+        version,
         kind,
         combiner,
         rows,
@@ -838,13 +948,24 @@ mod tests {
     #[test]
     fn snapshot_length_is_known_before_encoding() {
         for (rows, buckets) in [(1, 1), (1, 64), (3, 65), (5, 64), (7, 1000)] {
-            let bytes = CountSketch::new(SketchParams::new(rows, buckets), 1).to_snapshot_bytes();
-            assert_eq!(sketch_snapshot_len(rows, buckets), Some(bytes.len()));
+            let mut s = CountSketch::new(SketchParams::new(rows, buckets), 1);
+            let words = (rows * buckets).div_ceil(64);
+            // An empty sketch takes one byte a counter...
+            let bytes = s.to_snapshot_bytes();
+            assert_eq!(bytes.len(), HEADER + rows * buckets + words * 8 + 4);
             // Sized exactly up front: sealing never regrows the buffer.
+            assert_eq!(bytes.capacity(), bytes.len(), "{rows} x {buckets}");
+            // ...and one whose every |counter| is at least 2^62 takes ten:
+            // the bound is reached.
+            for (i, c) in s.counters_mut().iter_mut().enumerate() {
+                *c = [i64::MIN, i64::MAX, 1 << 62, -(1 << 62) - 1][i % 4];
+            }
+            let bytes = s.to_snapshot_bytes();
+            assert_eq!(sketch_snapshot_len(rows, buckets), Some(bytes.len()));
             assert_eq!(bytes.capacity(), bytes.len(), "{rows} x {buckets}");
         }
         assert_eq!(sketch_snapshot_len(usize::MAX, 2), None);
-        assert_eq!(sketch_snapshot_len(1, usize::MAX / 8 + 1), None);
+        assert_eq!(sketch_snapshot_len(1, usize::MAX / 10 + 1), None);
     }
 
     #[test]
@@ -884,34 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn every_single_bit_flip_is_detected() {
-        let s = sketched(&Stream::from_ids([1, 2, 3, 2, 1]));
-        let clean = s.to_snapshot_bytes();
-        for byte in 0..clean.len() {
-            for bit in 0..8 {
-                let mut corrupt = clean.clone();
-                corrupt[byte] ^= 1 << bit;
-                assert!(
-                    CountSketch::from_snapshot_bytes(&corrupt).is_err(),
-                    "flip at {byte}:{bit} loaded successfully"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncations_are_detected() {
-        let s = sketched(&Stream::from_ids(0..50));
-        let clean = s.to_snapshot_bytes();
-        for cut in 0..clean.len() {
-            assert!(
-                CountSketch::from_snapshot_bytes(&clean[..cut]).is_err(),
-                "truncation to {cut} bytes loaded successfully"
-            );
-        }
-    }
-
-    #[test]
     fn payload_corruption_is_checksum_mismatch() {
         let s = sketched(&Stream::from_ids(0..50));
         let mut bytes = s.to_snapshot_bytes();
@@ -938,24 +1031,6 @@ mod tests {
         p.observe(ItemKey(5));
         assert!(matches!(
             CountSketch::from_snapshot_bytes(&p.to_snapshot_bytes()),
-            Err(CoreError::CorruptSnapshot(_))
-        ));
-    }
-
-    #[test]
-    fn loading_never_allocates_from_forged_lengths() {
-        // Forge a snapshot claiming 2^60 cells; the loader must reject it
-        // from the length check, not attempt the allocation. The CRC has
-        // to be fixed up so the structural check is what fires.
-        let s = CountSketch::new(SketchParams::new(1, 1), 0);
-        let mut bytes = s.to_snapshot_bytes();
-        bytes[16..24].copy_from_slice(&(1u64 << 30).to_le_bytes()); // rows
-        bytes[24..32].copy_from_slice(&(1u64 << 30).to_le_bytes()); // buckets
-        let n = bytes.len();
-        let crc = cs_hash::crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            CountSketch::from_snapshot_bytes(&bytes),
             Err(CoreError::CorruptSnapshot(_))
         ));
     }
@@ -997,8 +1072,7 @@ mod tests {
         let mut p = ApproxTopProcessor::new(PARAMS, 777, 5);
         p.observe_stream(&Stream::from_ids((0..500u64).map(|i| i % 37)));
         let mut bytes = p.to_snapshot_bytes();
-        let cells = PARAMS.rows * PARAMS.buckets;
-        let at = HEADER + cells * 8 + cells.div_ceil(64) * 8 + 4; // after policy
+        let at = HEADER + counters_len(p.sketch()) + 4; // after policy
         assert_eq!(bytes[at..at + 8], 777u64.to_le_bytes());
         forge_u64(&mut bytes, at, 1 << 61);
         let mut back: ApproxTopProcessor = ApproxTopProcessor::from_snapshot_bytes(&bytes)
@@ -1127,25 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn window_single_bit_flips_are_detected() {
-        let mut w = window_fixture();
-        for i in 0..120u64 {
-            w.observe(ItemKey(i % 7));
-        }
-        let clean = w.to_snapshot_bytes();
-        for byte in 0..clean.len() {
-            for bit in 0..8 {
-                let mut corrupt = clean.clone();
-                corrupt[byte] ^= 1 << bit;
-                assert!(
-                    SlidingSketch::from_snapshot_bytes(&corrupt).is_err(),
-                    "flip at {byte}:{bit} loaded successfully"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn window_kind_is_not_interchangeable() {
         let mut w = window_fixture();
         w.observe(ItemKey(1));
@@ -1189,7 +1244,7 @@ mod tests {
         let mut bytes = w.to_snapshot_bytes();
         // Capacity is the third geometry field (see the forged-geometry
         // test below for the offset of the first).
-        let at = HEADER + 96 * 8 + 16 + 16;
+        let at = HEADER + counters_len(w.window_sketch()) + 16;
         assert_eq!(bytes[at..at + 8], 4u64.to_le_bytes());
         forge_u64(&mut bytes, at, 1 << 61);
         let mut back =
@@ -1209,9 +1264,9 @@ mod tests {
         w.observe(ItemKey(9));
         let mut bytes = w.to_snapshot_bytes();
         // The five u64 geometry fields start right after the 40-byte
-        // header + window counter (96 × i64) and saturation (2 × u64)
+        // header + window counter (96 varints) and saturation (2 × u64)
         // sections.
-        let geo = HEADER + 96 * 8 + 16;
+        let geo = HEADER + counters_len(w.window_sketch());
         // Forge completed = 2^40 (and window_epochs above it so the
         // structural check passes to the length check).
         bytes[geo + 8..geo + 16].copy_from_slice(&(1u64 << 41).to_le_bytes());
@@ -1223,6 +1278,391 @@ mod tests {
             SlidingSketch::from_snapshot_bytes(&bytes),
             Err(CoreError::CorruptSnapshot(_))
         ));
+    }
+
+    /// Re-encodes v2 snapshot bytes in the v1 layout (raw `i64`
+    /// counters), as a writer from before v2 wrote the same state.
+    fn to_v1(v2: &[u8]) -> Vec<u8> {
+        let (mut r, kind) = Reader::open_any(v2).unwrap();
+        assert_eq!(r.version, VERSION);
+        let g = read_geometry(&mut r).unwrap();
+        let cells = g.rows * g.buckets;
+        let mut out = v2[..HEADER].to_vec();
+        out[4..8].copy_from_slice(&VERSION_RAW.to_le_bytes());
+        let section = |r: &mut Reader<'_>, out: &mut Vec<u8>| {
+            let mut counters = vec![0i64; cells];
+            let mut words = vec![0u64; cells.div_ceil(64)];
+            r.counters(&mut counters).unwrap();
+            r.words(&mut words).unwrap();
+            out.extend(counters.iter().flat_map(|c| c.to_le_bytes()));
+            out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        };
+        section(&mut r, &mut out);
+        if kind == KIND_WINDOW {
+            let fields = r.take(40).unwrap();
+            out.extend_from_slice(fields);
+            let completed = u64::from_le_bytes(fields[32..40].try_into().unwrap());
+            for _ in 0..=completed {
+                section(&mut r, &mut out);
+            }
+        }
+        // The tracker section is the same in both versions.
+        out.extend_from_slice(&r.body[r.pos..]);
+        seal(out)
+    }
+
+    /// A `rows × buckets` sketch snapshot whose counter and saturation
+    /// sections are `sections`, sealed with a valid CRC so the structural
+    /// decoder, not the checksum, judges them.
+    fn forged(rows: usize, buckets: usize, sections: &[u8]) -> Vec<u8> {
+        let clean = CountSketch::new(SketchParams::new(rows, buckets), 0).to_snapshot_bytes();
+        let mut body = clean[..HEADER].to_vec();
+        body.extend_from_slice(sections);
+        seal(body)
+    }
+
+    fn corrupt_message(bytes: &[u8]) -> String {
+        match CountSketch::from_snapshot_bytes(bytes) {
+            Err(CoreError::CorruptSnapshot(message)) => message,
+            other => panic!("expected CorruptSnapshot, got {other:?}"),
+        }
+    }
+
+    fn one_sketch_of_each_kind() -> [(&'static str, Vec<u8>); 3] {
+        let zipf = Zipf::new(80, 1.1);
+        let stream = zipf.stream(4_000, 2, ZipfStreamKind::Sampled);
+        let mut p = ApproxTopProcessor::new(PARAMS, 6, 3);
+        p.observe_stream(&stream);
+        let mut w = window_fixture();
+        for &key in stream.as_slice().iter().take(230) {
+            w.observe(key);
+        }
+        [
+            ("sketch", sketched(&stream).to_snapshot_bytes()),
+            ("processor", p.to_snapshot_bytes()),
+            ("window", w.to_snapshot_bytes()),
+        ]
+    }
+
+    /// Decodes `bytes` as `kind` and encodes the result again.
+    fn reencode(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, CoreError> {
+        Ok(match kind {
+            "sketch" => CountSketch::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
+            "processor" => <ApproxTopProcessor>::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
+            _ => SlidingSketch::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
+        })
+    }
+
+    #[test]
+    fn every_kind_is_sized_exactly_up_front() {
+        for (kind, bytes) in one_sketch_of_each_kind() {
+            assert_eq!(bytes.capacity(), bytes.len(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn v1_snapshots_of_every_kind_still_load() {
+        for (kind, v2) in one_sketch_of_each_kind() {
+            let v1 = to_v1(&v2);
+            assert!(
+                v1.len() > 3 * v2.len(),
+                "{kind}: {} vs {}",
+                v1.len(),
+                v2.len()
+            );
+            // The same state, so it re-encodes to the same v2 bytes.
+            assert_eq!(reencode(kind, &v1).unwrap(), v2, "{kind}");
+            let (old, new) = (
+                inspect_snapshot_bytes(&v1, 10).unwrap(),
+                inspect_snapshot_bytes(&v2, 10).unwrap(),
+            );
+            assert_eq!((old.version, new.version), (1, 2), "{kind}");
+            assert_eq!(old.top_counters, new.top_counters, "{kind}");
+            assert_eq!(old.tracked, new.tracked, "{kind}");
+            assert_eq!(old.window, new.window, "{kind}");
+        }
+    }
+
+    #[test]
+    fn varints_decode_at_both_extremes() {
+        let mut min = vec![0xff; 9];
+        min.push(0x01);
+        min.extend_from_slice(&[0; 8]);
+        let mut max = vec![0xfe];
+        max.extend_from_slice(&[0xff; 8]);
+        max.push(0x01);
+        max.extend_from_slice(&[0; 8]);
+        for (section, want) in [(min, i64::MIN), (max, i64::MAX)] {
+            let bytes = forged(1, 1, &section);
+            let s = CountSketch::from_snapshot_bytes(&bytes).unwrap();
+            assert_eq!(s.counters(), [want]);
+            assert_eq!(s.to_snapshot_bytes(), bytes);
+        }
+    }
+
+    #[test]
+    fn malformed_varints_are_corrupt_snapshots() {
+        let words = [0u8; 8];
+        let with_words = |varint: &[u8]| [varint, &words[..]].concat();
+        let mut eleven = vec![0xff; 10];
+        eleven.push(0x01);
+        let mut overflow = vec![0xff; 9];
+        overflow.push(0x02);
+        let mut long_zero = vec![0x80; 9];
+        long_zero.push(0x00);
+        for (varint, want) in [
+            (eleven, "longer than 10 bytes"),
+            (overflow, "overflows 64 bits"),
+            (vec![0x80, 0x00], "non-minimal"),
+            (vec![0x81, 0x00], "non-minimal"),
+            (long_zero, "non-minimal"),
+        ] {
+            let message = corrupt_message(&forged(1, 1, &with_words(&varint)));
+            assert!(message.contains(want), "{varint:02x?}: {message}");
+        }
+        // Two cells whose first varint runs to the end of the section.
+        let mut section = vec![0xff; 9];
+        section.push(0x01);
+        let message = corrupt_message(&forged(1, 2, &section));
+        assert!(message.contains("truncated"), "{message}");
+    }
+
+    #[test]
+    fn forged_geometry_is_rejected_before_allocation() {
+        // The loader must reject these from the length check, not
+        // attempt the allocation. 1 × 64 cells need at least 64 + 8
+        // bytes; forging 1 × 65 asks for 65 + 16 of the 72 present, and
+        // 2^30 × 2^30 for 2^60.
+        let clean = CountSketch::new(SketchParams::new(1, 64), 0).to_snapshot_bytes();
+        for (rows, buckets) in [(1u64, 65u64), (1 << 30, 1 << 30)] {
+            let mut bytes = clean.clone();
+            bytes[24..32].copy_from_slice(&buckets.to_le_bytes());
+            forge_u64(&mut bytes, 16, rows);
+            let message = corrupt_message(&bytes);
+            assert!(message.contains("needs at least"), "{message}");
+            assert!(inspect_snapshot_bytes(&bytes, 1).is_err());
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected_for_every_kind() {
+        for (kind, clean) in one_sketch_of_each_kind() {
+            let mut body = clean[..clean.len() - 4].to_vec();
+            body.push(0);
+            let bytes = seal(body);
+            match reencode(kind, &bytes) {
+                Err(CoreError::CorruptSnapshot(m)) => assert!(m.contains("trailing"), "{m}"),
+                other => panic!("{kind}: {other:?}"),
+            }
+            assert!(inspect_snapshot_bytes(&bytes, 1).is_err(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_every_kind_is_rejected() {
+        for (kind, clean) in one_sketch_of_each_kind() {
+            let body = clean.len() - 4;
+            for cut in 0..clean.len() {
+                assert!(reencode(kind, &clean[..cut]).is_err(), "{kind} cut {cut}");
+                // Re-sealed, a cut body reaches the structural decoder.
+                if cut < body {
+                    let resealed = seal(clean[..cut].to_vec());
+                    assert!(reencode(kind, &resealed).is_err(), "{kind} resealed {cut}");
+                    assert!(
+                        inspect_snapshot_bytes(&resealed, 3).is_err(),
+                        "{kind} {cut}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_of_every_kind_is_rejected() {
+        for (kind, clean) in one_sketch_of_each_kind() {
+            for byte in 0..clean.len() {
+                for bit in 0..8 {
+                    let mut corrupt = clean.clone();
+                    corrupt[byte] ^= 1 << bit;
+                    assert!(reencode(kind, &corrupt).is_err(), "{kind} {byte}:{bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resealed_flips_in_counters_reencode_byte_for_byte() {
+        // With the CRC fixed up, a flipped counter byte either breaks the
+        // varint structure or decodes to a state whose encoding is
+        // exactly the flipped bytes: there is no second encoding.
+        let (kind, clean) = &one_sketch_of_each_kind()[0];
+        let section_end = clean.len() - 4 - (PARAMS.rows * PARAMS.buckets).div_ceil(64) * 8;
+        let (mut loaded, mut rejected) = (0, 0);
+        for byte in HEADER..section_end {
+            for bit in 0..8 {
+                let mut body = clean[..clean.len() - 4].to_vec();
+                body[byte] ^= 1 << bit;
+                let bytes = seal(body);
+                match reencode(kind, &bytes) {
+                    Ok(again) => {
+                        assert_eq!(again, bytes, "{byte}:{bit}");
+                        loaded += 1;
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(
+            loaded > 0 && rejected > 0,
+            "{loaded} loaded, {rejected} rejected"
+        );
+    }
+
+    /// A counter value drawn to cover every varint length: the two
+    /// extremes, small values of either sign, and any magnitude.
+    fn cell_value(tag: u8, v: i64) -> i64 {
+        match tag % 4 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => v % 100,
+            _ => v >> (v as u64 % 64),
+        }
+    }
+
+    /// A sketch filled from `values` (cycled) with saturation bits from
+    /// `sat`, only on cells that exist.
+    fn filled_sketch(
+        rows: usize,
+        buckets: usize,
+        seed: u64,
+        values: &[(u8, i64)],
+        sat: u64,
+    ) -> CountSketch {
+        let mut s = CountSketch::new(SketchParams::new(rows, buckets), seed);
+        for (i, c) in s.counters_mut().iter_mut().enumerate() {
+            let (tag, v) = values[(i * 7 + seed as usize) % values.len()];
+            *c = cell_value(tag, v);
+        }
+        let cells = rows * buckets;
+        for (i, w) in s.saturated_words_mut().iter_mut().enumerate() {
+            let live = (cells - i * 64).min(64);
+            *w = sat.rotate_left(i as u32) & (u64::MAX >> (64 - live));
+        }
+        s.refresh_mass_floor();
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_sketch_codec_roundtrips(
+            rows in 1usize..4,
+            buckets in 1usize..90,
+            seed: u64,
+            values in prop::collection::vec((any::<u8>(), any::<i64>()), 1..40),
+            sat: u64,
+        ) {
+            let s = filled_sketch(rows, buckets, seed, &values, sat);
+            let bytes = s.to_snapshot_bytes();
+            let back = CountSketch::from_snapshot_bytes(&bytes).unwrap();
+            prop_assert_eq!(back.counters(), s.counters());
+            prop_assert_eq!(back.saturated_words(), s.saturated_words());
+            prop_assert_eq!(back.abs_mass(), s.abs_mass());
+            prop_assert_eq!(back.to_snapshot_bytes(), bytes.clone());
+            let old = CountSketch::from_snapshot_bytes(&to_v1(&bytes)).unwrap();
+            prop_assert_eq!(old.to_snapshot_bytes(), bytes);
+        }
+
+        #[test]
+        fn prop_processor_codec_roundtrips(
+            rows in 1usize..4,
+            buckets in 1usize..90,
+            values in prop::collection::vec((any::<u8>(), any::<i64>()), 1..40),
+            sat: u64,
+            spare in 0usize..5,
+            always in any::<bool>(),
+        ) {
+            let sketch = filled_sketch(rows, buckets, 9, &values, sat);
+            let mut tracker = TopKTracker::new(values.len() + spare);
+            for (i, &(tag, v)) in values.iter().enumerate() {
+                tracker.offer(ItemKey(v as u64 ^ i as u64), cell_value(tag, v));
+            }
+            let policy = if always { HeapPolicy::AlwaysReEstimate } else { HeapPolicy::IncrementTracked };
+            let p = ApproxTopProcessor::from_parts(sketch, tracker, policy);
+            let bytes = p.to_snapshot_bytes();
+            let back = <ApproxTopProcessor>::from_snapshot_bytes(&bytes).unwrap();
+            prop_assert_eq!(back.sketch().counters(), p.sketch().counters());
+            prop_assert_eq!(back.sketch().saturated_words(), p.sketch().saturated_words());
+            prop_assert_eq!(back.tracker().items_desc(), p.tracker().items_desc());
+            prop_assert_eq!(back.tracker().capacity(), p.tracker().capacity());
+            prop_assert_eq!(back.policy(), p.policy());
+            prop_assert_eq!(back.to_snapshot_bytes(), bytes.clone());
+            let old = <ApproxTopProcessor>::from_snapshot_bytes(&to_v1(&bytes)).unwrap();
+            prop_assert_eq!(old.to_snapshot_bytes(), bytes);
+        }
+
+        #[test]
+        fn prop_window_codec_roundtrips(
+            rows in 1usize..3,
+            buckets in 1usize..70,
+            values in prop::collection::vec((any::<u8>(), any::<i64>()), 1..40),
+            sat: u64,
+            completed in 0usize..4,
+            filled in 0usize..50,
+        ) {
+            let params = SketchParams::new(rows, buckets);
+            let sketch = |seed: u64| filled_sketch(rows, buckets, seed, &values, sat);
+            let mut tracker = TopKTracker::new(8);
+            for &(tag, v) in values.iter().take(8) {
+                tracker.offer(ItemKey(v as u64), cell_value(tag, v));
+            }
+            let w = SlidingSketch::from_parts(WindowParts {
+                params,
+                seed: 4,
+                epoch_len: 50,
+                window_epochs: 4,
+                completed: (0..completed as u64).map(sketch).collect(),
+                current: sketch(10),
+                window: sketch(11),
+                filled,
+                tracker,
+                capacity: 8,
+            });
+            let bytes = w.to_snapshot_bytes();
+            let back = SlidingSketch::from_snapshot_bytes(&bytes).unwrap();
+            prop_assert_eq!(back.window_sketch().counters(), w.window_sketch().counters());
+            prop_assert_eq!(back.current_sketch().counters(), w.current_sketch().counters());
+            prop_assert_eq!(back.completed_sketches().len(), completed);
+            for (a, b) in back.completed_sketches().iter().zip(w.completed_sketches()) {
+                prop_assert_eq!(a.counters(), b.counters());
+                prop_assert_eq!(a.saturated_words(), b.saturated_words());
+            }
+            prop_assert_eq!(back.tracker().items_desc(), w.tracker().items_desc());
+            prop_assert_eq!(back.to_snapshot_bytes(), bytes.clone());
+            let old = SlidingSketch::from_snapshot_bytes(&to_v1(&bytes)).unwrap();
+            prop_assert_eq!(old.to_snapshot_bytes(), bytes);
+        }
+
+        #[test]
+        fn prop_decodable_counter_bytes_reencode_byte_for_byte(
+            values in prop::collection::vec((any::<u8>(), any::<i64>()), 1..40),
+            edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            // Any CRC-valid bytes the decoder accepts are the one
+            // encoding of the state they decode to.
+            let s = filled_sketch(2, 40, 1, &values, 0);
+            let clean = s.to_snapshot_bytes();
+            let end = clean.len() - 4 - 16;
+            let mut body = clean[..clean.len() - 4].to_vec();
+            for &(at, xor) in &edits {
+                body[HEADER + at % (end - HEADER)] ^= xor;
+            }
+            let bytes = seal(body);
+            if let Ok(back) = CountSketch::from_snapshot_bytes(&bytes) {
+                prop_assert_eq!(back.to_snapshot_bytes(), bytes);
+            }
+        }
     }
 
     proptest! {

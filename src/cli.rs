@@ -368,12 +368,13 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if matches!(opts.command.as_str(), "serve" | "ship") {
         // A site ships its sketch as one CSWP frame; refuse a geometry
-        // whose snapshot no frame can carry before sketching anything.
+        // whose longest snapshot no frame can carry before sketching
+        // anything, so the answer depends on the flags, not the data.
         match sketch_snapshot_len(opts.rows, opts.buckets) {
             Some(len) if len <= MAX_PAYLOAD => {}
             len => {
                 return Err(format!(
-                    "-t {} -b {}: the sketch snapshot ({} bytes) exceeds the {MAX_PAYLOAD}-byte frame payload limit",
+                    "-t {} -b {}: the sketch snapshot (up to {} bytes) exceeds the {MAX_PAYLOAD}-byte frame payload limit",
                     opts.rows,
                     opts.buckets,
                     len.map_or("over usize::MAX".into(), |l| l.to_string())
@@ -702,8 +703,8 @@ pub fn run_inspect(opts: &Options) -> Result<String, CliError> {
         Combiner::TrimmedMean => "trimmed-mean",
     };
     let mut out = format!(
-        "# {path}: CSNP v1 {} snapshot ({} bytes)\n",
-        info.kind, info.total_bytes
+        "# {path}: CSNP v{} {} snapshot ({} bytes)\n",
+        info.version, info.kind, info.total_bytes
     );
     out.push_str(&format!(
         "sketch:     {} rows x {} buckets, seed {}, combiner {}\n",
@@ -1346,12 +1347,13 @@ mod tests {
 
     #[test]
     fn serve_and_ship_reject_sketches_no_frame_can_carry() {
-        // 1 × 8 259 546 cells snapshot to 67 108 860 bytes, the largest
-        // at most MAX_PAYLOAD; one more cell is 8 bytes over it.
+        // 1 × 6 628 031 cells snapshot to at most 67 108 858 bytes (ten
+        // bytes a counter), the largest at most MAX_PAYLOAD; one more
+        // cell can be 10 bytes over it.
         for cmd in ["serve --listen a", "ship --to a --site-id 0"] {
-            assert!(parse_args(&args(&format!("{cmd} -t 1 -b 8259546"))).is_ok());
-            let err = parse_args(&args(&format!("{cmd} -t 1 -b 8259547"))).unwrap_err();
-            assert!(err.contains("67108868 bytes"), "{err}");
+            assert!(parse_args(&args(&format!("{cmd} -t 1 -b 6628031"))).is_ok());
+            let err = parse_args(&args(&format!("{cmd} -t 1 -b 6628032"))).unwrap_err();
+            assert!(err.contains("up to 67108868 bytes"), "{err}");
             let err = parse_args(&args(&format!("{cmd} -t 4294967296 -b 4294967296"))).unwrap_err();
             assert!(err.contains("over usize::MAX"), "{err}");
         }
