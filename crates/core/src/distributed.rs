@@ -21,6 +21,7 @@
 //! final [`MergeReport`] states exactly which sites are missing and how
 //! far the error bound widened as a result.
 
+use crate::approx_top::ApproxTopProcessor;
 use crate::error::CoreError;
 use crate::params::SketchParams;
 use crate::sketch::CountSketch;
@@ -41,17 +42,26 @@ pub struct SiteReport {
     pub local_n: u64,
 }
 
+impl SiteReport {
+    /// The report of a site whose APPROXTOP processor has observed its
+    /// `local_n` arrivals: the processor's sketch, moved out, and its
+    /// tracked keys as the candidates.
+    pub fn from_processor(processor: ApproxTopProcessor, local_n: u64) -> Self {
+        let candidates = processor.result().keys();
+        let (sketch, _, _) = processor.into_parts();
+        SiteReport {
+            sketch,
+            candidates,
+            local_n,
+        }
+    }
+}
+
 /// Builds one site's report from its local stream.
 pub fn site_report(stream: &Stream, l: usize, params: SketchParams, seed: u64) -> SiteReport {
-    let mut processor = crate::approx_top::ApproxTopProcessor::new(params, l.max(1), seed);
+    let mut processor = ApproxTopProcessor::new(params, l.max(1), seed);
     processor.observe_stream(stream);
-    let candidates = processor.result().keys();
-    let (sketch, _, _) = processor.into_parts();
-    SiteReport {
-        sketch,
-        candidates,
-        local_n: stream.len() as u64,
-    }
+    SiteReport::from_processor(processor, stream.len() as u64)
 }
 
 /// The coordinator: merges site reports and answers global queries.

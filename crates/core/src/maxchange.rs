@@ -61,14 +61,23 @@ impl DiffSketch {
         }
     }
 
+    /// Pass-1 step over a run of occurrences: `h_i[q] += weight·s_i[q]`
+    /// for each, in order. `weight` is −1 for `S1` and +1 for `S2`; a
+    /// stream absorbed run by run gives the same sketch as one call.
+    pub fn absorb_keys(&mut self, keys: &[ItemKey], weight: i64) {
+        for &key in keys {
+            self.sketch.update(key, weight);
+        }
+    }
+
     /// Pass-1 step over `S1`: `h_i[q] -= s_i[q]` for each occurrence.
     pub fn absorb_first(&mut self, stream: &Stream) {
-        self.sketch.absorb(stream, -1);
+        self.absorb_keys(stream.as_slice(), -1);
     }
 
     /// Pass-1 step over `S2`: `h_i[q] += s_i[q]` for each occurrence.
     pub fn absorb_second(&mut self, stream: &Stream) {
-        self.sketch.absorb(stream, 1);
+        self.absorb_keys(stream.as_slice(), 1);
     }
 
     /// Builds the difference sketch from two separately-built sketches

@@ -39,9 +39,13 @@
 //!
 //! Every text path reads its input once and runs it through one byte
 //! scanner ([`Tokens::scan`]), which splits, keys and de-duplicates the
-//! tokens in a single pass. No token is copied: the scanner keeps, per
-//! distinct key, the byte offset of its first occurrence, and a report
-//! resolves the label of each printed key by slicing the input there
+//! tokens in a single pass and hands the keys to the command's sketch in
+//! runs of [`CHUNK`], in input order. On an input longer than one run a
+//! second thread scans a few runs ahead of the sketch. No command
+//! stores its key stream except `fi diff`, whose pass 2 reads both days
+//! again. No token is copied: the scanner keeps, per distinct key, the
+//! byte offset of its first occurrence, and a report resolves the label
+//! of each printed key by slicing the input there
 //! (`fi diff` looks in the second file first, then the first). A key no
 //! input of this run contains, such as a tracked key restored by
 //! `--resume`, prints as `<?>`.
@@ -50,11 +54,12 @@ use crate::prelude::*;
 use crate::sketch::iceberg::IcebergProcessor;
 use cs_core::snapshot::sketch_snapshot_len;
 use cs_net::frame::MAX_PAYLOAD;
+use std::convert::Infallible;
 use std::path::Path;
 
 mod scan;
 use scan::for_each_token;
-pub use scan::{tokenize, Tokens};
+pub use scan::{tokenize, Tokens, CHUNK};
 
 /// A CLI failure, carrying the distinct process exit code for its class.
 ///
@@ -139,8 +144,9 @@ pub struct Options {
     pub snapshot_every: usize,
     /// Restore state from this snapshot before processing (`top` only).
     pub resume: Option<String>,
-    /// Ingestion worker threads (`top` with count-sketch only; 1 =
-    /// sequential).
+    /// Sketch worker threads of the sharded pool (`top` with
+    /// count-sketch only; 1 = the per-item path). The scanner thread
+    /// is not one of them.
     pub threads: usize,
     /// Coordinator listen address (`serve` only).
     pub listen: Option<String>,
@@ -527,75 +533,14 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
 /// panic or silently wrong counts); with `opts.snapshot` the final
 /// state is persisted atomically afterwards.
 pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
-    use cs_baselines::{KpsFrequent, LossyCounting, SpaceSaving, StreamSummary};
-    let tokens = Tokens::scan(text);
-    let stream = tokens.stream();
-    let items: Vec<(ItemKey, i64)> = match opts.algorithm.as_str() {
+    use cs_baselines::{KpsFrequent, LossyCounting, SpaceSaving};
+    let (tokens, items): (Tokens, Vec<(ItemKey, i64)>) = match opts.algorithm.as_str() {
         "count-sketch" => {
-            let restored = match &opts.resume {
-                Some(path) => {
-                    let bytes = read_snapshot_file(Path::new(path)).map_err(|e| CliError::Io {
-                        path: path.clone(),
-                        message: e.to_string(),
-                    })?;
-                    Some(
-                        <ApproxTopProcessor>::from_snapshot_bytes(&bytes).map_err(|e| {
-                            CliError::Corrupt {
-                                path: path.clone(),
-                                message: e.to_string(),
-                            }
-                        })?,
-                    )
-                }
-                None => None,
-            };
-            let p = if opts.threads > 1 {
-                run_top_parallel(opts, &tokens, restored)?
-            } else {
-                let mut p = restored.unwrap_or_else(|| {
-                    ApproxTopProcessor::new(
-                        SketchParams::new(opts.rows, opts.buckets),
-                        opts.k,
-                        opts.seed,
-                    )
-                });
-                match (&opts.snapshot, opts.snapshot_every) {
-                    (Some(path), every) if every > 0 => {
-                        // Periodic persistence: after every full window of
-                        // `every` items the state hits disk through the same
-                        // atomic tmp-then-rename path as the final write, so
-                        // a crash loses at most `every` items of progress.
-                        // The tail shorter than a window is covered by the
-                        // unconditional final write below. Each chunk runs
-                        // through the per-item rule, whose state depends
-                        // only on the stream prefix, so the report and the
-                        // final snapshot equal a run without checkpoints.
-                        for chunk in stream.as_slice().chunks(every) {
-                            for &key in chunk {
-                                p.observe(key);
-                            }
-                            if chunk.len() == every {
-                                write_snapshot_file(Path::new(path), &p.to_snapshot_bytes())
-                                    .map_err(|e| CliError::Io {
-                                        path: path.clone(),
-                                        message: e.to_string(),
-                                    })?;
-                            }
-                        }
-                    }
-                    _ => p.observe_stream(stream),
-                }
-                p
-            };
+            let (tokens, p) = top_processor(opts, text)?;
             if let Some(path) = &opts.snapshot {
-                write_snapshot_file(Path::new(path), &p.to_snapshot_bytes()).map_err(|e| {
-                    CliError::Io {
-                        path: path.clone(),
-                        message: e.to_string(),
-                    }
-                })?;
+                save_snapshot(path, &p)?;
             }
-            p.result().items
+            (tokens, p.result().items)
         }
         other => {
             let mut alg: Box<dyn StreamSummary> = match other {
@@ -604,18 +549,23 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
                 "lossy" => Box::new(LossyCounting::new((1.0 / (4 * opts.k) as f64).min(0.5))),
                 _ => unreachable!("parse_args validates the algorithm"),
             };
-            alg.process_stream(stream);
-            alg.candidates()
+            let Ok(tokens) = Tokens::scan(text, |run| {
+                alg.process_batch(run);
+                Ok::<_, Infallible>(())
+            });
+            let items = alg
+                .candidates()
                 .into_iter()
                 .take(opts.k)
                 .map(|(key, est)| (key, est as i64))
-                .collect()
+                .collect();
+            (tokens, items)
         }
     };
     let mut out = format!(
         "# top-{} of {} occurrences ({} distinct seen, algorithm: {})\n",
         opts.k,
-        stream.len(),
+        tokens.occurrences(),
         tokens.distinct(),
         opts.algorithm
     );
@@ -626,7 +576,99 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The `--threads > 1` ingestion path: sketch the stream through the
+/// The count-sketch `fi top` state after `text`: restored from
+/// `--resume` before the scan, then fed every key in input order, with
+/// `--snapshot-every` checkpoints or through the `--threads` pool.
+fn top_processor<'a>(
+    opts: &Options,
+    text: &'a str,
+) -> Result<(Tokens<'a>, ApproxTopProcessor), CliError> {
+    let restored = opts.resume.as_deref().map(load_snapshot).transpose()?;
+    if opts.threads > 1 {
+        return run_top_parallel(opts, text, restored);
+    }
+    let mut p = restored.unwrap_or_else(|| {
+        ApproxTopProcessor::new(
+            SketchParams::new(opts.rows, opts.buckets),
+            opts.k,
+            opts.seed,
+        )
+    });
+    let tokens = match (&opts.snapshot, opts.snapshot_every) {
+        (Some(path), every) if every > 0 => {
+            // Periodic persistence: after every `every` items the state
+            // hits disk through the same atomic tmp-then-rename path as
+            // the final write, so a crash loses at most `every` items of
+            // progress. Runs are split where a window ends, so the
+            // checkpoints fall at the same items whatever the run length.
+            // The tail shorter than a window is covered by the final
+            // write. The per-item rule's state depends only on the
+            // stream prefix, so the report and the final snapshot equal
+            // a run without checkpoints.
+            let mut due = every;
+            Tokens::scan(text, |run| {
+                observe_with_checkpoints(&mut p, run, every, &mut due, |p| save_snapshot(path, p))
+            })?
+        }
+        _ => {
+            let Ok(tokens) = Tokens::scan(text, |run| {
+                for &key in run {
+                    p.observe(key);
+                }
+                Ok::<_, Infallible>(())
+            });
+            tokens
+        }
+    };
+    Ok((tokens, p))
+}
+
+/// Observes `run` into `p`, calling `save(p)` each time `p` has seen
+/// another `every` items. `due`, the items left until the next call,
+/// carries over from one run to the next.
+fn observe_with_checkpoints<E>(
+    p: &mut ApproxTopProcessor,
+    mut run: &[ItemKey],
+    every: usize,
+    due: &mut usize,
+    mut save: impl FnMut(&ApproxTopProcessor) -> Result<(), E>,
+) -> Result<(), E> {
+    while !run.is_empty() {
+        let (window, rest) = run.split_at((*due).min(run.len()));
+        for &key in window {
+            p.observe(key);
+        }
+        *due -= window.len();
+        if *due == 0 {
+            save(p)?;
+            *due = every;
+        }
+        run = rest;
+    }
+    Ok(())
+}
+
+/// Restores an APPROXTOP processor from the snapshot at `path`.
+fn load_snapshot(path: &str) -> Result<ApproxTopProcessor, CliError> {
+    let bytes = read_snapshot_file(Path::new(path)).map_err(|e| CliError::Io {
+        path: path.into(),
+        message: e.to_string(),
+    })?;
+    <ApproxTopProcessor>::from_snapshot_bytes(&bytes).map_err(|e| CliError::Corrupt {
+        path: path.into(),
+        message: e.to_string(),
+    })
+}
+
+/// Writes `p`'s snapshot to `path`, atomically.
+fn save_snapshot(path: &str, p: &ApproxTopProcessor) -> Result<(), CliError> {
+    write_snapshot_file(Path::new(path), &p.to_snapshot_bytes()).map_err(|e| CliError::Io {
+        path: path.into(),
+        message: e.to_string(),
+    })
+}
+
+/// The `--threads > 1` ingestion path: sketch every run through the
 /// sharded worker pool ([`SketchPool`]), merge any resumed state in, and
 /// resolve the top-k by re-estimating the candidate set against the
 /// merged sketch.
@@ -637,14 +679,17 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
 /// the thread count, and candidates are resolved in sorted-key order —
 /// so the report and any written snapshot are byte-identical for every
 /// `--threads N > 1`.
-fn run_top_parallel(
+fn run_top_parallel<'a>(
     opts: &Options,
-    tokens: &Tokens,
+    text: &'a str,
     restored: Option<ApproxTopProcessor>,
-) -> Result<ApproxTopProcessor, CliError> {
+) -> Result<(Tokens<'a>, ApproxTopProcessor), CliError> {
     let params = SketchParams::new(opts.rows, opts.buckets);
     let mut pool = SketchPool::new(params, opts.seed, opts.threads);
-    pool.ingest_stream(tokens.stream());
+    let Ok(tokens) = Tokens::scan(text, |run| {
+        pool.ingest(run);
+        Ok::<_, Infallible>(())
+    });
     let mut merged = pool.finish();
     let mut candidates: Vec<ItemKey> = tokens.keys().collect();
     if let Some(p) = restored {
@@ -675,11 +720,8 @@ fn run_top_parallel(
     for (&key, &est) in candidates.iter().zip(&estimates) {
         tracker.offer(key, est);
     }
-    Ok(ApproxTopProcessor::from_parts(
-        merged,
-        tracker,
-        HeapPolicy::default(),
-    ))
+    let p = ApproxTopProcessor::from_parts(merged, tracker, HeapPolicy::default());
+    Ok((tokens, p))
 }
 
 /// Runs `fi inspect` over a snapshot file; returns a human-readable
@@ -812,13 +854,7 @@ pub fn run_serve(opts: &Options) -> Result<String, CliError> {
 pub fn run_ship(opts: &Options, text: &str) -> Result<String, CliError> {
     let to = opts.to.as_deref().expect("parse_args requires --to");
     let site_id = opts.site_id.expect("parse_args requires --site-id");
-    let tokens = Tokens::scan(text);
-    let report = site_report(
-        tokens.stream(),
-        opts.k,
-        SketchParams::new(opts.rows, opts.buckets),
-        opts.seed,
-    );
+    let report = scan_site(opts, text);
     let mut agent = SiteAgent::new(site_id, opts.sites);
     agent.tick_ms = opts.tick_ms.max(1);
     agent.timeout_ms = opts.timeout_ms;
@@ -846,16 +882,30 @@ pub fn run_ship(opts: &Options, text: &str) -> Result<String, CliError> {
 /// wire path (`serve` + `ship` over the same files, site `i` shipping
 /// file `i`) must reproduce byte-for-byte.
 pub fn run_coordinate(opts: &Options) -> Result<String, CliError> {
-    let params = SketchParams::new(opts.rows, opts.buckets);
     let mut reports = Vec::with_capacity(opts.files.len());
     for path in &opts.files {
-        let text = read_file(path)?;
-        let tokens = Tokens::scan(&text);
-        reports.push(site_report(tokens.stream(), opts.k, params, opts.seed));
+        reports.push(scan_site(opts, &read_file(path)?));
     }
     let merged = DistributedSketch::coordinate(&reports)
         .map_err(|e| CliError::Usage(format!("coordinate: {e}")))?;
     Ok(render_report(&merged, opts.k, &[]))
+}
+
+/// One site's report over its item text, as `fi ship` sends it and
+/// `fi coordinate` merges it: [`site_report`] over the text's keys.
+fn scan_site(opts: &Options, text: &str) -> SiteReport {
+    let mut p = ApproxTopProcessor::new(
+        SketchParams::new(opts.rows, opts.buckets),
+        opts.k,
+        opts.seed,
+    );
+    let Ok(tokens) = Tokens::scan(text, |run| {
+        for &key in run {
+            p.observe(key);
+        }
+        Ok::<_, Infallible>(())
+    });
+    SiteReport::from_processor(p, tokens.occurrences() as u64)
 }
 
 /// Runs `fi shard` over input text: splits the items into `--sites`
@@ -889,18 +939,13 @@ pub fn run_shard(opts: &Options, text: &str) -> Result<String, CliError> {
 
 /// Runs `fi diff` over two input texts; returns the report. A key's
 /// label is its first occurrence in the second text, else in the first.
+/// Pass 1 absorbs each run as it is scanned; pass 2 reads the two key
+/// vectors kept for it.
 pub fn run_diff(opts: &Options, text1: &str, text2: &str) -> String {
-    let day1 = Tokens::scan(text1);
-    let day2 = Tokens::scan(text2);
-    let (s1, s2) = (day1.stream(), day2.stream());
-    let result = max_change(
-        s1,
-        s2,
-        opts.k,
-        4 * opts.k,
-        SketchParams::new(opts.rows, opts.buckets),
-        opts.seed,
-    );
+    let mut diff = DiffSketch::new(SketchParams::new(opts.rows, opts.buckets), opts.seed);
+    let (day1, s1) = diff_pass_one(&mut diff, text1, -1);
+    let (day2, s2) = diff_pass_one(&mut diff, text2, 1);
+    let result = diff.top_changes(&s1, &s2, opts.k, 4 * opts.k);
     let mut out = format!(
         "# top-{} changes ({} -> {} occurrences)\n",
         opts.k,
@@ -917,9 +962,23 @@ pub fn run_diff(opts: &Options, text1: &str, text2: &str) -> String {
     out
 }
 
+/// Pass 1 of `fi diff` over one day: absorbs every key into `diff` with
+/// `weight` and collects the keys for pass 2.
+fn diff_pass_one<'a>(diff: &mut DiffSketch, text: &'a str, weight: i64) -> (Tokens<'a>, Stream) {
+    // A token is at least one byte and all but the last are followed by
+    // a separator, so `text` holds at most (len + 1) / 2 of them: the
+    // vector never regrows, and only the pages it fills are touched.
+    let mut keys = Vec::with_capacity(text.len().div_ceil(2));
+    let Ok(tokens) = Tokens::scan(text, |run| {
+        diff.absorb_keys(run, weight);
+        keys.extend_from_slice(run);
+        Ok::<_, Infallible>(())
+    });
+    (tokens, Stream::from_keys(keys))
+}
+
 /// Runs `fi iceberg` over input text; returns the report.
 pub fn run_iceberg(opts: &Options, text: &str) -> String {
-    let tokens = Tokens::scan(text);
     let mut p = IcebergProcessor::new(
         SketchParams::new(opts.rows, opts.buckets),
         opts.phi,
@@ -927,7 +986,12 @@ pub fn run_iceberg(opts: &Options, text: &str) -> String {
         2,
         opts.seed,
     );
-    p.observe_stream(tokens.stream());
+    let Ok(tokens) = Tokens::scan(text, |run| {
+        for &key in run {
+            p.observe(key);
+        }
+        Ok::<_, Infallible>(())
+    });
     let result = p.result();
     let mut out = format!(
         "# items above {:.2}% of {} occurrences (threshold {})\n",
@@ -1109,6 +1173,21 @@ mod tests {
             let report = run_top(&opts, &text).unwrap();
             assert_eq!(report, sequential, "threads = {threads}");
         }
+        // Several runs: the pool is fed a run at a time while the scanner
+        // thread runs ahead. 40 distinct tokens in 4096 buckets count
+        // exactly on both paths.
+        let text = zipf_text(3 * CHUNK + 17, 40, 1.0, 3);
+        opts.threads = 1;
+        let sequential = run_top(&opts, &text).unwrap();
+        assert!(sequential.starts_with(&format!("# top-3 of {} ", 3 * CHUNK + 17)));
+        for threads in [2, 4] {
+            opts.threads = threads;
+            assert_eq!(
+                run_top(&opts, &text).unwrap(),
+                sequential,
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]
@@ -1138,6 +1217,38 @@ mod tests {
             snaps.push(std::fs::read(&snap).unwrap());
         }
         assert_eq!(snaps[0], snaps[1], "snapshot bytes differ across thread counts");
+
+        // On a multi-run input the pool, fed a run at a time, builds the
+        // sequential sketch: the snapshots' counters agree at 1, 2 and 4
+        // threads, and 2 and 4 threads write the same bytes.
+        let text = zipf_text(3 * CHUNK + 17, 2_000, 0.8, 5);
+        let snapshot_at = |threads: usize| {
+            let snap = dir
+                .join(format!("multi{threads}.csnp"))
+                .to_string_lossy()
+                .into_owned();
+            let opts = Options {
+                command: "top".into(),
+                k: 5,
+                buckets: 256,
+                threads,
+                snapshot: Some(snap.clone()),
+                ..Default::default()
+            };
+            run_top(&opts, &text).unwrap();
+            std::fs::read(&snap).unwrap()
+        };
+        let sequential = snapshot_at(1);
+        let threaded = snapshot_at(2);
+        assert_eq!(snapshot_at(4), threaded);
+        let counters = |bytes: &[u8]| {
+            <ApproxTopProcessor>::from_snapshot_bytes(bytes)
+                .unwrap()
+                .sketch()
+                .counters()
+                .to_vec()
+        };
+        assert_eq!(counters(&threaded), counters(&sequential));
 
         // Resuming a threaded snapshot — at any thread count, including
         // sequentially — continues the count across both sessions.
@@ -1210,6 +1321,20 @@ mod tests {
             std::fs::read(&snap).unwrap(),
             std::fs::read(dir.join("once.csnp")).unwrap()
         );
+
+        // Several runs, with windows that divide a run, equal one, and
+        // straddle every run boundary.
+        let text = zipf_text(3 * CHUNK + 17, 3_000, 0.9, 11);
+        let oneshot = run_top(&oneshot_opts, &text).unwrap();
+        let once = std::fs::read(dir.join("once.csnp")).unwrap();
+        for every in [997, CHUNK, CHUNK + 1] {
+            let opts = Options {
+                snapshot_every: every,
+                ..opts.clone()
+            };
+            assert_eq!(run_top(&opts, &text).unwrap(), oneshot, "every = {every}");
+            assert_eq!(std::fs::read(&snap).unwrap(), once, "every = {every}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1234,6 +1359,39 @@ mod tests {
             text.push_str(&format!("t{rank} "));
         }
         text
+    }
+
+    #[test]
+    fn checkpoints_fall_after_every_window_across_runs() {
+        // Whatever the run lengths, the n-th checkpoint holds the state
+        // after exactly n·every items.
+        let keys: Vec<ItemKey> = zipf_text(3 * CHUNK + 17, 500, 1.0, 9)
+            .split_whitespace()
+            .map(ItemKey::of)
+            .collect();
+        let fresh = || ApproxTopProcessor::new(SketchParams::new(5, 256), 4, 1);
+        for every in [997, CHUNK, CHUNK + 1] {
+            let mut expected = Vec::new();
+            let mut one_by_one = fresh();
+            for (i, &key) in keys.iter().enumerate() {
+                one_by_one.observe(key);
+                if (i + 1) % every == 0 {
+                    expected.push(one_by_one.to_snapshot_bytes());
+                }
+            }
+            for run_len in [CHUNK, 1000, 7] {
+                let mut p = fresh();
+                let (mut due, mut saved) = (every, Vec::new());
+                for run in keys.chunks(run_len) {
+                    observe_with_checkpoints(&mut p, run, every, &mut due, |p| {
+                        saved.push(p.to_snapshot_bytes());
+                        Ok::<_, Infallible>(())
+                    })
+                    .unwrap();
+                }
+                assert!(saved == expected, "every {every}, runs of {run_len}");
+            }
+        }
     }
 
     #[test]
@@ -1263,6 +1421,86 @@ mod tests {
         let (every_report, every_snap) = run("every.csnp", 1000);
         assert_eq!(every_report, plain_report);
         assert_eq!(every_snap, plain_snap);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn multi_run_commands_equal_whole_stream_library_calls() {
+        // `fi diff`, `fi iceberg` and `fi coordinate` sketch each run as
+        // the scanner hands it over; over several runs their reports
+        // equal the library's calls over the whole key stream.
+        let dir = std::env::temp_dir().join(format!("fi-cli-multi-run-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Forty tokens as frequent on both days as the planted change
+        // `t77`: they head the totals but not the changes.
+        let stable: String = (0..40).map(|i| format!("s{i} ").repeat(600)).collect();
+        let day1 = zipf_text(3 * CHUNK + 17, 1_500, 1.0, 21) + &stable;
+        let day2 = zipf_text(2 * CHUNK + 5, 1_500, 1.0, 22) + &"t77 ".repeat(CHUNK) + &stable;
+        let keys =
+            |text: &str| Stream::from_keys(text.split_whitespace().map(ItemKey::of).collect());
+        let label = |key: ItemKey| {
+            day2.split_whitespace()
+                .chain(day1.split_whitespace())
+                .find(|tok| ItemKey::of(tok) == key)
+                .unwrap_or(UNKNOWN_LABEL)
+                .to_string()
+        };
+        let opts = Options {
+            k: 8,
+            buckets: 512,
+            phi: 0.02,
+            eps: 0.005,
+            ..Default::default()
+        };
+        let params = SketchParams::new(opts.rows, opts.buckets);
+
+        let (s1, s2) = (keys(&day1), keys(&day2));
+        let changes = max_change(&s1, &s2, opts.k, 4 * opts.k, params, opts.seed);
+        let mut expected = format!(
+            "# top-8 changes ({} -> {} occurrences)\n",
+            s1.len(),
+            s2.len()
+        );
+        for item in &changes.items {
+            expected.push_str(&format!(
+                "{:>+10}  {}\n",
+                item.exact_change,
+                label(item.key)
+            ));
+        }
+        assert_eq!(run_diff(&opts, &day1, &day2), expected);
+
+        let mut iceberg = IcebergProcessor::new(params, opts.phi, opts.eps, 2, opts.seed);
+        iceberg.observe_stream(&s1);
+        let result = iceberg.result();
+        let mut expected = format!(
+            "# items above 2.00% of {} occurrences (threshold {})\n",
+            result.n, result.threshold
+        );
+        for (key, est) in &result.items {
+            expected.push_str(&format!("{est:>10}  {}\n", label(*key)));
+        }
+        assert_eq!(run_iceberg(&opts, &day1), expected);
+
+        let files: Vec<String> = [&day1, &day2]
+            .iter()
+            .enumerate()
+            .map(|(i, text)| {
+                let path = dir.join(format!("site.{i}.txt"));
+                std::fs::write(&path, text).unwrap();
+                path.to_string_lossy().into_owned()
+            })
+            .collect();
+        let reports = [&s1, &s2].map(|s| site_report(s, opts.k, params, opts.seed));
+        let merged = DistributedSketch::coordinate(&reports).unwrap();
+        let coordinate = Options {
+            files,
+            ..opts.clone()
+        };
+        assert_eq!(
+            run_coordinate(&coordinate).unwrap(),
+            render_report(&merged, opts.k, &[])
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

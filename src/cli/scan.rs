@@ -16,13 +16,46 @@
 //!   distinct key to the byte offset of its first occurrence; a label is
 //!   the token starting there, sliced out of the input when a report
 //!   prints it.
+//!
+//! ## Runs and the scanner thread
+//!
+//! No key stream is stored. [`Tokens::scan`] hands the keys to a
+//! caller-supplied sink in input order, in runs of [`CHUNK`] keys (the
+//! last run may be shorter), and keeps only the first-seen table and the
+//! token count. The sink sees the keys a `Vec` of the whole input would
+//! hold, in the same order, so any state it builds one key at a time is
+//! the same as before.
+//!
+//! The caller's thread scans the first run itself. Only if tokens remain
+//! after it does the scan move to one scoped thread, which fills the
+//! following runs while the caller's thread runs the sink; a bounded
+//! channel keeps the scanner at most [`RUNS_AHEAD`] runs ahead, and the
+//! sink hands each emptied buffer back for reuse. An input of one run
+//! or less starts no thread: a spawn costs about as much as sketching a
+//! short input. If the spawn fails, the caller's thread scans the rest
+//! itself.
+//!
+//! A sink that returns an error ends the scan. Returning drops the run
+//! receiver, so the scanner's next send fails and it stops; the scope
+//! joins it before [`Tokens::scan`] returns the error, so no thread
+//! outlives the call and none waits on a receiver that is gone.
 
 use cs_hash::mix::{finalize, Fnv1a};
 use cs_hash::ItemKey;
 use cs_stream::Stream;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hasher;
 use std::ops::Range;
+use std::sync::mpsc::{channel, sync_channel};
+use std::thread::{self, Scope};
+
+/// Keys in one run handed to a sink: 64 KiB.
+pub const CHUNK: usize = 8192;
+
+/// Filled runs the scanner thread may queue before it waits for the
+/// sink.
+const RUNS_AHEAD: usize = 2;
 
 /// Byte class: part of a token.
 const TOKEN: u8 = 0;
@@ -65,21 +98,28 @@ fn space_len(text: &str, i: usize) -> Option<usize> {
     }
 }
 
+/// The first byte at or after `from` that is not whitespace, or the end
+/// of `text`.
+#[inline]
+fn skip_space(text: &str, mut from: usize) -> usize {
+    while from < text.len() {
+        match space_len(text, from) {
+            Some(width) => from += width,
+            None => break,
+        }
+    }
+    from
+}
+
 /// The first token at or after byte `from`: its byte span and its key.
 #[inline]
 fn next_token(text: &str, from: usize) -> Option<(Range<usize>, ItemKey)> {
     let bytes = text.as_bytes();
-    let mut i = from;
-    loop {
-        if i == bytes.len() {
-            return None;
-        }
-        match space_len(text, i) {
-            Some(width) => i += width,
-            None => break,
-        }
+    let start = skip_space(text, from);
+    if start == bytes.len() {
+        return None;
     }
-    let start = i;
+    let mut i = start;
     let mut h = Fnv1a::new();
     while i < bytes.len() {
         let b = bytes[i];
@@ -107,45 +147,142 @@ pub(crate) fn for_each_token(text: &str, mut f: impl FnMut(ItemKey, Range<usize>
 /// Tokens scanned before their keys are inserted into the table.
 const INSERT_RUN: usize = 64;
 
-/// One scanned input: its key stream and, for every distinct key, where
-/// the key first occurred, so labels resolve as slices of the input.
+/// One scanned input: how many tokens it held and, for every distinct
+/// key, where the key first occurred, so labels resolve as slices of the
+/// input. While the scan runs it is the scan's state, which moves to
+/// the scanner thread and comes back when that thread is joined.
 #[derive(Debug)]
 pub struct Tokens<'a> {
     text: &'a str,
-    stream: Stream,
+    /// Byte offset of the next token to scan; the end of the text once
+    /// the scan is over.
+    at: usize,
     first_seen: FirstSeen,
+    len: usize,
 }
 
 impl<'a> Tokens<'a> {
     /// Scans `text` once: splits it, keys every token and records the
-    /// first occurrence of every distinct key.
+    /// first occurrence of every distinct key. Every token's key goes to
+    /// `sink`, in input order, in runs of [`CHUNK`] keys; only the last
+    /// run may be shorter, and an input without tokens calls `sink`
+    /// never. The runs after the first are scanned on a second, scoped
+    /// thread that stays a few runs ahead of `sink`; it is joined before
+    /// this returns, also when `sink` fails.
+    ///
+    /// The first error `sink` returns ends the scan and is returned.
+    pub fn scan<E>(
+        text: &'a str,
+        sink: impl FnMut(&[ItemKey]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        Self::scan_on(text, sink, true)
+    }
+
+    /// [`Tokens::scan`], with the scanner thread only if `pipelined`:
+    /// without it, the caller's thread scans every run, as it does when
+    /// the spawn fails.
+    fn scan_on<E>(
+        text: &'a str,
+        mut sink: impl FnMut(&[ItemKey]) -> Result<(), E>,
+        pipelined: bool,
+    ) -> Result<Self, E> {
+        let mut tokens = Tokens {
+            text,
+            at: skip_space(text, 0),
+            first_seen: FirstSeen::default(),
+            len: 0,
+        };
+        let mut run = Vec::with_capacity(CHUNK);
+        tokens.fill(&mut run);
+        let piped =
+            pipelined && !tokens.done() && thread::scope(|s| tokens.pipeline(s, &run, &mut sink))?;
+        if !piped {
+            while !run.is_empty() {
+                sink(&run)?;
+                run.clear();
+                tokens.fill(&mut run);
+            }
+        }
+        Ok(tokens)
+    }
+
+    /// True once every token has been scanned.
+    fn done(&self) -> bool {
+        self.at == self.text.len()
+    }
+
+    /// Appends the keys of the next [`CHUNK`] tokens, or of all that are
+    /// left if fewer, to the empty `run`, and records their first
+    /// occurrences.
     ///
     /// Keys reach the table in runs of `INSERT_RUN`: the probes of one
     /// run depend on nothing but the keys, so their cache misses overlap
     /// once the table outgrows the cache.
-    pub fn scan(text: &'a str) -> Self {
-        let mut keys = Vec::new();
-        let mut starts = Vec::with_capacity(INSERT_RUN);
-        let mut first_seen = FirstSeen::default();
-        for_each_token(text, |key, span| {
-            keys.push(key);
-            starts.push(span.start);
-            if starts.len() == INSERT_RUN {
-                first_seen.insert_run(&keys[keys.len() - INSERT_RUN..], &starts);
-                starts.clear();
+    fn fill(&mut self, run: &mut Vec<ItemKey>) {
+        debug_assert!(run.is_empty());
+        let mut starts = [0; INSERT_RUN];
+        while run.len() < CHUNK {
+            let Some((span, key)) = next_token(self.text, self.at) else {
+                break;
+            };
+            self.at = span.end;
+            starts[run.len() % INSERT_RUN] = span.start;
+            run.push(key);
+            if run.len().is_multiple_of(INSERT_RUN) {
+                self.first_seen
+                    .insert_run(&run[run.len() - INSERT_RUN..], &starts);
             }
-        });
-        first_seen.insert_run(&keys[keys.len() - starts.len()..], &starts);
-        Tokens {
-            text,
-            stream: Stream::from_keys(keys),
-            first_seen,
         }
+        let tail = run.len() % INSERT_RUN;
+        self.first_seen
+            .insert_run(&run[run.len() - tail..], &starts[..tail]);
+        self.at = skip_space(self.text, self.at);
+        self.len += run.len();
     }
 
-    /// Every token's key, in input order.
-    pub fn stream(&self) -> &Stream {
-        &self.stream
+    /// Feeds `first`, then every later run, to `sink`, while a scoped
+    /// thread fills the later runs. `Ok(false)` if the thread could not
+    /// be spawned; `sink` has then seen nothing.
+    fn pipeline<'scope, E>(
+        &'scope mut self,
+        scope: &'scope Scope<'scope, '_>,
+        first: &[ItemKey],
+        sink: &mut impl FnMut(&[ItemKey]) -> Result<(), E>,
+    ) -> Result<bool, E> {
+        let (full, runs) = sync_channel::<Vec<ItemKey>>(RUNS_AHEAD);
+        let (spare, spares) = channel::<Vec<ItemKey>>();
+        let scan = move || {
+            while !self.done() {
+                let mut run = spares
+                    .try_recv()
+                    .unwrap_or_else(|_| Vec::with_capacity(CHUNK));
+                run.clear();
+                self.fill(&mut run);
+                if full.send(run).is_err() {
+                    // The sink failed and dropped the receiver.
+                    break;
+                }
+            }
+        };
+        if thread::Builder::new()
+            .name("fi-scan".into())
+            .spawn_scoped(scope, scan)
+            .is_err()
+        {
+            return Ok(false);
+        }
+        sink(first)?;
+        for run in runs {
+            sink(&run)?;
+            // Fails only once the scanner has finished and needs no buffer.
+            spare.send(run).ok();
+        }
+        Ok(true)
+    }
+
+    /// The number of tokens: every key the sink was given.
+    pub fn occurrences(&self) -> usize {
+        self.len
     }
 
     /// The exact number of distinct keys.
@@ -172,17 +309,22 @@ impl<'a> Tokens<'a> {
 }
 
 /// Tokenizes input text into a stream of items, with each key's first
-/// textual form copied out for display. A view over [`Tokens::scan`]
-/// that owns its labels; `fi` itself does not call it, it resolves the
-/// few labels a report prints with [`Tokens::label`].
+/// textual form copied out for display. It collects what [`Tokens::scan`]
+/// hands its sink and copies every label; `fi` itself does neither, it
+/// sketches each run as it arrives and resolves the few labels a report
+/// prints with [`Tokens::label`].
 pub fn tokenize(text: &str) -> (Stream, HashMap<ItemKey, String>) {
-    let tokens = Tokens::scan(text);
+    let mut keys = Vec::new();
+    let Ok(tokens) = Tokens::scan(text, |run| {
+        keys.extend_from_slice(run);
+        Ok::<_, Infallible>(())
+    });
     let labels = tokens
         .first_seen
         .slots()
         .map(|(key, start)| (key, tokens.token_at(start).to_string()))
         .collect();
-    (tokens.stream, labels)
+    (Stream::from_keys(keys), labels)
 }
 
 /// One slot of [`FirstSeen`].
@@ -303,10 +445,30 @@ mod tests {
         (keys, labels)
     }
 
+    /// The runs `Tokens::scan` hands its sink, and the scan; the runs
+    /// must not depend on whether the scanner thread ran.
+    fn scan_runs(text: &str) -> (Tokens<'_>, Vec<Vec<ItemKey>>) {
+        let [(tokens, runs), (_, inline)] = [true, false].map(|pipelined| {
+            let mut runs = Vec::new();
+            let Ok(tokens) = Tokens::scan_on(
+                text,
+                |run| {
+                    runs.push(run.to_vec());
+                    Ok::<_, Infallible>(())
+                },
+                pipelined,
+            );
+            (tokens, runs)
+        });
+        assert!(runs == inline, "{} runs", runs.len());
+        (tokens, runs)
+    }
+
     fn assert_matches_reference(text: &str) {
         let (keys, labels) = reference(text);
-        let tokens = Tokens::scan(text);
-        assert_eq!(tokens.stream().as_slice(), keys.as_slice(), "{text:?}");
+        let (tokens, runs) = scan_runs(text);
+        assert_eq!(runs.concat(), keys, "{text:?}");
+        assert_eq!(tokens.occurrences(), keys.len(), "{text:?}");
         assert_eq!(tokens.distinct(), labels.len(), "{text:?}");
         for (&key, &label) in &labels {
             assert_eq!(tokens.label(key), Some(label), "{text:?}");
@@ -354,13 +516,13 @@ mod tests {
 
     #[test]
     fn labels_resolve_first_occurrence_and_unknown_keys() {
-        let tokens = Tokens::scan("b a\u{3000}b\u{85}c a");
-        assert_eq!(tokens.stream().len(), 5);
+        let (tokens, _) = scan_runs("b a\u{3000}b\u{85}c a");
+        assert_eq!(tokens.occurrences(), 5);
         assert_eq!(tokens.distinct(), 3);
         assert_eq!(tokens.label(ItemKey::of("a")), Some("a"));
         assert_eq!(tokens.label(ItemKey::of("c")), Some("c"));
         assert_eq!(tokens.label(ItemKey::of("zz")), None);
-        assert_eq!(Tokens::scan("").label(ItemKey::of("a")), None);
+        assert_eq!(scan_runs("").0.label(ItemKey::of("a")), None);
         let mut keys: Vec<_> = tokens.keys().collect();
         keys.sort_unstable();
         let mut expected = vec![ItemKey::of("a"), ItemKey::of("b"), ItemKey::of("c")];
@@ -373,7 +535,7 @@ mod tests {
         // 16 → 32768 slots: eleven doublings, each reinserting every
         // entry; every label must survive all of them.
         let text: String = (0..10_000).map(|i| format!("t{i} t{} ", i / 2)).collect();
-        let tokens = Tokens::scan(&text);
+        let (tokens, _) = scan_runs(&text);
         assert_eq!(tokens.distinct(), 10_000);
         assert_eq!(tokens.first_seen.slots.len(), 32_768);
         assert_eq!(tokens.keys().count(), 10_000);
@@ -382,6 +544,52 @@ mod tests {
             assert_eq!(tokens.label(ItemKey::of(&tok)), Some(tok.as_str()));
         }
         assert_matches_reference(&text);
+    }
+
+    #[test]
+    fn runs_are_full_chunks_across_run_boundaries() {
+        // Multi-byte whitespace (U+3000, U+0085) on both sides of every
+        // run boundary; "é" shares no lead byte with whitespace, "\u{A0}"
+        // does.
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17] {
+            for trailing in ["", "\u{3000}\u{85}"] {
+                let mut text = String::new();
+                for i in 0..n {
+                    let at_boundary = matches!(i % CHUNK, 0 | 1 | CHUNK_LAST);
+                    text.push_str(if at_boundary { "\u{85}\u{3000}" } else { " " });
+                    text.push_str(&format!("é{}", i % 3000));
+                }
+                text.push_str(trailing);
+                let (tokens, runs) = scan_runs(&text);
+                assert_eq!(tokens.occurrences(), n);
+                assert_eq!(runs.len(), n.div_ceil(CHUNK), "n = {n}");
+                if let Some((_, full)) = runs.split_last() {
+                    assert!(full.iter().all(|run| run.len() == CHUNK), "n = {n}");
+                }
+                assert_matches_reference(&text);
+            }
+        }
+    }
+
+    /// The last key index of a run.
+    const CHUNK_LAST: usize = CHUNK - 1;
+
+    #[test]
+    fn a_failing_sink_ends_the_scan() {
+        // Ten runs: the scanner thread is running when the sink fails,
+        // and must stop rather than wait on the dropped receiver.
+        let text = "a ".repeat(10 * CHUNK);
+        let mut calls = 0;
+        let scanned = Tokens::scan(&text, |_| {
+            calls += 1;
+            if calls == 2 {
+                Err("full")
+            } else {
+                Ok(())
+            }
+        });
+        assert!(matches!(scanned, Err("full")));
+        assert_eq!(calls, 2);
     }
 
     fn piece() -> impl Strategy<Value = String> {
