@@ -90,10 +90,7 @@ fn run_trial(reports: &[SiteReport], faulted: usize, seed: u64) -> Trial {
     config.timeout_ms = 500;
 
     let server = CoordinatorServer::bind("127.0.0.1:0", config).expect("bind loopback");
-    let addr = server
-        .local_addr()
-        .expect("ephemeral port")
-        .to_string();
+    let addr = server.local_addr().expect("ephemeral port").to_string();
     let serve = std::thread::spawn(move || server.run());
 
     let handles: Vec<_> = reports
@@ -188,7 +185,12 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
             coverages.push(outcome.report.coverage());
             widenings.push(outcome.report.error_bound_widening());
 
-            let top: Vec<_> = outcome.sketch.top_k(k).into_iter().map(|(key, _)| key).collect();
+            let top: Vec<_> = outcome
+                .sketch
+                .top_k(k)
+                .into_iter()
+                .map(|(key, _)| key)
+                .collect();
             recalls.push(recall_at_k(&top, &exact, k));
 
             let truth = exact.top_k(k);

@@ -86,8 +86,7 @@ pub mod prelude {
         GenericCountSketch, SketchHealth,
     };
     pub use crate::snapshot::{
-        inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo,
-        SnapshotKind,
+        inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo, SnapshotKind,
     };
     pub use crate::topk::TopKTracker;
     pub use crate::window::SlidingSketch;

@@ -310,11 +310,7 @@ mod tests {
                 let v: Vec<i64> = (0..n).map(|i| i64::from(bits >> i & 1)).collect();
                 let ones = bits.count_ones() as usize;
                 let want = i64::from(ones > n / 2);
-                assert_eq!(
-                    median_network(&v),
-                    Some(want),
-                    "n = {n}, pattern {bits:#b}"
-                );
+                assert_eq!(median_network(&v), Some(want), "n = {n}, pattern {bits:#b}");
             }
         }
     }

@@ -807,8 +807,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
                 for ((&k, &ks), b) in braw[..n].iter().zip(&sraw[..n]).zip(bl) {
                     // Sign −1 sets bit 63 of the lane (`±1 >> 1` is the
                     // 0/−1 mask); the bucket index lives in the low bits.
-                    *b = h.bucket_canon(k)
-                        | (((sg.sign_canon(ks) >> 1) as usize) & (1usize << 63));
+                    *b = h.bucket_canon(k) | (((sg.sign_canon(ks) >> 1) as usize) & (1usize << 63));
                 }
             }
             // Gather pass: row-major counter reads, branch-free row

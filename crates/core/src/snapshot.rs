@@ -823,10 +823,7 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
             .then(a.1.cmp(&b.1))
     });
     ranked.truncate(top);
-    fn read_tracked(
-        r: &mut Reader<'_>,
-        capacity: usize,
-    ) -> Result<Vec<(ItemKey, i64)>, CoreError> {
+    fn read_tracked(r: &mut Reader<'_>, capacity: usize) -> Result<Vec<(ItemKey, i64)>, CoreError> {
         let entries = r.u64()? as usize;
         if entries > capacity {
             return Err(CoreError::CorruptSnapshot(format!(

@@ -104,8 +104,10 @@ impl SiteAgent {
         let timeout = Duration::from_millis(self.timeout_ms.max(1));
         let sock_addr = resolve(addr)?;
         let sock = TcpStream::connect_timeout(&sock_addr, timeout).map_err(NetError::from_io)?;
-        sock.set_read_timeout(Some(timeout)).map_err(NetError::from_io)?;
-        sock.set_write_timeout(Some(timeout)).map_err(NetError::from_io)?;
+        sock.set_read_timeout(Some(timeout))
+            .map_err(NetError::from_io)?;
+        sock.set_write_timeout(Some(timeout))
+            .map_err(NetError::from_io)?;
         sock.set_nodelay(true).ok();
         match self.fault {
             Some(fault) => {
@@ -179,12 +181,7 @@ mod tests {
     use std::net::TcpListener;
 
     fn report() -> SiteReport {
-        site_report(
-            &Stream::from_ids([1, 1, 2]),
-            2,
-            SketchParams::new(3, 64),
-            7,
-        )
+        site_report(&Stream::from_ids([1, 1, 2]), 2, SketchParams::new(3, 64), 7)
     }
 
     #[test]

@@ -122,7 +122,10 @@ impl Frame {
                 Cow::Owned(p)
             }
             Frame::Snapshot(bytes) => Cow::Borrowed(bytes),
-            Frame::Report { local_n, candidates } => {
+            Frame::Report {
+                local_n,
+                candidates,
+            } => {
                 let mut p = Vec::with_capacity(8 + candidates.len());
                 p.extend_from_slice(&local_n.to_le_bytes());
                 p.extend_from_slice(candidates);
@@ -483,10 +486,7 @@ mod tests {
         bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
         // Version check runs before the CRC, so a future-versioned frame
         // is reported as such rather than as generic corruption.
-        assert!(matches!(
-            decode_frame(&bytes),
-            Err(NetError::BadVersion(9))
-        ));
+        assert!(matches!(decode_frame(&bytes), Err(NetError::BadVersion(9))));
     }
 
     #[test]

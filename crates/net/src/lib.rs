@@ -154,13 +154,7 @@ mod tests {
             (NetError::BadMagic(0xdead_beef), "0xdeadbeef"),
             (NetError::BadVersion(9), "9"),
             (NetError::BadFrameType(77), "77"),
-            (
-                NetError::Oversized {
-                    len: 100,
-                    max: 64,
-                },
-                "ceiling",
-            ),
+            (NetError::Oversized { len: 100, max: 64 }, "ceiling"),
             (
                 NetError::ChecksumMismatch {
                     stored: 1,

@@ -816,7 +816,10 @@ fn serve_config(opts: &Options) -> ServeConfig {
 /// [`CliError::Corrupt`] (the merge is unusable), socket failures to
 /// [`CliError::Io`].
 pub fn run_serve(opts: &Options) -> Result<String, CliError> {
-    let addr = opts.listen.as_deref().expect("parse_args requires --listen");
+    let addr = opts
+        .listen
+        .as_deref()
+        .expect("parse_args requires --listen");
     let server = CoordinatorServer::bind(addr, serve_config(opts)).map_err(|e| CliError::Io {
         path: addr.into(),
         message: e.to_string(),
@@ -1216,7 +1219,10 @@ mod tests {
             run_top(&opts, &text1).unwrap();
             snaps.push(std::fs::read(&snap).unwrap());
         }
-        assert_eq!(snaps[0], snaps[1], "snapshot bytes differ across thread counts");
+        assert_eq!(
+            snaps[0], snaps[1],
+            "snapshot bytes differ across thread counts"
+        );
 
         // On a multi-run input the pool, fed a run at a time, builds the
         // sequential sketch: the snapshots' counters agree at 1, 2 and 4

@@ -76,6 +76,7 @@ pub mod net {
 /// The most common imports.
 pub mod prelude {
     pub use cs_baselines::StreamSummary;
+    pub use cs_core::approx_top::HeapPolicy;
     pub use cs_core::approx_top::{approx_top, ApproxTopProcessor, ApproxTopResult};
     pub use cs_core::builder::CountSketchBuilder;
     pub use cs_core::candidate_top::{candidate_top_one_pass, candidate_top_two_pass};
@@ -83,18 +84,16 @@ pub mod prelude {
         site_report, DistributedSketch, ExclusionReason, MergeReport, QuorumCoordinator,
         QuorumOutcome, RetryPolicy, SiteReport,
     };
-    pub use cs_core::approx_top::HeapPolicy;
     pub use cs_core::maxchange::{max_change, DiffSketch, MaxChangeResult};
-    pub use cs_core::parallel::{sketch_stream_pooled, SketchPool};
     pub use cs_core::median::Combiner;
+    pub use cs_core::parallel::{sketch_stream_pooled, SketchPool};
     pub use cs_core::sketch::{
         CheckedEstimate, EstimateBatchScratch, EstimateScratch, SketchHealth,
     };
-    pub use cs_core::topk::TopKTracker;
     pub use cs_core::snapshot::{
-        inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo,
-        SnapshotKind,
+        inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo, SnapshotKind,
     };
+    pub use cs_core::topk::TopKTracker;
     pub use cs_core::{CoreError, CountSketch, FastCountSketch, SketchParams};
     pub use cs_hash::ItemKey;
     pub use cs_net::{

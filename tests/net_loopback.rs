@@ -135,7 +135,10 @@ fn failed_and_corrupted_sites_are_excluded_not_silent() {
     let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     assert_eq!(results[0].as_ref().unwrap(), &ShipOutcome::Accepted);
     assert_eq!(results[1].as_ref().unwrap(), &ShipOutcome::Accepted);
-    assert!(results[2].is_err(), "corrupting site must fail: {results:?}");
+    assert!(
+        results[2].is_err(),
+        "corrupting site must fail: {results:?}"
+    );
     assert!(results[3].is_err(), "cut site must fail: {results:?}");
 
     let outcome = serve.join().unwrap().unwrap();

@@ -22,8 +22,7 @@ fn batch_matches_scalar_for_all_combiners_and_depths() {
     // depth (11), even depths (4, 8), and the tall fallback (17).
     for rows in [3usize, 4, 5, 7, 8, 9, 11, 17] {
         for combiner in [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean] {
-            let mut s =
-                CountSketch::new(SketchParams::new(rows, 128), 7).with_combiner(combiner);
+            let mut s = CountSketch::new(SketchParams::new(rows, 128), 7).with_combiner(combiner);
             s.absorb(&stream, 1);
             let keys: Vec<ItemKey> = (0..700u64).map(ItemKey).collect();
             let batch = s.estimate_batch(&keys);
