@@ -15,9 +15,9 @@
 //! one-sided, and the same sketch simultaneously answers point queries
 //! and APPROXTOP.
 
+use crate::approx_top::ApproxTopProcessor;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateScratch};
-use crate::topk::TopKTracker;
+use crate::sketch::EstimateScratch;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
 
@@ -33,15 +33,14 @@ pub struct IcebergResult {
     pub n: u64,
 }
 
-/// One-pass iceberg query processor.
+/// One-pass iceberg query processor: an APPROXTOP processor with
+/// `l` candidate slots, plus the occurrence count the threshold needs.
 #[derive(Debug, Clone)]
 pub struct IcebergProcessor {
-    sketch: CountSketch,
-    tracker: TopKTracker,
+    top: ApproxTopProcessor,
     phi: f64,
     eps: f64,
     n: u64,
-    scratch: EstimateScratch,
 }
 
 impl IcebergProcessor {
@@ -54,29 +53,22 @@ impl IcebergProcessor {
         assert!(slack >= 1);
         let l = ((1.0 / phi).ceil() as usize).max(1) * slack;
         Self {
-            sketch: CountSketch::new(params, seed),
-            tracker: TopKTracker::new(l),
+            top: ApproxTopProcessor::new(params, l, seed),
             phi,
             eps,
             n: 0,
-            scratch: EstimateScratch::new(),
         }
     }
 
     /// The candidate budget `l`.
     pub fn candidate_budget(&self) -> usize {
-        self.tracker.capacity()
+        self.top.tracker().capacity()
     }
 
     /// Feeds one occurrence (the §3.2 heap rule).
     pub fn observe(&mut self, key: ItemKey) {
         self.n += 1;
-        if self.tracker.increment(key) {
-            self.sketch.add(key);
-        } else {
-            let est = self.sketch.update_estimate(key, 1, &mut self.scratch);
-            self.tracker.offer(key, est);
-        }
+        self.top.observe(key);
     }
 
     /// Feeds a whole stream, one occurrence at a time.
@@ -93,11 +85,13 @@ impl IcebergProcessor {
         // One scratch for the whole candidate sweep — `result` borrows
         // `self` immutably, so it cannot reuse the ingestion scratch.
         let mut scratch = EstimateScratch::new();
+        let sketch = self.top.sketch();
         let mut items: Vec<(ItemKey, i64)> = self
-            .tracker
+            .top
+            .tracker()
             .items_desc()
             .into_iter()
-            .map(|(key, _)| (key, self.sketch.estimate_with_scratch(key, &mut scratch)))
+            .map(|(key, _)| (key, sketch.estimate_with_scratch(key, &mut scratch)))
             .filter(|&(_, est)| est >= threshold)
             .collect();
         items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -125,6 +119,9 @@ pub fn iceberg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx_top::HeapPolicy;
+    use crate::sketch::CountSketch;
+    use crate::topk::TopKTracker;
     use cs_stream::{ExactCounter, Zipf, ZipfStreamKind};
 
     proptest::proptest! {
@@ -137,21 +134,26 @@ mod tests {
             let phi = [0.05, 0.2, 0.5][phi_pick];
             let params = SketchParams::new(5, buckets);
             let mut p = IcebergProcessor::new(params, phi, phi / 4.0, 2, 8);
-            // Reference: the same processor driven through separate ADD
-            // and ESTIMATE calls.
-            let mut r = IcebergProcessor::new(params, phi, phi / 4.0, 2, 8);
+            // Reference: the same sketch and tracker driven through
+            // separate ADD and ESTIMATE calls.
+            let mut sketch = CountSketch::new(params, 8);
+            let mut tracker = TopKTracker::new(p.candidate_budget());
             for &id in &ids {
                 let key = ItemKey(id);
                 p.observe(key);
-                r.n += 1;
-                r.sketch.add(key);
-                if !r.tracker.increment(key) {
-                    let est = r.sketch.estimate_with_scratch(key, &mut r.scratch);
-                    r.tracker.offer(key, est);
+                sketch.add(key);
+                if !tracker.increment(key) {
+                    tracker.offer(key, sketch.estimate(key));
                 }
             }
-            proptest::prop_assert_eq!(p.sketch.counters(), r.sketch.counters());
-            proptest::prop_assert_eq!(p.tracker.items_desc(), r.tracker.items_desc());
+            proptest::prop_assert_eq!(p.top.sketch().counters(), sketch.counters());
+            proptest::prop_assert_eq!(p.top.tracker().items_desc(), tracker.items_desc());
+            let r = IcebergProcessor {
+                top: ApproxTopProcessor::from_parts(sketch, tracker, HeapPolicy::IncrementTracked),
+                phi,
+                eps: phi / 4.0,
+                n: ids.len() as u64,
+            };
             proptest::prop_assert_eq!(p.result(), r.result());
         }
     }

@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 
 pub mod approx_top;
-pub mod builder;
 pub mod candidate_top;
 pub mod distributed;
 pub mod error;
@@ -68,7 +67,6 @@ pub mod window;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::approx_top::{approx_top, ApproxTopResult};
-    pub use crate::builder::CountSketchBuilder;
     pub use crate::candidate_top::{candidate_top_one_pass, candidate_top_two_pass};
     pub use crate::distributed::{
         site_report, DistributedSketch, ExclusionReason, MergeReport, QuorumCoordinator,

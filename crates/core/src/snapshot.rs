@@ -50,9 +50,14 @@
 //! has exactly one encoding and decode → encode is byte-identical.
 //!
 //! **v1** differs only in its version word and in storing each counter
-//! as a raw `i64` (8 bytes). Writers emit v2 only; the loaders and
-//! [`inspect_snapshot_bytes`] read both, and decode either straight
-//! into the sketch's counter array.
+//! as a raw `i64` (8 bytes). Writers emit v2 only; the loaders read
+//! both, and decode either straight into the sketch's counter array.
+//!
+//! Each section has one writer and one reader, and each kind one
+//! decoder over them, which its `from_snapshot_bytes` loader runs.
+//! [`inspect_snapshot_bytes`] reads through the same decoders and
+//! summarizes the value they return, so `fi inspect` accepts exactly
+//! the files that load.
 //!
 //! The kind-3 window sum is *stored*, not recomputed from the epochs on
 //! load: with saturation tracking the sum sketch's overflow flags are
@@ -291,14 +296,30 @@ impl<'a> Reader<'a> {
 
     /// [`Reader::open_any`] plus a kind check: loading a processor
     /// snapshot as a bare sketch (or vice versa) is a structural error.
-    fn open(bytes: &'a [u8], want_kind: u32) -> Result<(Self, u32), CoreError> {
+    fn open(bytes: &'a [u8], want_kind: u32) -> Result<Self, CoreError> {
         let (r, kind) = Self::open_any(bytes)?;
         if kind != want_kind {
             return Err(CoreError::CorruptSnapshot(format!(
                 "snapshot kind {kind}, expected {want_kind}"
             )));
         }
-        Ok((r, kind))
+        Ok(r)
+    }
+
+    /// Runs one kind's decoder over the body and checks that it
+    /// consumed every byte.
+    fn decode<T>(
+        mut self,
+        decoder: impl FnOnce(&mut Self) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        let value = decoder(&mut self)?;
+        if self.remaining() != 0 {
+            return Err(CoreError::CorruptSnapshot(format!(
+                "{} unexpected trailing bytes",
+                self.remaining()
+            )));
+        }
+        Ok(value)
     }
 
     fn remaining(&self) -> usize {
@@ -325,10 +346,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
-    }
-
-    fn i64(&mut self) -> Result<i64, CoreError> {
-        self.u64().map(|v| v as i64)
     }
 
     /// The fewest bytes a counter+saturation section of `cells` cells
@@ -367,32 +384,18 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
-
-    fn finish(self) -> Result<(), CoreError> {
-        if self.remaining() != 0 {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "{} unexpected trailing bytes",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
 }
 
-/// The sketch fields after the kind code. The dimensions are validated,
-/// and the smallest counter section they imply is checked against the
-/// buffer, before anything is sized from them, so a forged length cannot
-/// trigger a huge allocation.
-struct Geometry {
-    combiner: Combiner,
-    rows: usize,
-    buckets: usize,
-    seed: u64,
-    /// The fewest bytes one counter+saturation section can take.
-    min_section: usize,
-}
-
-fn read_geometry(r: &mut Reader<'_>) -> Result<Geometry, CoreError> {
+/// Reads the header's geometry and the first counter section: the whole
+/// of a kind-1 snapshot, and the start of every other kind. The
+/// dimensions are validated, and the smallest counter section they imply
+/// is checked against the buffer, before anything is sized from them, so
+/// a forged length cannot trigger a huge allocation.
+fn read_sketch<H, S>(r: &mut Reader<'_>) -> Result<GenericCountSketch<H, S>, CoreError>
+where
+    H: DrawBucketHasher,
+    S: DrawSignHasher,
+{
     let combiner = combiner_from(r.u32()?)?;
     let rows = r.u64()? as usize;
     let buckets = r.u64()? as usize;
@@ -414,27 +417,11 @@ fn read_geometry(r: &mut Reader<'_>) -> Result<Geometry, CoreError> {
             r.remaining()
         )));
     }
-    Ok(Geometry {
-        combiner,
-        rows,
-        buckets,
-        seed,
-        min_section,
-    })
-}
-
-fn read_sketch<H, S>(r: &mut Reader<'_>) -> Result<GenericCountSketch<H, S>, CoreError>
-where
-    H: DrawBucketHasher,
-    S: DrawSignHasher,
-{
-    let g = read_geometry(r)?;
-    let sketch = GenericCountSketch::<H, S>::new(SketchParams::new(g.rows, g.buckets), g.seed)
-        .with_combiner(g.combiner);
-    if sketch.buckets() != g.buckets || sketch.rows() != g.rows {
+    let sketch = GenericCountSketch::<H, S>::new(SketchParams::new(rows, buckets), seed)
+        .with_combiner(combiner);
+    if sketch.buckets() != buckets || sketch.rows() != rows {
         return Err(CoreError::CorruptSnapshot(format!(
-            "dimensions ({}, {}) are not reproducible by this hasher construction",
-            g.rows, g.buckets
+            "dimensions ({rows}, {buckets}) are not reproducible by this hasher construction"
         )));
     }
     read_counters(r, sketch)
@@ -452,6 +439,137 @@ fn read_counters<H: BucketHasher, S: SignHasher>(
     // watermark the pure-`i64` update tier relies on.
     sketch.refresh_mass_floor();
     Ok(sketch)
+}
+
+/// Bytes of a tracker section as [`push_tracker`] writes it.
+fn tracker_len(tracker: &TopKTracker) -> usize {
+    8 + tracker.len() * 16
+}
+
+/// Appends a tracker section: the entry count, then each `(key, value)`
+/// in [`TopKTracker::items_desc`] order. The capacity is a field of the
+/// kind that owns the tracker.
+fn push_tracker(buf: &mut Vec<u8>, tracker: &TopKTracker) {
+    let items = tracker.items_desc();
+    buf.extend_from_slice(&(items.len() as u64).to_le_bytes());
+    for (key, value) in items {
+        buf.extend_from_slice(&key.raw().to_le_bytes());
+        buf.extend_from_slice(&value.to_le_bytes());
+    }
+}
+
+/// Reads a tracker section into a tracker of `capacity` slots. The
+/// capacity must be positive and hold every entry, and the entries must
+/// fit in the bytes left, before any is read. A key may appear once: a
+/// second entry would silently replace the first one's value.
+fn read_tracker(r: &mut Reader<'_>, capacity: usize) -> Result<TopKTracker, CoreError> {
+    if capacity == 0 {
+        return Err(CoreError::CorruptSnapshot(
+            "tracker capacity must be positive".into(),
+        ));
+    }
+    let entries = r.u64()? as usize;
+    if entries > capacity {
+        return Err(CoreError::CorruptSnapshot(format!(
+            "{entries} tracker entries exceed capacity {capacity}"
+        )));
+    }
+    if entries.checked_mul(16).is_none_or(|n| n > r.remaining()) {
+        return Err(CoreError::CorruptSnapshot(format!(
+            "{entries} tracker entries overrun the {} bytes left",
+            r.remaining()
+        )));
+    }
+    let mut tracker = TopKTracker::new(capacity);
+    for _ in 0..entries {
+        let key = ItemKey(r.u64()?);
+        let value = r.u64()? as i64;
+        if tracker.contains(key) {
+            return Err(CoreError::CorruptSnapshot(format!(
+                "tracker key {:#x} appears twice",
+                key.raw()
+            )));
+        }
+        // entries ≤ capacity, so every offer lands in the has-room
+        // branch and the rebuilt tracker state is exact.
+        tracker.offer(key, value);
+    }
+    Ok(tracker)
+}
+
+/// The kind-2 decoder: a sketch, then the policy and capacity fields and
+/// a tracker section.
+fn read_processor<H, S>(r: &mut Reader<'_>) -> Result<ApproxTopProcessor<H, S>, CoreError>
+where
+    H: DrawBucketHasher,
+    S: DrawSignHasher,
+{
+    let sketch = read_sketch(r)?;
+    let policy = policy_from(r.u32()?)?;
+    let capacity = r.u64()? as usize;
+    let tracker = read_tracker(r, capacity)?;
+    Ok(ApproxTopProcessor::from_parts(sketch, tracker, policy))
+}
+
+/// The kind-3 decoder: the window sum sketch, the five window fields,
+/// every epoch's counter section and a tracker section.
+fn read_window(r: &mut Reader<'_>) -> Result<SlidingSketch, CoreError> {
+    let window: CountSketch = read_sketch(r)?;
+    let params = SketchParams {
+        rows: window.rows(),
+        buckets: window.buckets(),
+    };
+    let epoch_len = r.u64()? as usize;
+    let window_epochs = r.u64()? as usize;
+    let capacity = r.u64()? as usize;
+    let filled = r.u64()? as usize;
+    let completed_count = r.u64()? as usize;
+    if epoch_len == 0 || window_epochs == 0 {
+        return Err(CoreError::CorruptSnapshot(
+            "window geometry fields must be positive".into(),
+        ));
+    }
+    if filled >= epoch_len {
+        return Err(CoreError::CorruptSnapshot(format!(
+            "partial epoch holds {filled} occurrences, epoch length is {epoch_len}"
+        )));
+    }
+    if completed_count >= window_epochs {
+        return Err(CoreError::CorruptSnapshot(format!(
+            "{completed_count} completed epochs exceed a {window_epochs}-epoch window"
+        )));
+    }
+    // Bound every epoch section against the buffer before any
+    // allocation, so a forged count cannot trigger a huge one.
+    let need = completed_count
+        .checked_add(1)
+        .and_then(|n| n.checked_mul(r.min_section_bytes(params.rows * params.buckets)?))
+        .ok_or_else(|| CoreError::CorruptSnapshot("epoch section size overflows".into()))?;
+    if r.remaining() < need {
+        return Err(CoreError::CorruptSnapshot(format!(
+            "epoch sections need at least {need} bytes, {} remain",
+            r.remaining()
+        )));
+    }
+    let mut completed = VecDeque::with_capacity(completed_count);
+    let empty = CountSketch::new(params, window.seed()).with_combiner(window.combiner());
+    for _ in 0..completed_count {
+        completed.push_back(read_counters(r, empty.clone())?);
+    }
+    let current = read_counters(r, empty)?;
+    let tracker = read_tracker(r, capacity)?;
+    Ok(SlidingSketch::from_parts(WindowParts {
+        params,
+        seed: window.seed(),
+        epoch_len,
+        window_epochs,
+        completed,
+        current,
+        window,
+        filled,
+        tracker,
+        capacity,
+    }))
 }
 
 /// Bytes of a counter+saturation section of `cells` cells at
@@ -485,10 +603,7 @@ impl<H: DrawBucketHasher, S: DrawSignHasher> GenericCountSketch<H, S> {
     /// every structural invariant. Total: returns a typed [`CoreError`]
     /// on any malformed input, never panics.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let (mut r, _) = Reader::open(bytes, KIND_SKETCH)?;
-        let sketch = read_sketch(&mut r)?;
-        r.finish()?;
-        Ok(sketch)
+        Reader::open(bytes, KIND_SKETCH)?.decode(read_sketch)
     }
 }
 
@@ -498,16 +613,13 @@ impl<H: BucketHasher, S: SignHasher> ApproxTopProcessor<H, S> {
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let sketch = self.sketch();
         let tracker = self.tracker();
-        let mut buf = Vec::with_capacity(HEADER + counters_len(sketch) + tracker.len() * 16 + 24);
+        // The policy (u32) and capacity (u64) fields, and the CRC.
+        let mut buf =
+            Vec::with_capacity(HEADER + counters_len(sketch) + 12 + tracker_len(tracker) + 4);
         push_sketch_body(&mut buf, KIND_PROCESSOR, sketch);
         buf.extend_from_slice(&policy_code(self.policy()).to_le_bytes());
         buf.extend_from_slice(&(tracker.capacity() as u64).to_le_bytes());
-        let items = tracker.items_desc();
-        buf.extend_from_slice(&(items.len() as u64).to_le_bytes());
-        for (key, value) in items {
-            buf.extend_from_slice(&key.raw().to_le_bytes());
-            buf.extend_from_slice(&value.to_le_bytes());
-        }
+        push_tracker(&mut buf, tracker);
         seal(buf)
     }
 }
@@ -517,38 +629,7 @@ impl<H: DrawBucketHasher, S: DrawSignHasher> ApproxTopProcessor<H, S> {
     /// afterwards is bit-identical to never having stopped (asserted by
     /// the fault-recovery proptests).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let (mut r, _) = Reader::open(bytes, KIND_PROCESSOR)?;
-        let sketch = read_sketch(&mut r)?;
-        let policy = policy_from(r.u32()?)?;
-        let capacity = r.u64()? as usize;
-        if capacity == 0 {
-            return Err(CoreError::CorruptSnapshot(
-                "tracker capacity must be positive".into(),
-            ));
-        }
-        let entries = r.u64()? as usize;
-        if entries > capacity {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "{entries} tracker entries exceed capacity {capacity}"
-            )));
-        }
-        if r.remaining() < entries * 16 {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "tracker section needs {} bytes, {} remain",
-                entries * 16,
-                r.remaining()
-            )));
-        }
-        let mut tracker = TopKTracker::new(capacity);
-        for _ in 0..entries {
-            let key = ItemKey(r.u64()?);
-            let value = r.i64()?;
-            // entries ≤ capacity, so every offer lands in the has-room
-            // branch and the rebuilt tracker state is exact.
-            tracker.offer(key, value);
-        }
-        r.finish()?;
-        Ok(Self::from_parts(sketch, tracker, policy))
+        Reader::open(bytes, KIND_PROCESSOR)?.decode(read_processor)
     }
 }
 
@@ -563,9 +644,9 @@ impl SlidingSketch {
             .chain(std::iter::once(self.current_sketch()))
             .map(counters_len)
             .sum();
-        let items = self.tracker().items_desc();
-        // Five geometry fields and the entry count (u64 each), and the CRC.
-        let mut buf = Vec::with_capacity(HEADER + sections + 48 + items.len() * 16 + 4);
+        let tracker = self.tracker();
+        // Five geometry fields (u64 each), and the CRC.
+        let mut buf = Vec::with_capacity(HEADER + sections + 40 + tracker_len(tracker) + 4);
         push_sketch_body(&mut buf, KIND_WINDOW, window);
         buf.extend_from_slice(&(self.epoch_len() as u64).to_le_bytes());
         buf.extend_from_slice(&(self.window_epochs() as u64).to_le_bytes());
@@ -576,11 +657,7 @@ impl SlidingSketch {
             push_counters(&mut buf, epoch);
         }
         push_counters(&mut buf, self.current_sketch());
-        buf.extend_from_slice(&(items.len() as u64).to_le_bytes());
-        for (key, value) in items {
-            buf.extend_from_slice(&key.raw().to_le_bytes());
-            buf.extend_from_slice(&value.to_le_bytes());
-        }
+        push_tracker(&mut buf, tracker);
         seal(buf)
     }
 
@@ -589,84 +666,7 @@ impl SlidingSketch {
     /// bit-identical to never having stopped. Total: any malformed input
     /// yields a typed [`CoreError`], never a panic.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let (mut r, _) = Reader::open(bytes, KIND_WINDOW)?;
-        let window = read_sketch(&mut r)?;
-        let params = SketchParams {
-            rows: window.rows(),
-            buckets: window.buckets(),
-        };
-        let seed = window.seed();
-        let combiner = window.combiner();
-        let epoch_len = r.u64()? as usize;
-        let window_epochs = r.u64()? as usize;
-        let capacity = r.u64()? as usize;
-        let filled = r.u64()? as usize;
-        let completed_count = r.u64()? as usize;
-        if epoch_len == 0 || window_epochs == 0 || capacity == 0 {
-            return Err(CoreError::CorruptSnapshot(
-                "window geometry fields must be positive".into(),
-            ));
-        }
-        if filled >= epoch_len {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "partial epoch holds {filled} occurrences, epoch length is {epoch_len}"
-            )));
-        }
-        if completed_count >= window_epochs {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "{completed_count} completed epochs exceed a {window_epochs}-epoch window"
-            )));
-        }
-        // Bound every epoch section against the buffer before any
-        // allocation, so a forged count cannot trigger a huge one.
-        let need = completed_count
-            .checked_add(1)
-            .and_then(|n| n.checked_mul(r.min_section_bytes(params.rows * params.buckets)?))
-            .ok_or_else(|| CoreError::CorruptSnapshot("epoch section size overflows".into()))?;
-        if r.remaining() < need {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "epoch sections need at least {need} bytes, {} remain",
-                r.remaining()
-            )));
-        }
-        let mut completed = VecDeque::with_capacity(completed_count);
-        let empty = CountSketch::new(params, seed).with_combiner(combiner);
-        for _ in 0..completed_count {
-            completed.push_back(read_counters(&mut r, empty.clone())?);
-        }
-        let current = read_counters(&mut r, empty)?;
-        let entries = r.u64()? as usize;
-        if entries > capacity {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "{entries} tracker entries exceed capacity {capacity}"
-            )));
-        }
-        if r.remaining() < entries * 16 {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "tracker section needs {} bytes, {} remain",
-                entries * 16,
-                r.remaining()
-            )));
-        }
-        let mut tracker = TopKTracker::new(capacity);
-        for _ in 0..entries {
-            let key = ItemKey(r.u64()?);
-            let value = r.i64()?;
-            tracker.offer(key, value);
-        }
-        r.finish()?;
-        Ok(Self::from_parts(WindowParts {
-            params,
-            seed,
-            epoch_len,
-            window_epochs,
-            completed,
-            current,
-            window,
-            filled,
-            tracker,
-            capacity,
-        }))
+        Reader::open(bytes, KIND_WINDOW)?.decode(read_window)
     }
 }
 
@@ -725,14 +725,13 @@ pub struct WindowInfo {
 }
 
 /// A decoded-for-display summary of a snapshot, produced by
-/// [`inspect_snapshot_bytes`] without reconstructing hash functions or a
-/// live sketch. Drives `fi inspect`.
+/// [`inspect_snapshot_bytes`]. Drives `fi inspect`.
 #[derive(Debug, Clone)]
 pub struct SnapshotInfo {
     /// Format version the snapshot was written in: 1 (raw `i64`
     /// counters) or 2 (varint counters).
     pub version: u32,
-    /// Snapshot kind (sketch or processor).
+    /// Snapshot kind (sketch, processor or window).
     pub kind: SnapshotKind,
     /// The estimate combiner the sketch was configured with.
     pub combiner: Combiner,
@@ -752,7 +751,7 @@ pub struct SnapshotInfo {
     pub top_counters: Vec<(usize, usize, i64)>,
     /// Tracker eviction policy (processor snapshots only).
     pub policy: Option<HeapPolicy>,
-    /// Tracker capacity `k` (processor snapshots only).
+    /// Tracker capacity `k` (processor and window snapshots).
     pub tracker_capacity: Option<usize>,
     /// Tracked `(key, estimate)` entries, estimate descending
     /// (processor and window snapshots).
@@ -770,47 +769,79 @@ impl SnapshotInfo {
 
 /// Summarizes snapshot bytes for display: header fields, sketch
 /// geometry, per-row saturation, the `top` largest-magnitude counters,
-/// and (for processor snapshots) the tracked entries. Applies the same
-/// total validation as the loaders — checksum first, then every section
-/// length — so feeding it a torn or bit-flipped file yields a typed
-/// [`CoreError`], never a panic.
+/// and (for processor and window snapshots) the tracked entries. The
+/// bytes are decoded by the same per-kind reader the kind's
+/// `from_snapshot_bytes` loader runs, so a file is summarized exactly
+/// when it loads, and a torn, bit-flipped or forged one yields the
+/// loader's typed [`CoreError`], never a panic.
 pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, CoreError> {
-    let (mut r, kind_code) = Reader::open_any(bytes)?;
+    let (r, kind) = Reader::open_any(bytes)?;
     let version = r.version;
-    let kind = match kind_code {
-        KIND_SKETCH => SnapshotKind::Sketch,
-        KIND_PROCESSOR => SnapshotKind::Processor,
-        KIND_WINDOW => SnapshotKind::Window,
+    let summary = |kind, sketch: &CountSketch| SnapshotInfo {
+        version,
+        kind,
+        combiner: sketch.combiner(),
+        rows: sketch.rows(),
+        buckets: sketch.buckets(),
+        seed: sketch.seed(),
+        total_bytes: bytes.len(),
+        row_saturated: row_saturation(sketch),
+        top_counters: largest_counters(sketch, top),
+        policy: None,
+        tracker_capacity: None,
+        tracked: Vec::new(),
+        window: None,
+    };
+    Ok(match kind {
+        KIND_SKETCH => summary(SnapshotKind::Sketch, &r.decode(read_sketch)?),
+        KIND_PROCESSOR => {
+            let p: ApproxTopProcessor = r.decode(read_processor)?;
+            SnapshotInfo {
+                policy: Some(p.policy()),
+                tracker_capacity: Some(p.tracker().capacity()),
+                tracked: tracked(p.tracker()),
+                ..summary(SnapshotKind::Processor, p.sketch())
+            }
+        }
+        KIND_WINDOW => {
+            let w = r.decode(read_window)?;
+            SnapshotInfo {
+                tracker_capacity: Some(w.tracker_capacity()),
+                tracked: tracked(w.tracker()),
+                window: Some(WindowInfo {
+                    epoch_len: w.epoch_len(),
+                    window_epochs: w.window_epochs(),
+                    completed_epochs: w.completed_epochs(),
+                    filled: w.filled(),
+                }),
+                ..summary(SnapshotKind::Window, w.window_sketch())
+            }
+        }
         other => {
             return Err(CoreError::CorruptSnapshot(format!(
                 "unknown snapshot kind {other}"
             )))
         }
-    };
-    let Geometry {
-        combiner,
-        rows,
-        buckets,
-        seed,
-        min_section,
-    } = read_geometry(&mut r)?;
-    let cells = rows * buckets;
-    let mut counters = vec![0i64; cells];
-    let mut words = vec![0u64; cells.div_ceil(64)];
-    r.counters(&mut counters)?;
-    r.words(&mut words)?;
-    let mut row_saturated = vec![0usize; rows];
-    for (w, mut word) in words.iter().copied().enumerate() {
-        while word != 0 {
-            let bit = word.trailing_zeros() as usize;
-            let cell = w * 64 + bit;
-            if cell < cells {
-                row_saturated[cell / buckets] += 1;
-            }
-            word &= word - 1;
-        }
-    }
-    let mut ranked: Vec<(usize, usize, i64)> = counters
+    })
+}
+
+/// Saturated cells in each row of `sketch`.
+fn row_saturation(sketch: &CountSketch) -> Vec<usize> {
+    (0..sketch.rows())
+        .map(|row| {
+            (0..sketch.buckets())
+                .filter(|&bucket| sketch.is_cell_saturated(row, bucket))
+                .count()
+        })
+        .collect()
+}
+
+/// The `top` nonzero counters of `sketch` as `(row, bucket, value)`,
+/// magnitude descending, then row and bucket ascending.
+fn largest_counters(sketch: &CountSketch, top: usize) -> Vec<(usize, usize, i64)> {
+    let buckets = sketch.buckets();
+    let mut ranked: Vec<(usize, usize, i64)> = sketch
+        .counters()
         .iter()
         .enumerate()
         .filter(|(_, &v)| v != 0)
@@ -823,94 +854,14 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
             .then(a.1.cmp(&b.1))
     });
     ranked.truncate(top);
-    fn read_tracked(r: &mut Reader<'_>, capacity: usize) -> Result<Vec<(ItemKey, i64)>, CoreError> {
-        let entries = r.u64()? as usize;
-        if entries > capacity {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "{entries} tracker entries exceed capacity {capacity}"
-            )));
-        }
-        if r.remaining() < entries.saturating_mul(16) {
-            return Err(CoreError::CorruptSnapshot(format!(
-                "tracker section needs {} bytes, {} remain",
-                entries.saturating_mul(16),
-                r.remaining()
-            )));
-        }
-        let mut tracked = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            let key = ItemKey(r.u64()?);
-            let value = r.i64()?;
-            tracked.push((key, value));
-        }
-        tracked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(tracked)
-    }
-    let (policy, tracker_capacity, tracked, window) = match kind {
-        SnapshotKind::Sketch => (None, None, Vec::new(), None),
-        SnapshotKind::Processor => {
-            let policy = policy_from(r.u32()?)?;
-            let capacity = r.u64()? as usize;
-            let tracked = read_tracked(&mut r, capacity)?;
-            (Some(policy), Some(capacity), tracked, None)
-        }
-        SnapshotKind::Window => {
-            let epoch_len = r.u64()? as usize;
-            let window_epochs = r.u64()? as usize;
-            let capacity = r.u64()? as usize;
-            let filled = r.u64()? as usize;
-            let completed_epochs = r.u64()? as usize;
-            if window_epochs == 0 || completed_epochs >= window_epochs {
-                return Err(CoreError::CorruptSnapshot(format!(
-                    "{completed_epochs} completed epochs exceed a {window_epochs}-epoch window"
-                )));
-            }
-            // Decode past the epoch + current-sketch counter sections,
-            // which validates their varints, after bounding their count.
-            let need = completed_epochs
-                .checked_add(1)
-                .and_then(|n| n.checked_mul(min_section))
-                .ok_or_else(|| CoreError::CorruptSnapshot("epoch section size overflows".into()))?;
-            if r.remaining() < need {
-                return Err(CoreError::CorruptSnapshot(format!(
-                    "epoch sections need at least {need} bytes, {} remain",
-                    r.remaining()
-                )));
-            }
-            for _ in 0..=completed_epochs {
-                r.counters(&mut counters)?;
-                r.words(&mut words)?;
-            }
-            let tracked = read_tracked(&mut r, capacity)?;
-            (
-                None,
-                Some(capacity),
-                tracked,
-                Some(WindowInfo {
-                    epoch_len,
-                    window_epochs,
-                    completed_epochs,
-                    filled,
-                }),
-            )
-        }
-    };
-    r.finish()?;
-    Ok(SnapshotInfo {
-        version,
-        kind,
-        combiner,
-        rows,
-        buckets,
-        seed,
-        total_bytes: bytes.len(),
-        row_saturated,
-        top_counters: ranked,
-        policy,
-        tracker_capacity,
-        tracked,
-        window,
-    })
+    ranked
+}
+
+/// A tracker's entries, value descending, then key ascending.
+fn tracked(tracker: &TopKTracker) -> Vec<(ItemKey, i64)> {
+    let mut items = tracker.items_desc();
+    items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    items
 }
 
 #[cfg(test)]
@@ -1282,25 +1233,20 @@ mod tests {
     fn to_v1(v2: &[u8]) -> Vec<u8> {
         let (mut r, kind) = Reader::open_any(v2).unwrap();
         assert_eq!(r.version, VERSION);
-        let g = read_geometry(&mut r).unwrap();
-        let cells = g.rows * g.buckets;
         let mut out = v2[..HEADER].to_vec();
         out[4..8].copy_from_slice(&VERSION_RAW.to_le_bytes());
-        let section = |r: &mut Reader<'_>, out: &mut Vec<u8>| {
-            let mut counters = vec![0i64; cells];
-            let mut words = vec![0u64; cells.div_ceil(64)];
-            r.counters(&mut counters).unwrap();
-            r.words(&mut words).unwrap();
-            out.extend(counters.iter().flat_map(|c| c.to_le_bytes()));
-            out.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        let raw = |s: &CountSketch, out: &mut Vec<u8>| {
+            out.extend(s.counters().iter().flat_map(|c| c.to_le_bytes()));
+            out.extend(s.saturated_words().iter().flat_map(|w| w.to_le_bytes()));
         };
-        section(&mut r, &mut out);
+        let first: CountSketch = read_sketch(&mut r).unwrap();
+        raw(&first, &mut out);
         if kind == KIND_WINDOW {
             let fields = r.take(40).unwrap();
             out.extend_from_slice(fields);
             let completed = u64::from_le_bytes(fields[32..40].try_into().unwrap());
             for _ in 0..=completed {
-                section(&mut r, &mut out);
+                raw(&read_counters(&mut r, first.clone()).unwrap(), &mut out);
             }
         }
         // The tracker section is the same in both versions.
@@ -1336,6 +1282,25 @@ mod tests {
         }
         [
             ("sketch", sketched(&stream).to_snapshot_bytes()),
+            ("processor", p.to_snapshot_bytes()),
+            ("window", w.to_snapshot_bytes()),
+        ]
+    }
+
+    /// One snapshot of each kind, small enough that a random tail often
+    /// reaches its tracker and window fields.
+    fn small_snapshots() -> [(&'static str, Vec<u8>); 3] {
+        let params = SketchParams::new(2, 3);
+        let mut s = CountSketch::new(params, 1);
+        let mut p = ApproxTopProcessor::new(params, 2, 1);
+        let mut w = SlidingSketch::new(params, 1, 4, 2, 2);
+        for id in [1, 2, 1, 3, 1, 2] {
+            s.add(ItemKey(id));
+            p.observe(ItemKey(id));
+            w.observe(ItemKey(id));
+        }
+        [
+            ("sketch", s.to_snapshot_bytes()),
             ("processor", p.to_snapshot_bytes()),
             ("window", w.to_snapshot_bytes()),
         ]
@@ -1438,6 +1403,91 @@ mod tests {
             let message = corrupt_message(&bytes);
             assert!(message.contains("needs at least"), "{message}");
             assert!(inspect_snapshot_bytes(&bytes, 1).is_err());
+        }
+    }
+
+    /// Overwrites the u64 fields at `edits` and re-seals the CRC.
+    fn forge(clean: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
+        let mut body = clean[..clean.len() - 4].to_vec();
+        for &(at, value) in edits {
+            body[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        seal(body)
+    }
+
+    fn field(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn forged_fields_fail_alike_in_the_loader_and_inspect() {
+        // Processor fields follow the counters: policy (u32), capacity,
+        // entries, then (key, value) pairs. Window fields follow them too: epoch_len (50),
+        // window_epochs (3), capacity, filled, completed; the entry count
+        // precedes the entries at the end.
+        let mut p = ApproxTopProcessor::new(PARAMS, 6, 3);
+        let empty = p.to_snapshot_bytes();
+        p.observe_stream(&Stream::from_ids((0..200u64).map(|i| i % 9)));
+        let full = p.to_snapshot_bytes();
+        let cap = HEADER + counters_len(p.sketch()) + 4;
+        let mut w = window_fixture();
+        let empty_window = w.to_snapshot_bytes();
+        for i in 0..130u64 {
+            w.observe(ItemKey(i % 5));
+        }
+        let window = w.to_snapshot_bytes();
+        let geo = HEADER + counters_len(w.window_sketch());
+        let entries = window.len() - 4 - tracker_len(w.tracker());
+        let cases = [
+            ("processor", "capacity 0", forge(&empty, &[(cap, 0)])),
+            (
+                "processor",
+                "2^60 entries",
+                forge(&full, &[(cap, u64::MAX), (cap + 8, 1 << 60)]),
+            ),
+            (
+                "processor",
+                "entries > capacity",
+                forge(&full, &[(cap + 8, 7)]),
+            ),
+            (
+                "processor",
+                "a key twice",
+                forge(&full, &[(cap + 32, field(&full, cap + 16))]),
+            ),
+            ("window", "epoch_len 0", forge(&window, &[(geo, 0)])),
+            (
+                "window",
+                "capacity 0",
+                forge(&empty_window, &[(geo + 16, 0)]),
+            ),
+            (
+                "window",
+                "filled = epoch_len",
+                forge(&window, &[(geo + 24, 50)]),
+            ),
+            (
+                "window",
+                "completed = window_epochs",
+                forge(&window, &[(geo + 32, 3)]),
+            ),
+            (
+                "window",
+                "2^60 entries",
+                forge(&window, &[(geo + 16, u64::MAX), (entries, 1 << 60)]),
+            ),
+        ];
+        for (kind, what, bytes) in cases {
+            let loaded = reencode(kind, &bytes);
+            assert!(
+                matches!(loaded, Err(CoreError::CorruptSnapshot(_))),
+                "{kind} {what}: {loaded:?}"
+            );
+            let inspected = inspect_snapshot_bytes(&bytes, 3);
+            assert!(
+                matches!(inspected, Err(CoreError::CorruptSnapshot(_))),
+                "{kind} {what}: {inspected:?}"
+            );
         }
     }
 
@@ -1741,12 +1791,28 @@ mod tests {
         }
 
         #[test]
-        fn prop_arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        fn prop_arbitrary_bytes_never_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+            pick in 0usize..3,
+            keep: usize,
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
             let _ = CountSketch::from_snapshot_bytes(&bytes);
-            let _ = ApproxTopProcessor::<
-                cs_hash::PairwiseHash,
-                cs_hash::PairwiseSign,
-            >::from_snapshot_bytes(&bytes);
+            let _ = <ApproxTopProcessor>::from_snapshot_bytes(&bytes);
+            let _ = SlidingSketch::from_snapshot_bytes(&bytes);
+            let _ = inspect_snapshot_bytes(&bytes, 3);
+            // A valid header and part of the body of one kind, then
+            // random bytes, resealed so the structural decoder judges
+            // them: inspect accepts exactly what the loader accepts.
+            let (kind, clean) = &small_snapshots()[pick];
+            let body = clean.len() - 4;
+            let mut forged = clean[..HEADER + keep % (body - HEADER + 1)].to_vec();
+            forged.extend_from_slice(&tail);
+            let forged = seal(forged);
+            prop_assert_eq!(
+                inspect_snapshot_bytes(&forged, 3).is_ok(),
+                reencode(kind, &forged).is_ok()
+            );
         }
     }
 }

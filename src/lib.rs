@@ -78,7 +78,6 @@ pub mod prelude {
     pub use cs_baselines::StreamSummary;
     pub use cs_core::approx_top::HeapPolicy;
     pub use cs_core::approx_top::{approx_top, ApproxTopProcessor, ApproxTopResult};
-    pub use cs_core::builder::CountSketchBuilder;
     pub use cs_core::candidate_top::{candidate_top_one_pass, candidate_top_two_pass};
     pub use cs_core::distributed::{
         site_report, DistributedSketch, ExclusionReason, MergeReport, QuorumCoordinator,
@@ -111,7 +110,7 @@ mod tests {
     #[test]
     fn facade_paths_compose() {
         let stream = Stream::from_ids([1, 1, 1, 2]);
-        let sketch = CountSketchBuilder::new().dimensions(3, 32).build().unwrap();
+        let sketch = CountSketch::new(SketchParams::new(3, 32), 0);
         let mut p = ApproxTopProcessor::with_sketch(sketch, 2);
         p.observe_stream(&stream);
         assert_eq!(p.result().items[0].0, ItemKey(1));

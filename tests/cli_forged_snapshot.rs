@@ -1,6 +1,7 @@
 //! `fi` run as a process on a forged snapshot. A CRC-valid snapshot with
 //! a hostile field may give a typed error (exit 4) or a normal run,
-//! never a panic (exit 101) or an abort on a failed allocation (134).
+//! never a panic (exit 101) or an abort on a failed allocation (134),
+//! and `fi inspect` exits exactly as `fi top --resume` does.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -38,7 +39,9 @@ fn reseal(bytes: &mut [u8]) {
     bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Runs `fi top --resume` and `fi inspect` on `snap`.
+/// Runs `fi top --resume` and `fi inspect` on `snap`. Both read the
+/// snapshot through the same decoder, so they must exit alike, and
+/// never with a panic (101) or an abort (134).
 fn resume_and_inspect(snap: &Path, input: &Path) -> [(&'static str, Output); 2] {
     let top = fi()
         .args(["top", "--resume"])
@@ -47,6 +50,21 @@ fn resume_and_inspect(snap: &Path, input: &Path) -> [(&'static str, Output); 2] 
         .output()
         .unwrap();
     let inspect = fi().arg("inspect").arg(snap).output().unwrap();
+    let codes = [top.status.code(), inspect.status.code()];
+    for (args, out) in [("top --resume", &top), ("inspect", &inspect)] {
+        let code = out.status.code();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            matches!(code, Some(0) | Some(4)),
+            "fi {args} exited {code:?}: {stderr}"
+        );
+    }
+    assert_eq!(
+        codes[0],
+        codes[1],
+        "top --resume and inspect disagree: {}",
+        String::from_utf8_lossy(&[top.stderr.as_slice(), &inspect.stderr].concat())
+    );
     [("top --resume", top), ("inspect", inspect)]
 }
 
@@ -68,23 +86,29 @@ fn forged_tracker_capacity_is_not_a_panic() {
         .unwrap();
     assert!(out.status.success());
 
-    // The counter sections are followed by the heap policy (u32) and
-    // the tracker capacity (u64).
-    let mut bytes = std::fs::read(&snap).unwrap();
-    let at = after_counters(&bytes) + 4;
-    assert_eq!(bytes[at..at + 8], 777u64.to_le_bytes());
+    // The counter sections are followed by the heap policy (u32), the
+    // tracker capacity and the entry count (u64 each).
+    let clean = std::fs::read(&snap).unwrap();
+    let at = after_counters(&clean) + 4;
+    assert_eq!(clean[at..at + 8], 777u64.to_le_bytes());
+
+    // A huge capacity is well-formed: the tracker grows with its entries.
+    let mut bytes = clean.clone();
     bytes[at..at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
     reseal(&mut bytes);
     std::fs::write(&snap, &bytes).unwrap();
+    resume_and_inspect(&snap, &input);
 
+    // Capacity 0 with no entries: a tracker that can hold nothing.
+    let mut bytes = clean[..at + 16].to_vec();
+    bytes[at..at + 16].fill(0);
+    bytes.extend_from_slice(&[0; 4]);
+    reseal(&mut bytes);
+    std::fs::write(&snap, &bytes).unwrap();
     for (args, out) in resume_and_inspect(&snap, &input) {
-        let code = out.status.code();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_ne!(code, Some(101), "fi {args} panicked: {stderr}");
-        assert!(
-            matches!(code, Some(0) | Some(4)),
-            "fi {args} exited {code:?}: {stderr}"
-        );
+        assert_eq!(out.status.code(), Some(4), "fi {args}: {stderr}");
+        assert!(stderr.contains("capacity must be positive"), "{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

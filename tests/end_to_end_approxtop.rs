@@ -95,11 +95,7 @@ fn candidate_top_two_pass_beats_one_pass() {
 #[test]
 fn builder_pipeline_works_through_facade() {
     let stream = Stream::from_items(["x", "x", "x", "y", "y", "z"]);
-    let mut p = CountSketchBuilder::new()
-        .dimensions(5, 64)
-        .seed(4)
-        .build_processor(2)
-        .unwrap();
+    let mut p = ApproxTopProcessor::new(SketchParams::new(5, 64), 2, 4);
     p.observe_stream(&stream);
     let result = p.result();
     assert_eq!(result.items[0].0, ItemKey::of("x"));
