@@ -983,13 +983,14 @@ mod tests {
         ));
     }
 
-    /// Overwrites the u64 field at `at` and re-seals the CRC, so the
-    /// structural decoder (not the checksum) sees the forged value.
-    fn forge_u64(bytes: &mut [u8], at: usize, value: u64) {
-        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
-        let n = bytes.len();
-        let crc = cs_hash::crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    /// Overwrites the u64 fields at `edits` and re-seals the CRC, so the
+    /// structural decoder (not the checksum) sees the forged values.
+    fn forge(clean: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
+        let mut body = clean[..clean.len() - 4].to_vec();
+        for &(at, value) in edits {
+            body[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        seal(body)
     }
 
     #[test]
@@ -999,12 +1000,8 @@ mod tests {
         let s = CountSketch::new(SketchParams::new(1, 1), 0);
         let bytes = s.to_snapshot_bytes();
         for (rows, buckets) in [(0u64, 1u64), (1, 0), (0, 0)] {
-            let mut forged = bytes[..16].to_vec();
-            forged.extend_from_slice(&rows.to_le_bytes());
-            forged.extend_from_slice(&buckets.to_le_bytes());
-            forged.extend_from_slice(&bytes[32..40]); // seed
-            forged.extend_from_slice(&[0; 4]); // CRC placeholder
-            forge_u64(&mut forged, 16, rows);
+            // The header alone, then the four bytes `forge` reseals.
+            let forged = forge(&bytes[..HEADER + 4], &[(16, rows), (24, buckets)]);
             assert!(matches!(
                 CountSketch::from_snapshot_bytes(&forged),
                 Err(CoreError::CorruptSnapshot(_))
@@ -1019,10 +1016,10 @@ mod tests {
         // grows with its entries, so the processor loads and keeps running.
         let mut p = ApproxTopProcessor::new(PARAMS, 777, 5);
         p.observe_stream(&Stream::from_ids((0..500u64).map(|i| i % 37)));
-        let mut bytes = p.to_snapshot_bytes();
+        let clean = p.to_snapshot_bytes();
         let at = HEADER + counters_len(p.sketch()) + 4; // after policy
-        assert_eq!(bytes[at..at + 8], 777u64.to_le_bytes());
-        forge_u64(&mut bytes, at, 1 << 61);
+        assert_eq!(clean[at..at + 8], 777u64.to_le_bytes());
+        let bytes = forge(&clean, &[(at, 1 << 61)]);
         let mut back: ApproxTopProcessor = ApproxTopProcessor::from_snapshot_bytes(&bytes)
             .expect("a huge capacity is well-formed");
         assert_eq!(back.tracker().capacity(), 1 << 61);
@@ -1189,12 +1186,12 @@ mod tests {
         for i in 0..120u64 {
             w.observe(ItemKey(i % 9));
         }
-        let mut bytes = w.to_snapshot_bytes();
+        let clean = w.to_snapshot_bytes();
         // Capacity is the third geometry field (see the forged-geometry
         // test below for the offset of the first).
         let at = HEADER + counters_len(w.window_sketch()) + 16;
-        assert_eq!(bytes[at..at + 8], 4u64.to_le_bytes());
-        forge_u64(&mut bytes, at, 1 << 61);
+        assert_eq!(clean[at..at + 8], 4u64.to_le_bytes());
+        let bytes = forge(&clean, &[(at, 1 << 61)]);
         let mut back =
             SlidingSketch::from_snapshot_bytes(&bytes).expect("a huge capacity is well-formed");
         assert_eq!(back.tracker_capacity(), 1 << 61);
@@ -1210,18 +1207,16 @@ mod tests {
     fn window_forged_geometry_is_rejected_before_allocation() {
         let mut w = window_fixture();
         w.observe(ItemKey(9));
-        let mut bytes = w.to_snapshot_bytes();
         // The five u64 geometry fields start right after the 40-byte
         // header + window counter (96 varints) and saturation (2 × u64)
         // sections.
         let geo = HEADER + counters_len(w.window_sketch());
         // Forge completed = 2^40 (and window_epochs above it so the
         // structural check passes to the length check).
-        bytes[geo + 8..geo + 16].copy_from_slice(&(1u64 << 41).to_le_bytes());
-        bytes[geo + 32..geo + 40].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let n = bytes.len();
-        let crc = cs_hash::crc32(&bytes[..n - 4]);
-        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        let bytes = forge(
+            &w.to_snapshot_bytes(),
+            &[(geo + 8, 1 << 41), (geo + 32, 1 << 40)],
+        );
         assert!(matches!(
             SlidingSketch::from_snapshot_bytes(&bytes),
             Err(CoreError::CorruptSnapshot(_))
@@ -1397,22 +1392,11 @@ mod tests {
         // 2^30 × 2^30 for 2^60.
         let clean = CountSketch::new(SketchParams::new(1, 64), 0).to_snapshot_bytes();
         for (rows, buckets) in [(1u64, 65u64), (1 << 30, 1 << 30)] {
-            let mut bytes = clean.clone();
-            bytes[24..32].copy_from_slice(&buckets.to_le_bytes());
-            forge_u64(&mut bytes, 16, rows);
+            let bytes = forge(&clean, &[(16, rows), (24, buckets)]);
             let message = corrupt_message(&bytes);
             assert!(message.contains("needs at least"), "{message}");
             assert!(inspect_snapshot_bytes(&bytes, 1).is_err());
         }
-    }
-
-    /// Overwrites the u64 fields at `edits` and re-seals the CRC.
-    fn forge(clean: &[u8], edits: &[(usize, u64)]) -> Vec<u8> {
-        let mut body = clean[..clean.len() - 4].to_vec();
-        for &(at, value) in edits {
-            body[at..at + 8].copy_from_slice(&value.to_le_bytes());
-        }
-        seal(body)
     }
 
     fn field(bytes: &[u8], at: usize) -> u64 {
