@@ -1,4 +1,4 @@
-//! The `BENCH_*.json` codec shared by the throughput, parallel and query
+//! The `BENCH_*.json` codec shared by the throughput and parallel
 //! experiments and by their CI gates.
 //!
 //! A bench file is a JSON object whose header fields (`schema`,
@@ -54,8 +54,8 @@ fn records(text: &str) -> impl Iterator<Item = ExperimentRecord> + '_ {
 
 /// `row → metric` over a bench file's records. A row is the record's
 /// algorithm, suffixed with `@` and the value of the `at` parameter when
-/// one is given (`"pool@4"`, `"batch-zipf@5"`). Records that lack the
-/// metric or the parameter are skipped.
+/// one is given (`"pool@4"`). Records that lack the metric or the
+/// parameter are skipped.
 pub fn rows(text: &str, metric: &str, at: Option<&str>) -> BTreeMap<String, f64> {
     records(text)
         .filter_map(|r| {
@@ -87,7 +87,7 @@ mod tests {
     /// Every bench file in the repository: the committed artifacts and
     /// the CI baselines, each with the metric and row parameter its gate
     /// reads.
-    const FILES: [(&str, &str, &str, Option<&str>); 6] = [
+    const FILES: [(&str, &str, &str, Option<&str>); 4] = [
         (
             "BENCH_throughput.json",
             include_str!("../../../BENCH_throughput.json"),
@@ -111,18 +111,6 @@ mod tests {
             include_str!("../../../ci/parallel_baseline.json"),
             "update_mops",
             Some("threads"),
-        ),
-        (
-            "BENCH_query.json",
-            include_str!("../../../BENCH_query.json"),
-            "query_mops",
-            Some("rows"),
-        ),
-        (
-            "ci/query_baseline.json",
-            include_str!("../../../ci/query_baseline.json"),
-            "query_mops",
-            Some("rows"),
         ),
     ];
 
@@ -215,6 +203,9 @@ mod tests {
         let text = write("throughput", "abc\"123\n$(rm)", &[], &[]);
         assert!(text.contains("\"git_rev\": \"abc123rm\""));
         assert_eq!(header_field("{}", "git_rev"), None);
-        assert_eq!(header_field(&write("query", "", &[], &[]), "git_rev"), None);
+        assert_eq!(
+            header_field(&write("parallel", "", &[], &[]), "git_rev"),
+            None
+        );
     }
 }

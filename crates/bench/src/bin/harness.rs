@@ -17,26 +17,23 @@
 //!   hierarchical      1-pass hierarchical max-change vs the 2-pass §4.2 algorithm
 //!   throughput        update/query throughput of every algorithm
 //!   parallel          multi-core ingestion scaling sweep (sequential vs pool)
-//!   query             read-path ESTIMATE throughput (scalar/batch × depth)
 //!   fault-matrix      recovery + merged accuracy vs failed sites over loopback TCP
 //!   report            re-render stored --records JSONL as tables
-//!   check-throughput  compare a BENCH_throughput.json against a baseline
+//!   check-throughput  gate a BENCH_throughput.json: update + query regression
 //!   check-parallel    gate a BENCH_parallel.json: regression + 4-thread speedup
-//!   check-query       gate a BENCH_query.json: regression + 2x batch kernel speedup
 //!   all               every experiment above
 //! ```
 //!
 //! `--small` runs the reduced test-scale workload (seconds instead of
 //! minutes). `--records <path>` appends JSON-line records for each data
-//! point. The throughput, parallel and query experiments additionally
-//! write a machine-readable `BENCH_throughput.json` /
-//! `BENCH_parallel.json` / `BENCH_query.json` (default: current
-//! directory; override with `--bench-json <path>`). Under `--small` the
+//! point. The throughput and parallel experiments additionally write a
+//! machine-readable `BENCH_throughput.json` / `BENCH_parallel.json`
+//! (default: current directory; override with `--bench-json <path>`). Under `--small` the
 //! defaults become `BENCH_*.small.json`: the committed full-scale
 //! artifacts are only ever written by a full-scale run, so a CI smoke
 //! sweep (`harness all --small`) cannot clobber them.
 //!
-//! The three gates share one path (`cs_bench::gate`): each refuses a
+//! The two gates share one path (`cs_bench::gate`): each refuses a
 //! `--current` file benchmarked at another git revision than HEAD
 //! (stale numbers must never pass a gate — regenerate them at HEAD),
 //! checks one row against `--baseline` within `--tolerance`, and exits
@@ -49,20 +46,17 @@
 //! harness check-parallel   [--baseline ci/parallel_baseline.json]
 //!                          [--current BENCH_parallel.json]
 //!                          [--tolerance 0.5] [--min-speedup 1.7]
-//! harness check-query      [--baseline ci/query_baseline.json]
-//!                          [--current BENCH_query.json]
-//!                          [--tolerance 0.5] [--min-ratio 2.0]
 //! ```
 //!
-//! `check-parallel` also requires a pool 4-thread/1-thread speedup of at
-//! least `--min-speedup`, armed only when the benchmarked host had ≥ 4
-//! cores (on smaller hosts it warns). `check-query` also requires the
-//! recorded batch/scalar ratio at `t = 5` to reach `--min-ratio`, on any
-//! host: it compares two single-threaded paths in one process.
+//! `check-throughput` floors the row's update and query rates (the
+//! scalar `estimate` for the `count-sketch` row). `check-parallel` also
+//! requires a pool 4-thread/1-thread speedup of at least
+//! `--min-speedup`, armed only when the benchmarked host had ≥ 4 cores
+//! (on smaller hosts it warns).
 
 use cs_bench::experiments::{
     ablation, approxtop, crossover, error_curves, fault_matrix, hierarchical, list_size, maxchange,
-    parallel, payload, query, table1, throughput, ExperimentOutput,
+    parallel, payload, table1, throughput, ExperimentOutput,
 };
 use cs_bench::gate::{self, Note};
 use cs_bench::{artifact_path, bench_file, Scale};
@@ -70,7 +64,7 @@ use std::io::Write;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness <table1|table1-theory|error-vs-b|error-vs-t|approxtop|maxchange|space-vs-payload|crossover|ablation|list-size|hierarchical|throughput|parallel|query|fault-matrix|report|check-throughput|check-parallel|check-query|all> [--small] [--records <path>] [--bench-json <path>]"
+        "usage: harness <table1|table1-theory|error-vs-b|error-vs-t|approxtop|maxchange|space-vs-payload|crossover|ablation|list-size|hierarchical|throughput|parallel|fault-matrix|report|check-throughput|check-parallel|all> [--small] [--records <path>] [--bench-json <path>]"
     );
     std::process::exit(2);
 }
@@ -111,16 +105,14 @@ fn run_experiment(name: &str, scale: &Scale) -> Option<ExperimentOutput> {
         "hierarchical" => Some(hierarchical::run(scale, &[256, 1024, 4096])),
         "throughput" => Some(throughput::run(scale)),
         "parallel" => Some(parallel::run(scale)),
-        "query" => Some(query::run(scale)),
         "fault-matrix" => Some(fault_matrix::run(scale)),
         _ => None,
     }
 }
 
-const ALL: [&str; 15] = [
+const ALL: [&str; 14] = [
     "throughput",
     "parallel",
-    "query",
     "fault-matrix",
     "hierarchical",
     "list-size",
@@ -217,7 +209,6 @@ fn main() {
         let header = match name {
             "throughput" => Some(throughput::bench_header(&scale)),
             "parallel" => Some(parallel::bench_header(&scale)),
-            "query" => Some(query::bench_header(&scale)),
             _ => None,
         };
         let bench_json_payload = header.map(|header| {

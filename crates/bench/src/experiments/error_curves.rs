@@ -12,7 +12,6 @@
 
 use crate::config::Scale;
 use crate::experiments::ExperimentOutput;
-use cs_core::sketch::EstimateScratch;
 use cs_core::{CountSketch, SketchParams};
 use cs_hash::ItemKey;
 use cs_metrics::experiment::ExperimentRecord;
@@ -56,11 +55,10 @@ fn measure(w: &Workload, params: SketchParams, trials: u64, k: usize) -> (ErrorR
     for trial in 0..trials {
         let mut sketch = CountSketch::new(params, 0xEC ^ trial);
         sketch.absorb(&w.stream, 1);
-        let mut scratch = EstimateScratch::new();
         let ests: Vec<(ItemKey, i64)> = w
             .probes
             .iter()
-            .map(|&key| (key, sketch.estimate_with_scratch(key, &mut scratch)))
+            .map(|&key| (key, sketch.estimate(key)))
             .collect();
         exceed += ErrorReport::fraction_exceeding(&ests, &w.exact, 8.0 * gamma);
         all_estimates.extend(ests);

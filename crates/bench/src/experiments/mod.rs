@@ -11,7 +11,6 @@ pub mod list_size;
 pub mod maxchange;
 pub mod parallel;
 pub mod payload;
-pub mod query;
 pub mod table1;
 pub mod throughput;
 

@@ -4,7 +4,7 @@
 //!
 //! Every number is the **best of `scale.trials` timed rounds** (fresh
 //! algorithm instance per run), with every algorithm interleaved inside
-//! each round, as in the query sweep: single-shot wall-clock timings on
+//! each round: single-shot wall-clock timings on
 //! shared/virtualized hardware swing by tens of percent, the fastest
 //! observation is the closest to the code's actual cost, and
 //! interleaving lands a scheduler or thermal stall on every algorithm of

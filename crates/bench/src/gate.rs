@@ -1,24 +1,23 @@
 //! The CI gates over the `BENCH_*.json` files.
 //!
-//! `check-throughput`, `check-parallel` and `check-query` share one path:
-//! flag parsing, the stale-`git_rev` refusal (a gate that passes on stale
-//! numbers certifies a revision nobody benchmarked) and the
+//! `check-throughput` and `check-parallel` share one path: flag parsing,
+//! the stale-`git_rev` refusal (a gate that passes on stale numbers
+//! certifies a revision nobody benchmarked) and the
 //! `base·(1 − tolerance)` floor on one row of `--current` against the
-//! same row of `--baseline`. Each gate then adds at most one assertion
-//! of its own:
+//! same row of `--baseline`. `check-parallel` then adds one assertion of
+//! its own:
 //!
-//! | gate | files (defaults) | tolerance | floor row | own assertion |
+//! | gate | files (defaults) | tolerance | floored row: metrics | own assertion |
 //! |---|---|---|---|---|
-//! | `check-throughput` | `ci/throughput_baseline.json`, `BENCH_throughput.json` | 0.2 | `--algorithm` (`count-sketch`) update rate | — |
-//! | `check-parallel` | `ci/parallel_baseline.json`, `BENCH_parallel.json` | 0.5 | `pool@1` update rate | `pool@4 / pool@1 ≥ --min-speedup` (1.7), armed only when the file's `host_cores ≥ 4` |
-//! | `check-query` | `ci/query_baseline.json`, `BENCH_query.json` | 0.5 | `scalar-zipf@5` query rate | `batch-zipf@5`'s `speedup_vs_scalar ≥ --min-ratio` (2.0) |
+//! | `check-throughput` | `ci/throughput_baseline.json`, `BENCH_throughput.json` | 0.2 | `--algorithm` (`count-sketch`): update and query rates | — |
+//! | `check-parallel` | `ci/parallel_baseline.json`, `BENCH_parallel.json` | 0.5 | `pool@1`: update rate | `pool@4 / pool@1 ≥ --min-speedup` (1.7), armed only when the file's `host_cores ≥ 4` |
 //!
-//! The parallel speedup compares the pool against itself at one thread:
-//! comparing against plain sequential would conflate channel overhead
-//! (gated by the floor) with scaling, and speedup measured on fewer than
-//! four cores is noise, so there the gate warns instead. The query ratio
-//! compares two single-threaded paths over the same probes in one
-//! process, so it is armed on every host.
+//! The throughput table records no query rate (`-1`) for its update-only
+//! rows; a row whose baseline says so is floored on its update rate
+//! alone. The parallel speedup compares the pool against itself at one
+//! thread: comparing against plain sequential would conflate channel
+//! overhead (gated by the floor) with scaling, and speedup measured on
+//! fewer than four cores is noise, so there the gate warns instead.
 
 use crate::bench_file;
 use std::collections::BTreeMap;
@@ -39,19 +38,17 @@ pub enum Note {
 enum Gate {
     Throughput,
     Parallel,
-    Query,
 }
 
-/// Runs the gate `name` (`check-throughput`, `check-parallel` or
-/// `check-query`) over `args`, the flags after the name. `head` is the
-/// checkout's short revision, `"unknown"` outside a checkout (the
-/// freshness check then only warns). Returns `None` for any other name;
-/// otherwise the gate's notes, which end at the first [`Note::Fail`].
+/// Runs the gate `name` (`check-throughput` or `check-parallel`) over
+/// `args`, the flags after the name. `head` is the checkout's short
+/// revision, `"unknown"` outside a checkout (the freshness check then
+/// only warns). Returns `None` for any other name; otherwise the gate's
+/// notes, which end at the first [`Note::Fail`].
 pub fn check(name: &str, args: &[String], head: &str) -> Option<Vec<Note>> {
     let gate = match name {
         "check-throughput" => Gate::Throughput,
         "check-parallel" => Gate::Parallel,
-        "check-query" => Gate::Query,
         _ => return None,
     };
     let experiment = &name["check-".len()..];
@@ -114,12 +111,10 @@ fn run(
     head: &str,
     notes: &mut Vec<Note>,
 ) -> Result<(), String> {
-    // The default tolerance, and the metric and row parameter the floor
-    // reads.
-    let (tolerance, metric, at) = match gate {
-        Gate::Throughput => (0.2, "update_mops", None),
-        Gate::Parallel => (0.5, "update_mops", Some("threads")),
-        Gate::Query => (0.5, "query_mops", Some("rows")),
+    // The default tolerance, and the row parameter the files are keyed by.
+    let (tolerance, at) = match gate {
+        Gate::Throughput => (0.2, None),
+        Gate::Parallel => (0.5, Some("threads")),
     };
     let baseline_path =
         flag(args, "--baseline").unwrap_or_else(|| format!("ci/{experiment}_baseline.json"));
@@ -128,37 +123,59 @@ fn run(
     let tolerance = number(args, "--tolerance", tolerance)?;
     let current_text = read(&current_path)?;
     fresh(head, &current_path, &current_text, notes)?;
-    let baseline = bench_file::rows(&read(&baseline_path)?, metric, at);
-    let current = bench_file::rows(&current_text, metric, at);
+    let baseline_text = read(&baseline_path)?;
 
-    let (row, what) = match gate {
-        Gate::Throughput => {
-            let algorithm = flag(args, "--algorithm").unwrap_or_else(|| "count-sketch".into());
-            let what = format!("{algorithm} update throughput");
-            (algorithm, what)
+    // Floors `metric` of `row` at `base·(1 − tolerance)` and returns the
+    // current value. A negative baseline (a rate the row does not
+    // record) is not floored.
+    let mut floor = |metric: &str, row: &str, what: &str| -> Result<f64, String> {
+        let base = pick(
+            &bench_file::rows(&baseline_text, metric, at),
+            row,
+            &baseline_path,
+        )?;
+        let cur = pick(
+            &bench_file::rows(&current_text, metric, at),
+            row,
+            &current_path,
+        )?;
+        if base < 0.0 {
+            notes.push(Note::Ok(format!("ok: no {what} recorded; not floored")));
+            return Ok(cur);
         }
-        Gate::Parallel => ("pool@1".into(), "pool 1-thread ingest".into()),
-        Gate::Query => ("scalar-zipf@5".into(), "scalar t=5 query throughput".into()),
+        let floor = base * (1.0 - tolerance);
+        let margin = format!(
+            "({:.0}% tolerance on baseline {base:.1})",
+            tolerance * 100.0
+        );
+        if cur < floor {
+            return Err(format!(
+                "FAIL: {what} {cur:.1} Mops/s is below {floor:.1} Mops/s {margin}"
+            ));
+        }
+        notes.push(Note::Ok(format!(
+            "ok: {what} {cur:.1} Mops/s >= {floor:.1} Mops/s {margin}"
+        )));
+        Ok(cur)
     };
-    let base = pick(&baseline, &row, &baseline_path)?;
-    let cur = pick(&current, &row, &current_path)?;
-    let floor = base * (1.0 - tolerance);
-    let margin = format!(
-        "({:.0}% tolerance on baseline {base:.1})",
-        tolerance * 100.0
-    );
-    if cur < floor {
-        return Err(format!(
-            "FAIL: {what} {cur:.1} Mops/s is below {floor:.1} Mops/s {margin}"
-        ));
-    }
-    notes.push(Note::Ok(format!(
-        "ok: {what} {cur:.1} Mops/s >= {floor:.1} Mops/s {margin}"
-    )));
 
     match gate {
-        Gate::Throughput => Ok(()),
+        Gate::Throughput => {
+            let algorithm = flag(args, "--algorithm").unwrap_or_else(|| "count-sketch".into());
+            floor(
+                "update_mops",
+                &algorithm,
+                &format!("{algorithm} update throughput"),
+            )?;
+            floor(
+                "query_mops",
+                &algorithm,
+                &format!("{algorithm} query throughput"),
+            )?;
+            Ok(())
+        }
         Gate::Parallel => {
+            let cur = floor("update_mops", "pool@1", "pool 1-thread ingest")?;
             let min_speedup = number(args, "--min-speedup", 1.7)?;
             let cores: u64 = bench_file::header_field(&current_text, "host_cores")
                 .and_then(|v| v.parse().ok())
@@ -171,6 +188,7 @@ fn run(
                 )));
                 return Ok(());
             }
+            let current = bench_file::rows(&current_text, "update_mops", at);
             let cur4 = pick(&current, "pool@4", &current_path)?;
             let speedup = cur4 / cur;
             let detail = format!("{speedup:.2}x ({cur4:.1} / {cur:.1} Mops/s)");
@@ -182,23 +200,6 @@ fn run(
             }
             notes.push(Note::Ok(format!(
                 "ok: pool 4-thread speedup {detail} >= {min_speedup:.2}x on a {cores}-core host"
-            )));
-            Ok(())
-        }
-        Gate::Query => {
-            let min_ratio = number(args, "--min-ratio", 2.0)?;
-            let row = "batch-zipf@5";
-            let cur_batch = pick(&current, row, &current_path)?;
-            let ratios = bench_file::rows(&current_text, "speedup_vs_scalar", at);
-            let ratio = pick(&ratios, row, &current_path)?;
-            let detail = format!("{ratio:.2}x ({cur_batch:.1} / {cur:.1} Mops/s) at t=5");
-            if ratio < min_ratio {
-                return Err(format!(
-                    "FAIL: batch/scalar kernel ratio {detail} is below the required {min_ratio:.2}x"
-                ));
-            }
-            notes.push(Note::Ok(format!(
-                "ok: batch/scalar kernel ratio {detail} >= {min_ratio:.2}x"
             )));
             Ok(())
         }
@@ -238,11 +239,15 @@ mod tests {
         }
     }
 
-    fn throughput_file(rev: &str, mops: f64) -> String {
-        let r = ExperimentRecord::new("throughput", "count-sketch")
-            .metric("update_mops", mops)
-            .metric("query_mops", 1.0);
-        bench_file::write("throughput", rev, &[], &[r])
+    /// A `count-sketch` row with both rates, and an update-only row that
+    /// records its query rate as `-1` like the throughput table does.
+    fn throughput_file(rev: &str, update: f64, query: f64) -> String {
+        let recs = [("count-sketch", query), ("update-only", -1.0)].map(|(alg, q)| {
+            ExperimentRecord::new("throughput", alg)
+                .metric("update_mops", update)
+                .metric("query_mops", q)
+        });
+        bench_file::write("throughput", rev, &[], &recs)
     }
 
     fn parallel_file(rev: &str, cores: usize, pool1: f64, pool4: f64) -> String {
@@ -255,20 +260,6 @@ mod tests {
             })
             .collect();
         bench_file::write("parallel", rev, &[("host_cores", cores.to_string())], &recs)
-    }
-
-    fn query_file(rev: &str, scalar: f64, batch: f64, ratio: f64) -> String {
-        let recs: Vec<ExperimentRecord> =
-            [("scalar-zipf", scalar, 1.0), ("batch-zipf", batch, ratio)]
-                .into_iter()
-                .map(|(v, mops, speedup)| {
-                    ExperimentRecord::new("query", v)
-                        .param("rows", 5.0)
-                        .metric("query_mops", mops)
-                        .metric("speedup_vs_scalar", speedup)
-                })
-                .collect();
-        bench_file::write("query", rev, &[], &recs)
     }
 
     /// Runs `gate` on `current` against `baseline` with `extra` flags at
@@ -289,41 +280,69 @@ mod tests {
 
     #[test]
     fn each_gate_refuses_stale_slow_and_its_own_failure_and_passes_otherwise() {
-        let (t, p, q) = ("check-throughput", "check-parallel", "check-query");
-        let tb = throughput_file("old", 40.0); // floor 32.0 at tolerance 0.2
+        let (t, p) = ("check-throughput", "check-parallel");
+        let tb = throughput_file("old", 40.0, 10.0); // floors 32.0 and 8.0 at 0.2
         let pb = parallel_file("old", 1, 20.0, 20.0); // floor 10.0 at 0.5
-        let qb = query_file("old", 10.0, 25.0, 2.5); // floor 5.0 at 0.5
-        let (tf, pf, qf) = (throughput_file, parallel_file, query_file);
+        let (tf, pf) = (throughput_file, parallel_file);
         let no: &[&str] = &[];
         // (gate, baseline, current, extra flags, failure it must contain)
         let cases = [
-            (t, &tb, tf("abc123", 33.0), no, None),
+            (t, &tb, tf("abc123", 33.0, 9.0), no, None),
             (
                 t,
                 &tb,
-                tf("def456", 33.0),
+                tf("def456", 33.0, 9.0),
                 no,
                 Some("git rev def456 but HEAD is abc123"),
             ),
-            (t, &tb, tf("", 33.0), no, Some("has no git_rev header")),
+            (t, &tb, tf("", 33.0, 9.0), no, Some("has no git_rev header")),
             (
                 t,
                 &tb,
-                tf("abc123", 31.0),
+                tf("abc123", 31.0, 9.0),
                 no,
                 Some("FAIL: count-sketch update throughput 31.0"),
             ),
             (
                 t,
                 &tb,
-                tf("abc123", 33.0),
+                tf("abc123", 33.0, 7.0),
+                no,
+                Some("FAIL: count-sketch query throughput 7.0"),
+            ),
+            (
+                t,
+                &tb,
+                tf("abc123", 33.0, 7.0),
+                &["--tolerance", "0.5"],
+                None,
+            ),
+            // An update-only row is floored on its update rate alone.
+            (
+                t,
+                &tb,
+                tf("abc123", 33.0, 7.0),
+                &["--algorithm", "update-only"],
+                None,
+            ),
+            (
+                t,
+                &tb,
+                tf("abc123", 31.0, 9.0),
+                &["--algorithm", "update-only"],
+                Some("FAIL: update-only update throughput 31.0"),
+            ),
+            (
+                t,
+                &tb,
+                tf("abc123", 33.0, 9.0),
                 &["--algorithm", "x"],
                 Some("no 'x' record in "),
             ),
             (
                 t,
                 &tb,
-                tf("abc123", 33.0),
+                tf("abc123", 33.0, 9.0),
                 &["--tolerance", "x"],
                 Some("must be a number"),
             ),
@@ -358,36 +377,6 @@ mod tests {
             ),
             // The speedup gate is not armed below 4 cores.
             (p, &pb, pf("abc123", 2, 12.0, 18.0), no, None),
-            (q, &qb, qf("abc123", 12.0, 30.0, 2.2), no, None),
-            (
-                q,
-                &qb,
-                qf("def456", 12.0, 30.0, 2.2),
-                no,
-                Some("git rev def456"),
-            ),
-            (
-                q,
-                &qb,
-                qf("abc123", 4.0, 30.0, 2.2),
-                no,
-                Some("FAIL: scalar t=5 query throughput 4.0"),
-            ),
-            // The recorded ratio counts, not batch/scalar of the rates (2.5).
-            (
-                q,
-                &qb,
-                qf("abc123", 12.0, 30.0, 1.9),
-                no,
-                Some("FAIL: batch/scalar kernel ratio 1.90x"),
-            ),
-            (
-                q,
-                &qb,
-                qf("abc123", 12.0, 30.0, 1.9),
-                &["--min-ratio", "1.5"],
-                None,
-            ),
         ];
         for (gate, base, cur, extra, want) in cases {
             let notes = verdict(gate, base, &cur, extra);
@@ -401,18 +390,30 @@ mod tests {
 
     #[test]
     fn passing_gates_print_their_checks() {
+        let tb = throughput_file("old", 40.0, 10.0);
         let notes = verdict(
-            "check-query",
-            &query_file("old", 10.0, 25.0, 2.5),
-            &query_file("abc123", 12.0, 30.0, 2.2),
+            "check-throughput",
+            &tb,
+            &throughput_file("abc123", 33.0, 12.0),
             &[],
         );
         assert_eq!(
             notes,
             [
-                Note::Ok("ok: scalar t=5 query throughput 12.0 Mops/s >= 5.0 Mops/s (50% tolerance on baseline 10.0)".into()),
-                Note::Ok("ok: batch/scalar kernel ratio 2.20x (30.0 / 12.0 Mops/s) at t=5 >= 2.00x".into()),
+                Note::Ok("ok: count-sketch update throughput 33.0 Mops/s >= 32.0 Mops/s (20% tolerance on baseline 40.0)".into()),
+                Note::Ok("ok: count-sketch query throughput 12.0 Mops/s >= 8.0 Mops/s (20% tolerance on baseline 10.0)".into()),
             ]
+        );
+        let update_only = ["--algorithm", "update-only"];
+        let notes = verdict(
+            "check-throughput",
+            &tb,
+            &throughput_file("abc123", 33.0, 12.0),
+            &update_only,
+        );
+        assert_eq!(
+            notes[1],
+            Note::Ok("ok: no update-only query throughput recorded; not floored".into())
         );
         let pb = parallel_file("old", 1, 20.0, 20.0);
         let small = verdict(
@@ -429,15 +430,16 @@ mod tests {
     #[test]
     fn unknown_gate_unreadable_file_and_no_checkout() {
         assert_eq!(check("check-e2e", &[], "abc123"), None);
+        assert_eq!(check("check-query", &[], "abc123"), None);
         let args = ["--current", "/nonexistent/BENCH.json"].map(String::from);
-        let unread = check("check-query", &args, "abc123").unwrap();
+        let unread = check("check-throughput", &args, "abc123").unwrap();
         assert!(failure(&unread)
             .unwrap()
             .starts_with("cannot read /nonexistent/BENCH.json"));
         // Outside a checkout freshness is unverifiable: warn, then gate.
         let (b, c) = (
-            TempFile::new(&throughput_file("old", 40.0)),
-            TempFile::new(&throughput_file("x", 33.0)),
+            TempFile::new(&throughput_file("old", 40.0, 10.0)),
+            TempFile::new(&throughput_file("x", 33.0, 9.0)),
         );
         let args = ["--baseline".into(), b.arg(), "--current".into(), c.arg()];
         let notes = check("check-throughput", &args, "unknown").unwrap();

@@ -23,7 +23,7 @@
 
 use crate::median::Combiner;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateScratch, GenericCountSketch};
+use crate::sketch::{CountSketch, GenericCountSketch};
 use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
@@ -66,7 +66,6 @@ pub struct ApproxTopProcessor<H = cs_hash::PairwiseHash, S = cs_hash::PairwiseSi
     sketch: GenericCountSketch<H, S>,
     tracker: TopKTracker,
     policy: HeapPolicy,
-    scratch: EstimateScratch,
 }
 
 impl ApproxTopProcessor<cs_hash::PairwiseHash, cs_hash::PairwiseSign> {
@@ -87,7 +86,6 @@ where
             sketch,
             tracker: TopKTracker::new(k),
             policy: HeapPolicy::default(),
-            scratch: EstimateScratch::new(),
         }
     }
 
@@ -111,7 +109,7 @@ where
         if self.policy == HeapPolicy::IncrementTracked && self.tracker.increment(key) {
             self.sketch.add(key);
         } else {
-            let est = self.sketch.update_estimate(key, 1, &mut self.scratch);
+            let est = self.sketch.update_estimate(key, 1);
             self.tracker.offer(key, est);
         }
     }
@@ -152,7 +150,7 @@ where
     /// Reassembles a processor from its parts — used by the snapshot
     /// codec and by callers that rebuild a processor around an
     /// already-merged sketch (e.g. the parallel pipeline's resumable CLI
-    /// path). The scratch buffer is transient and rebuilt empty.
+    /// path).
     pub fn from_parts(
         sketch: GenericCountSketch<H, S>,
         tracker: TopKTracker,
@@ -162,7 +160,6 @@ where
             sketch,
             tracker,
             policy,
-            scratch: EstimateScratch::new(),
         }
     }
 
@@ -300,12 +297,11 @@ mod tests {
     ) -> ApproxTopProcessor {
         let mut sketch = CountSketch::new(params, 29).with_combiner(combiner);
         let mut tracker = TopKTracker::new(k);
-        let mut scratch = EstimateScratch::new();
         for &id in ids {
             let key = ItemKey(id);
             sketch.add(key);
             if policy == HeapPolicy::AlwaysReEstimate || !tracker.increment(key) {
-                tracker.offer(key, sketch.estimate_with_scratch(key, &mut scratch));
+                tracker.offer(key, sketch.estimate(key));
             }
         }
         ApproxTopProcessor::from_parts(sketch, tracker, policy)

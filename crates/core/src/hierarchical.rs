@@ -28,7 +28,7 @@
 //! 2× the counters — the price of removing the second pass.
 
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateScratch};
+use crate::sketch::CountSketch;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
 
@@ -153,20 +153,15 @@ impl HierarchicalCountSketch {
 
     /// The signed mass estimate of a prefix at a level, and the
     /// non-cancelling descent mass `pos + neg` (both clamped at 0).
-    fn probe(&self, level: u32, prefix: u64, scratch: &mut EstimateScratch) -> (i64, u64) {
-        let p = self.pos[level as usize]
-            .estimate_with_scratch(ItemKey(prefix), scratch)
-            .max(0);
-        let n = self.neg[level as usize]
-            .estimate_with_scratch(ItemKey(prefix), scratch)
-            .max(0);
+    fn probe(&self, level: u32, prefix: u64) -> (i64, u64) {
+        let p = self.pos[level as usize].estimate(ItemKey(prefix)).max(0);
+        let n = self.neg[level as usize].estimate(ItemKey(prefix)).max(0);
         (p - n, p as u64 + n as u64)
     }
 
     /// The leaf-level signed point estimate for a full key.
     pub fn estimate(&self, key: ItemKey) -> i64 {
-        let mut scratch = EstimateScratch::new();
-        self.probe(self.bits - 1, key.raw(), &mut scratch).0
+        self.probe(self.bits - 1, key.raw()).0
     }
 
     /// Recovers all keys whose |signed weight estimate| is at least
@@ -183,12 +178,11 @@ impl HierarchicalCountSketch {
     pub fn heavy_items(&self, threshold: i64, max_results: usize) -> Vec<HeavyItem> {
         assert!(threshold > 0, "threshold must be positive");
         let mut out: Vec<HeavyItem> = Vec::new();
-        let mut scratch = EstimateScratch::new();
         let mut frontier: Vec<u64> = vec![0, 1];
         for level in 0..self.bits {
             let mut next = Vec::new();
             for &prefix in &frontier {
-                let (signed, mass) = self.probe(level, prefix, &mut scratch);
+                let (signed, mass) = self.probe(level, prefix);
                 if mass < threshold as u64 {
                     continue;
                 }
@@ -209,7 +203,7 @@ impl HierarchicalCountSketch {
             let cap = 4 * max_results.max(1);
             if next.len() > 2 * cap {
                 let lvl = (level + 1).min(self.bits - 1);
-                next.sort_by_key(|&p| std::cmp::Reverse(self.probe(lvl, p, &mut scratch).1));
+                next.sort_by_key(|&p| std::cmp::Reverse(self.probe(lvl, p).1));
                 next.truncate(2 * cap);
             }
             frontier = next;

@@ -17,7 +17,6 @@
 
 use crate::approx_top::ApproxTopProcessor;
 use crate::params::SketchParams;
-use crate::sketch::EstimateScratch;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
 
@@ -82,16 +81,13 @@ impl IcebergProcessor {
     /// final sketch, filtered at `(φ - ε)·n`.
     pub fn result(&self) -> IcebergResult {
         let threshold = ((self.phi - self.eps) * self.n as f64).ceil() as i64;
-        // One scratch for the whole candidate sweep — `result` borrows
-        // `self` immutably, so it cannot reuse the ingestion scratch.
-        let mut scratch = EstimateScratch::new();
         let sketch = self.top.sketch();
         let mut items: Vec<(ItemKey, i64)> = self
             .top
             .tracker()
             .items_desc()
             .into_iter()
-            .map(|(key, _)| (key, sketch.estimate_with_scratch(key, &mut scratch)))
+            .map(|(key, _)| (key, sketch.estimate(key)))
             .filter(|&(_, est)| est >= threshold)
             .collect();
         items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));

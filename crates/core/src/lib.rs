@@ -80,8 +80,7 @@ pub mod prelude {
     pub use crate::params::SketchParams;
     pub use crate::relchange::{max_relative_change, ChangeObjective, RelChangeSketch};
     pub use crate::sketch::{
-        CheckedEstimate, CountSketch, EstimateBatchScratch, EstimateScratch, FastCountSketch,
-        GenericCountSketch, SketchHealth,
+        CheckedEstimate, CountSketch, FastCountSketch, GenericCountSketch, SketchHealth,
     };
     pub use crate::snapshot::{
         inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo, SnapshotKind,

@@ -21,7 +21,7 @@
 //! among `A`.
 
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateScratch};
+use crate::sketch::CountSketch;
 use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
@@ -106,9 +106,8 @@ impl DiffSketch {
     pub fn top_changes(&self, s1: &Stream, s2: &Stream, k: usize, l: usize) -> MaxChangeResult {
         assert!(l >= k, "need l >= k");
         // |i64::MIN| saturates: that estimate ranks highest, not lowest.
-        let mut scratch = EstimateScratch::new();
         let tracked = pass_two(s1, s2, l, |key| {
-            let est = self.sketch.estimate_with_scratch(key, &mut scratch);
+            let est = self.sketch.estimate(key);
             (est.saturating_abs(), est)
         });
         let mut candidates: Vec<ChangeItem> = tracked

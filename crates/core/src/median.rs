@@ -23,61 +23,40 @@ pub enum Combiner {
     TrimmedMean,
 }
 
-/// Combines row estimates according to the strategy. `scratch` is
-/// clobbered; reusing one buffer across calls avoids per-estimate
-/// allocation in the hot loop.
+/// Combines row estimates according to the strategy. The median and the
+/// trimmed mean reorder `estimates` in place, so a caller stages its
+/// column once and keeps no scratch buffer.
 ///
 /// # Panics
 /// Panics if `estimates` is empty.
-pub fn combine(combiner: Combiner, estimates: &[i64], scratch: &mut Vec<i64>) -> i64 {
+pub fn combine(combiner: Combiner, estimates: &mut [i64]) -> i64 {
     assert!(!estimates.is_empty(), "need at least one row estimate");
     match combiner {
-        Combiner::Median => median(estimates, scratch),
+        Combiner::Median => median(estimates),
         Combiner::Mean => mean(estimates),
-        Combiner::TrimmedMean => trimmed_mean(estimates, scratch),
+        Combiner::TrimmedMean => trimmed_mean(estimates),
     }
 }
 
-/// The median of a slice. For even lengths, the mean of the two middle
-/// values (rounded toward zero) — deterministic and symmetric, so the
-/// estimator stays unbiased for symmetric error distributions.
-pub fn median(values: &[i64], scratch: &mut Vec<i64>) -> i64 {
+/// The median of a slice, which it reorders. For even lengths, the mean
+/// of the two middle values (rounded toward zero) — deterministic and
+/// symmetric, so the estimator stays unbiased for symmetric error
+/// distributions.
+pub fn median(values: &mut [i64]) -> i64 {
     assert!(!values.is_empty());
     // The common sketch depths take a branch-free median-selection
-    // network and never touch the scratch buffer at all.
+    // network; the rest sort in place.
     if let Some(m) = median_network(values) {
         return m;
     }
-    scratch.clear();
-    scratch.extend_from_slice(values);
-    let n = scratch.len();
-    if n <= SMALL_SORT {
-        // The estimate hot path combines t ≈ 3–11 row values; a branchy
-        // insertion sort on a slice this short beats the general
-        // selection machinery and its recursion setup. Both middles come
-        // out sorted, so the result is identical to the select path.
-        insertion_sort(scratch);
-        let mid = n / 2;
-        return if n % 2 == 1 {
-            scratch[mid]
-        } else {
-            midpoint(scratch[mid - 1], scratch[mid])
-        };
-    }
-    let mid = n / 2;
-    let (_, &mut upper_mid, _) = scratch.select_nth_unstable(mid);
-    if n % 2 == 1 {
-        upper_mid
+    values.sort_unstable();
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
     } else {
-        // select_nth leaves everything below index `mid` unordered but
-        // <= upper_mid; the lower middle is the max of that prefix.
-        let lower_mid = *scratch[..mid].iter().max().expect("n >= 2");
-        midpoint(lower_mid, upper_mid)
+        midpoint(values[mid - 1], values[mid])
     }
 }
-
-/// Lengths up to this take the insertion-sort path in [`median`].
-const SMALL_SORT: usize = 16;
 
 /// Branch-free median for the common fixed sketch depths `t ∈ {3,5,7,9}`,
 /// or `None` for every other length (the generic [`median`] path covers
@@ -86,10 +65,8 @@ const SMALL_SORT: usize = 16;
 /// taking the middle — no even-length midpoint arises.
 ///
 /// Each length runs a fixed median-selection network of `min`/`max`
-/// compare-exchanges (Paeth's networks: 3/7/13/19 exchanges). With no
-/// data-dependent branches the estimate hot loop neither mispredicts nor
-/// allocates, which is where the batched read path gets most of its
-/// speedup at these depths.
+/// compare-exchanges (Paeth's networks: 3/7/13/19 exchanges), so the
+/// estimate hot loop does not mispredict on its row values.
 #[inline]
 pub fn median_network(values: &[i64]) -> Option<i64> {
     match values.len() {
@@ -123,7 +100,7 @@ fn cx(v: &mut [i64], i: usize, j: usize) {
 }
 
 #[inline]
-pub(crate) fn median3(mut v: [i64; 3]) -> i64 {
+fn median3(mut v: [i64; 3]) -> i64 {
     cx(&mut v, 0, 1);
     cx(&mut v, 1, 2);
     cx(&mut v, 0, 1);
@@ -131,7 +108,7 @@ pub(crate) fn median3(mut v: [i64; 3]) -> i64 {
 }
 
 #[inline]
-pub(crate) fn median5(mut v: [i64; 5]) -> i64 {
+fn median5(mut v: [i64; 5]) -> i64 {
     cx(&mut v, 0, 1);
     cx(&mut v, 3, 4);
     cx(&mut v, 0, 3);
@@ -143,7 +120,7 @@ pub(crate) fn median5(mut v: [i64; 5]) -> i64 {
 }
 
 #[inline]
-pub(crate) fn median7(mut v: [i64; 7]) -> i64 {
+fn median7(mut v: [i64; 7]) -> i64 {
     cx(&mut v, 0, 5);
     cx(&mut v, 0, 3);
     cx(&mut v, 1, 6);
@@ -161,7 +138,7 @@ pub(crate) fn median7(mut v: [i64; 7]) -> i64 {
 }
 
 #[inline]
-pub(crate) fn median9(mut v: [i64; 9]) -> i64 {
+fn median9(mut v: [i64; 9]) -> i64 {
     cx(&mut v, 1, 2);
     cx(&mut v, 4, 5);
     cx(&mut v, 7, 8);
@@ -184,18 +161,6 @@ pub(crate) fn median9(mut v: [i64; 9]) -> i64 {
     v[4]
 }
 
-fn insertion_sort(v: &mut [i64]) {
-    for i in 1..v.len() {
-        let x = v[i];
-        let mut j = i;
-        while j > 0 && v[j - 1] > x {
-            v[j] = v[j - 1];
-            j -= 1;
-        }
-        v[j] = x;
-    }
-}
-
 /// The arithmetic mean, computed in i128 then rounded toward zero.
 pub fn mean(values: &[i64]) -> i64 {
     assert!(!values.is_empty());
@@ -203,16 +168,13 @@ pub fn mean(values: &[i64]) -> i64 {
     (sum / values.len() as i128) as i64
 }
 
-/// Mean of the middle half: sort, drop ⌊n/4⌋ from each end, average the
-/// rest.
-pub fn trimmed_mean(values: &[i64], scratch: &mut Vec<i64>) -> i64 {
+/// Mean of the middle half: sort in place, drop ⌊n/4⌋ from each end,
+/// average the rest.
+pub fn trimmed_mean(values: &mut [i64]) -> i64 {
     assert!(!values.is_empty());
-    scratch.clear();
-    scratch.extend_from_slice(values);
-    scratch.sort_unstable();
-    let drop = scratch.len() / 4;
-    let mid = &scratch[drop..scratch.len() - drop];
-    mean(mid)
+    values.sort_unstable();
+    let drop = values.len() / 4;
+    mean(&values[drop..values.len() - drop])
 }
 
 /// Midpoint of two i64 values without overflow, rounded toward zero.
@@ -227,7 +189,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn med(v: &[i64]) -> i64 {
-        median(v, &mut Vec::new())
+        median(&mut v.to_vec())
     }
 
     #[test]
@@ -266,9 +228,10 @@ mod tests {
 
     #[test]
     fn small_and_select_paths_agree() {
-        // Lengths straddling the SMALL_SORT cutoff, against a full sort.
+        // Lengths through the networks and the in-place sort, against a
+        // full sort of a copy.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for n in 1..=2 * SMALL_SORT {
+        for n in 1..=32 {
             let v: Vec<i64> = (0..n)
                 .map(|_| {
                     x = x
@@ -341,29 +304,28 @@ mod tests {
     fn trimmed_mean_drops_extremes() {
         // 8 values, drop 2 from each end.
         let v = [-1_000_000, 1, 2, 3, 4, 5, 6, 1_000_000];
-        assert_eq!(trimmed_mean(&v, &mut Vec::new()), 3); // mean(2,3,4,5)=3.5→3
+        assert_eq!(trimmed_mean(&mut v.clone()), 3); // mean(2,3,4,5)=3.5→3
     }
 
     #[test]
     fn trimmed_mean_short_slices() {
-        assert_eq!(trimmed_mean(&[7], &mut Vec::new()), 7);
-        assert_eq!(trimmed_mean(&[1, 5], &mut Vec::new()), 3);
-        assert_eq!(trimmed_mean(&[1, 5, 9], &mut Vec::new()), 5);
+        assert_eq!(trimmed_mean(&mut [7]), 7);
+        assert_eq!(trimmed_mean(&mut [1, 5]), 3);
+        assert_eq!(trimmed_mean(&mut [1, 5, 9]), 5);
     }
 
     #[test]
     fn combine_dispatches() {
-        let mut scratch = Vec::new();
-        let v = [1, 2, 100];
-        assert_eq!(combine(Combiner::Median, &v, &mut scratch), 2);
-        assert_eq!(combine(Combiner::Mean, &v, &mut scratch), 34);
-        assert_eq!(combine(Combiner::TrimmedMean, &v, &mut scratch), 34);
+        let v = [1, 100, 2];
+        assert_eq!(combine(Combiner::Median, &mut v.clone()), 2);
+        assert_eq!(combine(Combiner::Mean, &mut v.clone()), 34);
+        assert_eq!(combine(Combiner::TrimmedMean, &mut v.clone()), 34);
     }
 
     #[test]
     #[should_panic(expected = "need at least one row estimate")]
     fn combine_empty_panics() {
-        combine(Combiner::Median, &[], &mut Vec::new());
+        combine(Combiner::Median, &mut []);
     }
 
     #[test]
@@ -416,9 +378,8 @@ mod tests {
         fn prop_all_combiners_bounded(v in prop::collection::vec(-10_000i64..10_000, 1..40)) {
             let lo = *v.iter().min().unwrap();
             let hi = *v.iter().max().unwrap();
-            let mut s = Vec::new();
             for c in [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean] {
-                let x = combine(c, &v, &mut s);
+                let x = combine(c, &mut v.clone());
                 prop_assert!(x >= lo && x <= hi, "{c:?} gave {x} outside [{lo},{hi}]");
             }
         }

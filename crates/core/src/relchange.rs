@@ -27,7 +27,7 @@
 
 use crate::maxchange::pass_two;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateScratch};
+use crate::sketch::CountSketch;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
 
@@ -142,10 +142,8 @@ impl RelChangeSketch {
     ) -> Vec<ScoredChange> {
         assert!(l >= k, "need l >= k");
         const FIXED: f64 = 65_536.0;
-        let mut scratch = EstimateScratch::new();
         let tracked = pass_two(s1, s2, l, |key| {
-            let delta = self.diff.estimate_with_scratch(key, &mut scratch);
-            let total = self.sum.estimate_with_scratch(key, &mut scratch);
+            let (delta, total) = self.estimate(key);
             let score = objective.score((total - delta) / 2, (total + delta) / 2);
             ((score * FIXED).min(i64::MAX as f64) as i64, delta)
         });

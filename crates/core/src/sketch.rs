@@ -308,44 +308,36 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// each row is hashed once instead of twice. Same two-tier overflow
     /// scheme as [`Self::update`]: while the `abs_mass` watermark proves
     /// no cell can clamp, the row estimates `s_i(q)·C[i][h_i(q)]` come
-    /// straight from the fresh cells (a stack column, sketch depths up to
-    /// `FUSED_ROWS`); otherwise, and for taller sketches, it falls back
-    /// to [`Self::update`] plus [`Self::estimate_with_scratch`]. Counters,
-    /// saturation flags, `abs_mass` and the returned value are
-    /// bit-identical to that pair of calls in either tier.
+    /// straight from the fresh cells into [`Self::estimate`]'s column;
+    /// otherwise it falls back to [`Self::update_exact`] plus
+    /// [`Self::estimate`]. Counters, saturation flags, `abs_mass` and the
+    /// returned value are bit-identical to `update` then `estimate` in
+    /// either tier.
     #[inline]
-    pub(crate) fn update_estimate(
-        &mut self,
-        key: ItemKey,
-        weight: i64,
-        scratch: &mut EstimateScratch,
-    ) -> i64 {
-        match self.headroom_after(weight) {
-            Some(mass) if self.rows <= FUSED_ROWS => {
-                self.abs_mass = mass;
-                let k = key.raw();
-                let (kb, ks) = (self.hashers[0].canon(k), self.signs[0].canon(k));
-                let mut ests = [0i64; FUSED_ROWS];
-                for (i, ((h, sg), e)) in self
-                    .hashers
-                    .iter()
-                    .zip(&self.signs)
-                    .zip(&mut ests)
-                    .enumerate()
-                {
-                    let sign = sg.sign_canon(ks);
-                    let cell = &mut self.counters[i * self.buckets + h.bucket_canon(kb)];
-                    *cell += sign * weight;
-                    // |cell| ≤ abs_mass ≤ i64::MAX, so the product is exact.
-                    *e = sign * *cell;
-                }
-                combine(self.combiner, &ests[..self.rows], &mut scratch.sort)
-            }
-            _ => {
-                self.update(key, weight);
-                self.estimate_with_scratch(key, scratch)
-            }
+    pub(crate) fn update_estimate(&mut self, key: ItemKey, weight: i64) -> i64 {
+        let Some(mass) = self.headroom_after(weight) else {
+            self.update_exact(key, weight);
+            return self.estimate(key);
+        };
+        self.abs_mass = mass;
+        let (mut stack, mut heap) = ([0; FUSED_ROWS], Vec::new());
+        let column = column(&mut stack, &mut heap, self.rows);
+        let k = key.raw();
+        let (kb, ks) = (self.hashers[0].canon(k), self.signs[0].canon(k));
+        for (i, ((h, sg), e)) in self
+            .hashers
+            .iter()
+            .zip(&self.signs)
+            .zip(column.iter_mut())
+            .enumerate()
+        {
+            let sign = sg.sign_canon(ks);
+            let cell = &mut self.counters[i * self.buckets + h.bucket_canon(kb)];
+            *cell += sign * weight;
+            // |cell| ≤ abs_mass ≤ i64::MAX, so the product is exact.
+            *e = sign * *cell;
         }
+        combine(self.combiner, column)
     }
 
     /// The exact slow tier: carries every cell sum in `i128` so even
@@ -414,7 +406,12 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
 
     /// Whether the counter at `(row, bucket)` has ever been clamped.
     pub fn is_cell_saturated(&self, row: usize, bucket: usize) -> bool {
-        let idx = row * self.buckets + bucket;
+        self.is_flagged(row * self.buckets + bucket)
+    }
+
+    /// Whether cell `idx` (row-major) has ever been clamped.
+    #[inline]
+    fn is_flagged(&self, idx: usize) -> bool {
         self.saturated[idx / 64] >> (idx % 64) & 1 == 1
     }
 
@@ -459,26 +456,30 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         }
     }
 
-    /// Writes the `t` per-row estimates `C[i][h_i(q)]·s_i(q)` into `out`.
-    pub fn row_estimates(&self, key: ItemKey, out: &mut Vec<i64>) {
-        out.clear();
+    /// Each row's `(cell index, sign)` for `key`, in row order. The key
+    /// is canonicalized once per hash family (see `BucketHasher::canon`),
+    /// as in [`Self::update`].
+    #[inline]
+    fn cells(&self, key: ItemKey) -> impl Iterator<Item = (usize, i64)> + '_ {
         let k = key.raw();
-        for i in 0..self.rows {
-            let bucket = self.hashers[i].bucket(k);
-            let sign = self.signs[i].sign(k);
-            // saturating: −1 · i64::MIN must not wrap (a clamped cell can
-            // legitimately hold i64::MIN).
-            out.push(sign.saturating_mul(self.counters[i * self.buckets + bucket]));
-        }
+        let (kb, ks) = (self.hashers[0].canon(k), self.signs[0].canon(k));
+        let rows = self.hashers.iter().zip(&self.signs).enumerate();
+        rows.map(move |(i, (h, sg))| (i * self.buckets + h.bucket_canon(kb), sg.sign_canon(ks)))
     }
 
     /// The paper's `ESTIMATE(C, q)`: the combiner (median by default) of
-    /// the per-row estimates.
+    /// the per-row estimates `s_i(q)·C[i][h_i(q)]`, gathered into a stack
+    /// column (one `Vec` for sketches deeper than `FUSED_ROWS`) and
+    /// combined in place.
     pub fn estimate(&self, key: ItemKey) -> i64 {
-        let mut rows = Vec::with_capacity(self.rows);
-        let mut scratch = Vec::with_capacity(self.rows);
-        self.row_estimates(key, &mut rows);
-        combine(self.combiner, &rows, &mut scratch)
+        let (mut stack, mut heap) = ([0; FUSED_ROWS], Vec::new());
+        let column = column(&mut stack, &mut heap, self.rows);
+        for (e, (idx, sign)) in column.iter_mut().zip(self.cells(key)) {
+            // saturating: −1 · i64::MIN must not wrap (a clamped cell can
+            // legitimately hold i64::MIN).
+            *e = sign.saturating_mul(self.counters[idx]);
+        }
+        combine(self.combiner, column)
     }
 
     /// Overflow-aware estimate: rows whose probed counter has saturated
@@ -488,32 +489,39 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// saturated the value falls back to combining the clamped counters —
     /// still the best available answer, but flagged as zero clean rows.
     pub fn estimate_checked(&self, key: ItemKey) -> CheckedEstimate {
-        let k = key.raw();
-        let mut clean = Vec::with_capacity(self.rows);
-        let mut all = Vec::with_capacity(self.rows);
-        for i in 0..self.rows {
-            let bucket = self.hashers[i].bucket(k);
-            let sign = self.signs[i].sign(k);
-            let est = sign.saturating_mul(self.counters[i * self.buckets + bucket]);
-            all.push(est);
-            if !self.is_cell_saturated(i, bucket) {
-                clean.push(est);
+        let (mut stack, mut heap) = ([0; FUSED_ROWS], Vec::new());
+        let column = column(&mut stack, &mut heap, self.rows);
+        // Clean rows fill the column from the front, saturated ones from
+        // the back; every combiner ignores the order of its input.
+        let (mut clean, mut back) = (0, self.rows);
+        for (idx, sign) in self.cells(key) {
+            let est = sign.saturating_mul(self.counters[idx]);
+            if self.is_flagged(idx) {
+                back -= 1;
+                column[back] = est;
+            } else {
+                column[clean] = est;
+                clean += 1;
             }
         }
-        let mut scratch = Vec::with_capacity(self.rows);
-        let evidence = if clean.is_empty() { &all } else { &clean };
+        let evidence = if clean == 0 {
+            column
+        } else {
+            &mut column[..clean]
+        };
         CheckedEstimate {
-            value: combine(self.combiner, evidence, &mut scratch),
-            clean_rows: clean.len(),
-            saturated_rows: self.rows - clean.len(),
+            value: combine(self.combiner, evidence),
+            clean_rows: clean,
+            saturated_rows: self.rows - clean,
         }
     }
 
-    /// Allocation-free estimate for hot loops: both buffers are reused.
-    #[inline]
-    pub fn estimate_with_scratch(&self, key: ItemKey, scratch: &mut EstimateScratch) -> i64 {
-        self.row_estimates(key, &mut scratch.rows);
-        combine(self.combiner, &scratch.rows, &mut scratch.sort)
+    /// `ESTIMATE(C, q)` for each of `keys`, in order: [`Self::estimate`]
+    /// per key. Kept only because e2ebench's traced replay of
+    /// `fi top --threads` calls it (`e2ebench/src/trace.rs`); it goes
+    /// with that replay.
+    pub fn estimate_batch(&self, keys: &[ItemKey]) -> Vec<i64> {
+        keys.iter().map(|&key| self.estimate(key)).collect()
     }
 
     /// Whether two sketches share dimensions and hash functions (equal
@@ -666,211 +674,23 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     }
 }
 
-/// Deepest sketch whose row estimates [`GenericCountSketch::update_estimate`]
-/// stages on the stack; taller sketches take its two-call fallback.
+/// Deepest sketch whose row estimates are staged on the stack; deeper
+/// sketches gather into one `Vec`.
 const FUSED_ROWS: usize = 16;
 
-/// Reusable buffers for [`GenericCountSketch::estimate_with_scratch`].
-#[derive(Debug, Default, Clone)]
-pub struct EstimateScratch {
-    pub(crate) rows: Vec<i64>,
-    pub(crate) sort: Vec<i64>,
-}
-
-impl EstimateScratch {
-    /// Creates empty scratch buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Reusable lanes for [`GenericCountSketch::estimate_batch_with_scratch`].
-/// Row-major: lane `i*READ_BLOCK + j` holds row `i`'s sign-tagged bucket (and later its
-/// signed row estimate) for the j-th key of the current block. Create
-/// once and reuse; zeroing ~16 KiB of lanes per call would eat the
-/// batch win.
-#[derive(Debug, Clone)]
-pub struct EstimateBatchScratch {
-    /// Bucket index with the row's ±1 sign packed into bit 63 (a bucket
-    /// index never reaches 2^63). One lane instead of two halves the
-    /// staging traffic between the hash and gather passes, and the
-    /// gather recovers the sign mask with a single arithmetic shift.
-    pub(crate) buckets: [usize; BATCH_LANES],
-    pub(crate) ests: [i64; BATCH_LANES],
-    /// Per-key column buffer handed to the combiner (`t` values).
-    pub(crate) rows: Vec<i64>,
-    /// Combiner sort scratch (unused at network depths).
-    pub(crate) sort: Vec<i64>,
-}
-
-/// Keys per read-path block. The gather pass lives on memory-level
-/// parallelism once the counter array outgrows L1, and a wide block
-/// keeps many independent counter loads in flight.
-pub(crate) const READ_BLOCK: usize = 64;
-
-/// Widest sketch the read-path lanes cover. Taller sketches (rare: the
-/// paper's `t` is `O(log n/δ)`, and the repo's experiments top out at
-/// `t = 11`) take the scalar path per key.
-const LANE_ROWS: usize = 16;
-
-/// Lane count: one read block per row, sketch depths up to
-/// [`LANE_ROWS`].
-const BATCH_LANES: usize = READ_BLOCK * LANE_ROWS;
-
-impl EstimateBatchScratch {
-    /// Fresh (zeroed) lanes and empty combiner buffers.
-    pub fn new() -> Self {
-        Self {
-            buckets: [0; BATCH_LANES],
-            ests: [0; BATCH_LANES],
-            rows: Vec::new(),
-            sort: Vec::new(),
-        }
-    }
-}
-
-impl Default for EstimateBatchScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
-    /// Batched `ESTIMATE(C, q)` over a block of keys: the answer for
-    /// `keys[j]` lands in `out[j]`. Bit-identical to calling
-    /// [`Self::estimate`] per key, for every combiner — the same row
-    /// estimates `s_i(q)·C[i][h_i(q)]` (saturating multiply included)
-    /// feed the same combiner; only the order of memory traffic changes.
-    ///
-    /// Each block of 64 keys is canonicalized once per hash family and hashed into the scratch
-    /// lanes rows-outer (every key's `2t` multiply chains are
-    /// independent and pipeline), then the counters are gathered
-    /// **row-major** — each row's bucket array is walked for the whole
-    /// block, keeping a block's worth of independent counter loads in
-    /// flight per row — and finally each key's column is combined, at
-    /// the common depths through a branch-free sorting-network median.
-    /// Sketches taller than the lanes (t > 16) take the scalar path per
-    /// key.
-    ///
-    /// `out` is cleared and refilled; no allocation happens beyond its
-    /// (reused) capacity.
-    pub fn estimate_batch_with_scratch(
-        &self,
-        keys: &[ItemKey],
-        scratch: &mut EstimateBatchScratch,
-        out: &mut Vec<i64>,
-    ) {
-        const BLOCK: usize = READ_BLOCK;
-        out.clear();
-        let lanes_fit = self.rows <= LANE_ROWS;
-        if !lanes_fit {
-            for &key in keys {
-                self.row_estimates(key, &mut scratch.rows);
-                out.push(combine(self.combiner, &scratch.rows, &mut scratch.sort));
-            }
-            return;
-        }
-        // Results are written through a pre-sized slice rather than
-        // `push`: the per-key capacity-and-length bookkeeping is the kind
-        // of overhead this kernel exists to amortize away.
-        out.resize(keys.len(), 0);
-        let mut done = 0usize;
-        let EstimateBatchScratch {
-            buckets,
-            ests,
-            rows,
-            sort,
-        } = scratch;
-        // At the network depths (median combiner, t ∈ {3,5,7,9}) the
-        // combine pass is a fixed branch-free sorting network dispatched
-        // once per call, and the gather stays block-wide: a whole chunk's
-        // counter loads are independent and in flight together, which is
-        // what keeps the kernel fast once the sketch outgrows L1.
-        let network = self.combiner == Combiner::Median && matches!(self.rows, 3 | 5 | 7 | 9);
-        let mut braw = [0u64; BLOCK];
-        let mut sraw = [0u64; BLOCK];
-        for chunk in keys.chunks(BLOCK) {
-            let n = chunk.len();
-            // Hash pass: each key is canonicalized ONCE per hash family
-            // (for the Mersenne-field families that is the `mod p` fold,
-            // which is idempotent) and the canonical value feeds all `t`
-            // row functions — the scalar path re-folds inside every one
-            // of the `2t` evaluations. Rows outer keeps the per-key
-            // multiply chains independent so they pipeline.
-            for ((b, s), key) in braw.iter_mut().zip(&mut sraw).zip(chunk) {
-                let k = key.raw();
-                *b = self.hashers[0].canon(k);
-                *s = self.signs[0].canon(k);
-            }
-            for (i, (h, sg)) in self.hashers.iter().zip(&self.signs).enumerate() {
-                let bl = &mut buckets[i * BLOCK..i * BLOCK + n];
-                for ((&k, &ks), b) in braw[..n].iter().zip(&sraw[..n]).zip(bl) {
-                    // Sign −1 sets bit 63 of the lane (`±1 >> 1` is the
-                    // 0/−1 mask); the bucket index lives in the low bits.
-                    *b = h.bucket_canon(k) | (((sg.sign_canon(ks) >> 1) as usize) & (1usize << 63));
-                }
-            }
-            // Gather pass: row-major counter reads, branch-free row
-            // estimates. The lane's sign bit arithmetic-shifts back into
-            // a 0/−1 mask, and the ±1 multiply is mask arithmetic (m = 0
-            // keeps v, m = −1 two's-complement negates, and the wrapping
-            // `fix` turns the one overflow, −i64::MIN, into i64::MAX
-            // exactly like `saturating_mul(-1, ·)`) — branch-free, which
-            // matters because the sign is a fair coin, and off the
-            // multiply port the hash chains keep saturated.
-            for (i, row) in self.counters.chunks_exact(self.buckets).enumerate() {
-                let bl = &buckets[i * BLOCK..i * BLOCK + n];
-                let el = &mut ests[i * BLOCK..i * BLOCK + n];
-                for (&b, e) in bl.iter().zip(el) {
-                    let m = (b as i64) >> 63;
-                    let v = row[b & (usize::MAX >> 1)];
-                    let w = (v ^ m).wrapping_sub(m);
-                    let fix = ((v == i64::MIN) as i64).wrapping_neg() & m;
-                    *e = w.wrapping_add(fix);
-                }
-            }
-            // Combine pass: transpose one key's column out of the lanes
-            // (t strided L1 reads) and run the combiner — at the network
-            // depths that is a branch-free sorting network whose input
-            // array fills straight from the transposed reads.
-            let dst = &mut out[done..done + n];
-            if network {
-                macro_rules! net {
-                    ($f:ident, $($i:literal),+) => {
-                        for (j, d) in dst.iter_mut().enumerate() {
-                            *d = crate::median::$f([$(ests[$i * BLOCK + j]),+]);
-                        }
-                    };
-                }
-                match self.rows {
-                    3 => net!(median3, 0, 1, 2),
-                    5 => net!(median5, 0, 1, 2, 3, 4),
-                    7 => net!(median7, 0, 1, 2, 3, 4, 5, 6),
-                    9 => net!(median9, 0, 1, 2, 3, 4, 5, 6, 7, 8),
-                    _ => unreachable!("the network guard admits only 3/5/7/9"),
-                }
-            } else {
-                for (j, d) in dst.iter_mut().enumerate() {
-                    rows.clear();
-                    for i in 0..self.rows {
-                        rows.push(ests[i * BLOCK + j]);
-                    }
-                    *d = combine(self.combiner, rows, sort);
-                }
-            }
-            done += n;
-        }
-    }
-
-    /// Convenience wrapper around [`Self::estimate_batch_with_scratch`]
-    /// that allocates its own scratch and output. Per-call cost makes it
-    /// the wrong entry point for hot loops; callers with a standing
-    /// scratch should use the `_with_scratch` form.
-    pub fn estimate_batch(&self, keys: &[ItemKey]) -> Vec<i64> {
-        let mut scratch = EstimateBatchScratch::new();
-        let mut out = Vec::with_capacity(keys.len());
-        self.estimate_batch_with_scratch(keys, &mut scratch, &mut out);
-        out
+/// A `len`-long estimate column: the front of `stack` up to
+/// [`FUSED_ROWS`] rows, else `heap` resized to `len`.
+#[inline]
+fn column<'a>(
+    stack: &'a mut [i64; FUSED_ROWS],
+    heap: &'a mut Vec<i64>,
+    len: usize,
+) -> &'a mut [i64] {
+    if len <= FUSED_ROWS {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0);
+        heap
     }
 }
 
@@ -1080,83 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_estimate_matches_plain() {
-        let zipf = Zipf::new(100, 1.0);
-        let stream = zipf.stream(5000, 8, ZipfStreamKind::Sampled);
-        let mut s = small();
-        s.absorb(&stream, 1);
-        let mut scratch = EstimateScratch::new();
-        for id in 0..100u64 {
-            assert_eq!(
-                s.estimate(ItemKey(id)),
-                s.estimate_with_scratch(ItemKey(id), &mut scratch)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_estimate_matches_scalar_all_combiners() {
-        let zipf = Zipf::new(200, 1.0);
-        let stream = zipf.stream(10_000, 13, ZipfStreamKind::Sampled);
-        for combiner in [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean] {
-            let mut s = small().with_combiner(combiner);
-            s.absorb(&stream, 1);
-            let keys: Vec<ItemKey> = (0..300u64).map(ItemKey).collect();
-            let batch = s.estimate_batch(&keys);
-            for (j, &key) in keys.iter().enumerate() {
-                assert_eq!(batch[j], s.estimate(key), "{combiner:?} key {key:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_estimate_block_boundaries() {
-        use super::READ_BLOCK as BLOCK;
-        let mut s = small();
-        let stream = Zipf::new(100, 1.0).stream(5_000, 4, ZipfStreamKind::Sampled);
-        s.absorb(&stream, 1);
-        let mut scratch = EstimateBatchScratch::new();
-        let mut out = Vec::new();
-        for len in [0usize, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
-            let keys: Vec<ItemKey> = (0..len as u64).map(ItemKey).collect();
-            s.estimate_batch_with_scratch(&keys, &mut scratch, &mut out);
-            assert_eq!(out.len(), len);
-            for (j, &key) in keys.iter().enumerate() {
-                assert_eq!(out[j], s.estimate(key), "len {len} key {key:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_estimate_tall_sketch_takes_scalar_path() {
-        // 17 rows exceeds the lane height; the fallback must agree too.
-        let mut s = CountSketch::new(SketchParams::new(17, 32), 9);
-        let stream = Zipf::new(50, 1.0).stream(2_000, 6, ZipfStreamKind::Sampled);
-        s.absorb(&stream, 1);
-        let keys: Vec<ItemKey> = (0..80u64).map(ItemKey).collect();
-        let batch = s.estimate_batch(&keys);
-        for (j, &key) in keys.iter().enumerate() {
-            assert_eq!(batch[j], s.estimate(key));
-        }
-    }
-
-    #[test]
-    fn batch_estimate_matches_scalar_on_saturated_cells() {
-        let mut s = CountSketch::new(SketchParams::new(3, 4), 5);
-        for id in 0..16u64 {
-            s.update(ItemKey(id), i64::MAX);
-            s.update(ItemKey(id), i64::MAX);
-            s.update(ItemKey(id + 100), i64::MIN);
-        }
-        assert!(!s.health().is_healthy());
-        let keys: Vec<ItemKey> = (0..200u64).map(ItemKey).collect();
-        let batch = s.estimate_batch(&keys);
-        for (j, &key) in keys.iter().enumerate() {
-            assert_eq!(batch[j], s.estimate(key), "key {key:?}");
-        }
-    }
-
-    #[test]
     fn combiner_can_be_swapped() {
         let s = small().with_combiner(Combiner::Mean);
         assert_eq!(s.combiner(), Combiner::Mean);
@@ -1206,7 +949,7 @@ mod tests {
         let c = s.counters()[0];
         assert!(c == i64::MIN || c == i64::MAX);
         assert!(s.is_cell_saturated(0, 0));
-        // −1 · i64::MIN inside row_estimates must not overflow either.
+        // −1 · i64::MIN inside the row estimates must not overflow either.
         let _ = s.estimate(ItemKey(2));
     }
 
@@ -1302,27 +1045,25 @@ mod tests {
         assert!(h.error_bound_widening().is_infinite());
     }
 
-    /// Depths covering the stack column, every median network and both
-    /// sides of the generic median path; the 17-row sketch takes the
-    /// fused kernel's two-call fallback.
-    const FUSED_DEPTHS: [usize; 8] = [1, 2, 3, 5, 7, 9, 11, 17];
+    /// Depths covering every median network, the in-place sort and both
+    /// sides of the stack column's `FUSED_ROWS` limit.
+    const FUSED_DEPTHS: [usize; 9] = [1, 2, 3, 5, 7, 9, 11, 16, 17];
     const COMBINERS: [Combiner; 3] = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean];
 
     /// Drives `update_estimate` on one copy of `sketch` and `update` then
-    /// `estimate_with_scratch` on another, asserting equal answers and
-    /// equal state (counters, saturation bits, watermark) after every op.
+    /// `estimate` on another, asserting equal answers and equal state
+    /// (counters, saturation bits, watermark) after every op.
     fn assert_fused_matches_split<H: BucketHasher + Clone, S: SignHasher + Clone>(
         sketch: GenericCountSketch<H, S>,
         ops: &[(u64, i64)],
     ) {
         let mut fused = sketch.clone();
         let mut split = sketch;
-        let (mut fs, mut ss) = (EstimateScratch::new(), EstimateScratch::new());
         for &(id, weight) in ops {
             let key = ItemKey(id);
-            let got = fused.update_estimate(key, weight, &mut fs);
+            let got = fused.update_estimate(key, weight);
             split.update(key, weight);
-            let want = split.estimate_with_scratch(key, &mut ss);
+            let want = split.estimate(key);
             assert_eq!(got, want, "estimate after ({id}, {weight})");
             assert_eq!(fused.counters, split.counters);
             assert_eq!(fused.saturated, split.saturated);
@@ -1364,7 +1105,7 @@ mod tests {
         #[test]
         fn prop_update_estimate_equals_update_then_estimate(
             seed: u64,
-            depth in 0usize..8,
+            depth in 0usize..9,
             comb in 0usize..3,
             buckets in 1usize..40,
             ops in prop::collection::vec((0u64..60, 0u8..24), 1..200),

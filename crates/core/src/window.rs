@@ -16,7 +16,7 @@
 //! between boundaries it is maintained with the §3.2 heap rule.
 
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, EstimateScratch};
+use crate::sketch::CountSketch;
 use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use std::collections::VecDeque;
@@ -60,7 +60,6 @@ pub struct SlidingSketch {
     /// Candidate tracker over the window.
     tracker: TopKTracker,
     capacity: usize,
-    scratch: EstimateScratch,
 }
 
 impl SlidingSketch {
@@ -87,7 +86,6 @@ impl SlidingSketch {
             filled: 0,
             tracker: TopKTracker::new(k),
             capacity: k,
-            scratch: EstimateScratch::new(),
         }
     }
 
@@ -112,7 +110,7 @@ impl SlidingSketch {
         if self.tracker.increment(key) {
             self.window.add(key);
         } else {
-            let est = self.window.update_estimate(key, 1, &mut self.scratch);
+            let est = self.window.update_estimate(key, 1);
             self.tracker.offer(key, est);
         }
 
@@ -139,7 +137,7 @@ impl SlidingSketch {
         let tracked = self.tracker.items_desc();
         let mut fresh = TopKTracker::new(self.capacity);
         for (key, _) in tracked {
-            let est = self.window.estimate_with_scratch(key, &mut self.scratch);
+            let est = self.window.estimate(key);
             if est > 0 {
                 fresh.offer(key, est);
             }
@@ -220,7 +218,6 @@ impl SlidingSketch {
             filled: parts.filled,
             tracker: parts.tracker,
             capacity: parts.capacity,
-            scratch: EstimateScratch::new(),
         }
     }
 }
@@ -265,7 +262,7 @@ mod tests {
                 r.window.add(key);
                 r.filled += 1;
                 if !r.tracker.increment(key) {
-                    let est = r.window.estimate_with_scratch(key, &mut r.scratch);
+                    let est = r.window.estimate(key);
                     r.tracker.offer(key, est);
                 }
                 if r.filled == r.epoch_len {

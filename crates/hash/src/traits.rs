@@ -20,9 +20,10 @@ pub trait BucketHasher {
     /// Contract: `bucket(key) == bucket_canon(canon(key))` for every
     /// key, and `canon` is a function of the *family*, not the drawn
     /// instance — every hasher of one concrete type maps a key to the
-    /// same canonical form. Batch read kernels rely on this to
-    /// canonicalize each key once and reuse it across all `t` rows,
-    /// instead of paying the reduction inside every row's evaluation.
+    /// same canonical form. The sketch's `update` and `estimate` rely on
+    /// this to canonicalize each key once and reuse it across all `t`
+    /// rows, instead of paying the reduction inside every row's
+    /// evaluation.
     /// The default is the identity.
     #[inline]
     fn canon(&self, key: u64) -> u64 {

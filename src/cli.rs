@@ -213,9 +213,16 @@ impl Default for Options {
 /// a mistyped `-b` exit 2 at parsing instead of aborting on a failed
 /// allocation or exhausting a shared host. A larger host could build
 /// more (`-t 5 -b 100000000` is 4 GB); raise the constant to allow it.
-/// The limit is per sketch: `top --threads N` builds one per worker.
-/// `serve` and `ship` are held to the smaller frame limit.
+/// The limit counts every sketch: `top --threads N` builds one per
+/// worker, so N·t·b must fit. `serve` and `ship` are held to the smaller
+/// frame limit.
 pub const MAX_CELLS: usize = 1 << 28;
+
+/// The most `top --threads` workers `fi` starts, each an OS thread with
+/// its own sketch: a policy limit, far above any host's useful count,
+/// that makes a mistyped `--threads` exit 2 at parsing instead of asking
+/// the host for thousands of threads.
+pub const MAX_THREADS: usize = 256;
 
 // Every `-b` under the cell maximum is a range `PairwiseHash` can draw.
 const _: () = assert!((MAX_CELLS as u64) < cs_hash::prime::P);
@@ -346,8 +353,11 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             return Err("--snapshot-every needs --snapshot PATH for the periodic writes".into());
         }
     }
-    if opts.threads == 0 {
-        return Err("--threads must be at least 1".into());
+    if opts.threads == 0 || opts.threads > MAX_THREADS {
+        return Err(format!(
+            "--threads {} must be between 1 and {MAX_THREADS}",
+            opts.threads
+        ));
     }
     if opts.threads > 1 && (opts.command != "top" || opts.algorithm != "count-sketch") {
         return Err("--threads > 1 requires 'top' with the count-sketch algorithm".into());
@@ -388,17 +398,23 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     } else {
-        // Refuse a sketch over the policy limit before sketching
-        // anything; this also keeps `-b` a range the hash field can draw.
-        match opts.rows.checked_mul(opts.buckets) {
-            Some(cells) if cells <= MAX_CELLS => {}
-            cells => {
+        // Refuse sketches over the policy limit before sketching
+        // anything (one per `--threads` worker); this also keeps `-b` a
+        // range the hash field can draw.
+        let cells = opts.rows.checked_mul(opts.buckets);
+        match cells.and_then(|c| c.checked_mul(opts.threads)) {
+            Some(total) if total <= MAX_CELLS => {}
+            total => {
+                let workers = match opts.threads {
+                    1 => String::new(),
+                    n => format!(" --threads {n}"),
+                };
                 return Err(format!(
-                    "-t {} -b {}: {} sketch cells exceed the {MAX_CELLS}-cell maximum",
+                    "-t {} -b {}{workers}: {} sketch cells exceed the {MAX_CELLS}-cell maximum",
                     opts.rows,
                     opts.buckets,
-                    cells.map_or("over usize::MAX".into(), |c| c.to_string())
-                ))
+                    total.map_or("over usize::MAX".into(), |c| c.to_string())
+                ));
             }
         }
     }
@@ -712,13 +728,9 @@ fn run_top_parallel<'a>(
     }
     candidates.sort_unstable();
     candidates.dedup();
-    // One batched kernel pass over the candidate set instead of a scalar
-    // probe per key; the kernel is bit-identical to the scalar estimate,
-    // so the resolved tracker (and report) are unchanged.
-    let estimates = merged.estimate_batch(&candidates);
     let mut tracker = TopKTracker::new(opts.k);
-    for (&key, &est) in candidates.iter().zip(&estimates) {
-        tracker.offer(key, est);
+    for key in candidates {
+        tracker.offer(key, merged.estimate(key));
     }
     let p = ApproxTopProcessor::from_parts(merged, tracker, HeapPolicy::default());
     Ok((tokens, p))
@@ -1160,6 +1172,29 @@ mod tests {
         assert!(parse_args(&args("top --algorithm lossy --threads 2")).is_err());
         // threads = 1 is the sequential default, allowed anywhere.
         assert!(parse_args(&args("iceberg --threads 1")).is_ok());
+    }
+
+    #[test]
+    fn threads_are_bounded_by_the_thread_and_cell_limits() {
+        // Parsed only, never run: each worker is a thread with its own
+        // t·b sketch.
+        assert!(parse_args(&args("top --threads 256")).is_ok());
+        for n in ["257", "100000", "18446744073709551615"] {
+            let err = parse_args(&args(&format!("top --threads {n}"))).unwrap_err();
+            assert!(err.contains("between 1 and 256"), "{n}: {err}");
+        }
+        // 16 · 2^24 = 2^28 cells: one sketch fits, two do not.
+        let tall = "top -t 16 -b 16777216";
+        assert!(parse_args(&args(tall)).is_ok());
+        let err = parse_args(&args(&format!("{tall} --threads 2"))).unwrap_err();
+        assert!(
+            err.contains("--threads 2: 536870912 sketch cells exceed"),
+            "{err}"
+        );
+        // 256 · 8 · 2^17 = 2^28 exactly; one more bucket is over.
+        assert!(parse_args(&args("top -t 8 -b 131072 --threads 256")).is_ok());
+        let err = parse_args(&args("top -t 8 -b 131073 --threads 256")).unwrap_err();
+        assert!(err.contains("268437504 sketch cells exceed"), "{err}");
     }
 
     #[test]

@@ -86,9 +86,7 @@ pub mod prelude {
     pub use cs_core::maxchange::{max_change, DiffSketch, MaxChangeResult};
     pub use cs_core::median::Combiner;
     pub use cs_core::parallel::{sketch_stream_pooled, SketchPool};
-    pub use cs_core::sketch::{
-        CheckedEstimate, EstimateBatchScratch, EstimateScratch, SketchHealth,
-    };
+    pub use cs_core::sketch::{CheckedEstimate, SketchHealth};
     pub use cs_core::snapshot::{
         inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo, SnapshotKind,
     };
