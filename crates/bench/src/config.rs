@@ -83,7 +83,7 @@ mod tests {
     /// artifact path.
     #[test]
     fn small_artifacts_never_collide_with_committed_ones() {
-        for stem in ["BENCH_throughput", "BENCH_parallel", "BENCH_query"] {
+        for stem in ["BENCH_throughput", "BENCH_parallel"] {
             let full = artifact_path(stem, "json", false);
             let small = artifact_path(stem, "json", true);
             assert_eq!(full, format!("{stem}.json"));

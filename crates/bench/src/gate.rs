@@ -162,16 +162,10 @@ fn run(
     match gate {
         Gate::Throughput => {
             let algorithm = flag(args, "--algorithm").unwrap_or_else(|| "count-sketch".into());
-            floor(
-                "update_mops",
-                &algorithm,
-                &format!("{algorithm} update throughput"),
-            )?;
-            floor(
-                "query_mops",
-                &algorithm,
-                &format!("{algorithm} query throughput"),
-            )?;
+            for rate in ["update", "query"] {
+                let what = format!("{algorithm} {rate} throughput");
+                floor(&format!("{rate}_mops"), &algorithm, &what)?;
+            }
             Ok(())
         }
         Gate::Parallel => {
