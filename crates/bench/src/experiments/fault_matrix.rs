@@ -1,6 +1,6 @@
 //! **Fault matrix** — recovery outcome and merged-estimate accuracy as a
 //! function of how many site agents fail, measured over the *real*
-//! loopback transport (`cs-net`), not a simulated tick loop.
+//! loopback transport (`cs-net`), not a simulated delivery loop.
 //!
 //! The setup mirrors a small deployment: `SITES` site agents each hold a
 //! balanced hash-shard of one global Zipf stream and ship their sketch +
@@ -85,8 +85,7 @@ fn run_trial(reports: &[SiteReport], faulted: usize, seed: u64) -> Trial {
         max_attempts: 2,
         ..RetryPolicy::default()
     };
-    config.tick_ms = 2;
-    config.deadline_ticks = 10_000;
+    config.deadline_ms = 20_000;
     config.timeout_ms = 500;
 
     let server = CoordinatorServer::bind("127.0.0.1:0", config).expect("bind loopback");
@@ -100,8 +99,11 @@ fn run_trial(reports: &[SiteReport], faulted: usize, seed: u64) -> Trial {
             let addr = addr.clone();
             let report = report.clone();
             let mut agent = SiteAgent::new(site, SITES);
-            agent.policy.max_attempts = 2;
-            agent.tick_ms = 1;
+            agent.policy = RetryPolicy {
+                max_attempts: 2,
+                base_backoff_ms: 1,
+                ..RetryPolicy::default()
+            };
             agent.timeout_ms = 500;
             if site < faulted {
                 agent.fault = Some(fault_for(site));

@@ -16,10 +16,12 @@
 //! Production collection runs through [`QuorumCoordinator`], which
 //! survives what the strict [`DistributedSketch::coordinate`] cannot: a
 //! corrupted, truncated, incompatible, or straggling site is *excluded*
-//! (after a deterministic, tick-driven retry schedule — no wall-clock, so
-//! tests are reproducible) rather than failing the whole merge, and the
-//! final [`MergeReport`] states exactly which sites are missing and how
-//! far the error bound widened as a result.
+//! rather than failing the whole merge, and the final [`MergeReport`]
+//! states exactly which sites are missing and how far the error bound
+//! widened as a result. By additivity the merge does not depend on when
+//! or in what order reports arrive, so the coordinator keeps no clock:
+//! only a count of failed attempts per site. The driver owns the one
+//! deadline, in wall-clock milliseconds.
 
 use crate::approx_top::ApproxTopProcessor;
 use crate::error::CoreError;
@@ -131,55 +133,55 @@ impl DistributedSketch {
     }
 }
 
-/// Deterministic retry schedule for straggling sites, driven by logical
-/// ticks instead of wall-clock time so every test run is reproducible.
+/// Retry schedule for a site's delivery attempts, in milliseconds.
 ///
 /// Attempt `a` (zero-based) that fails is retried after
-/// `min(base_backoff_ticks · multiplier^a, max_backoff_ticks)` further
-/// ticks; after `max_attempts` failed attempts the site is given up on
-/// and excluded as a straggler.
+/// `min(base_backoff_ms · multiplier^a, max_backoff_ms)`; after
+/// `max_attempts` failed attempts the site is given up on and excluded
+/// as a straggler. The default is 3 attempts with backoffs of 50 and
+/// 100 ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Delivery attempts before a site is excluded.
     pub max_attempts: u32,
-    /// Ticks to wait after the first failed attempt.
-    pub base_backoff_ticks: u64,
+    /// Milliseconds to wait after the first failed attempt.
+    pub base_backoff_ms: u64,
     /// Exponential growth factor between attempts.
     pub multiplier: u64,
-    /// Ceiling on any single backoff interval.
-    pub max_backoff_ticks: u64,
+    /// Ceiling on any single backoff interval, in milliseconds.
+    pub max_backoff_ms: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 3,
-            base_backoff_ticks: 1,
+            base_backoff_ms: 50,
             multiplier: 2,
-            max_backoff_ticks: 8,
+            max_backoff_ms: 400,
         }
     }
 }
 
 impl RetryPolicy {
-    /// Backoff after failed attempt `attempt` (zero-based), or `None`
-    /// once the attempt budget is exhausted.
-    pub fn backoff_ticks(&self, attempt: u32) -> Option<u64> {
+    /// Backoff in milliseconds after failed attempt `attempt`
+    /// (zero-based), or `None` once the attempt budget is exhausted.
+    pub fn backoff_ms(&self, attempt: u32) -> Option<u64> {
         if attempt + 1 >= self.max_attempts {
             return None;
         }
         let factor = self.multiplier.saturating_pow(attempt);
         Some(
-            self.base_backoff_ticks
+            self.base_backoff_ms
                 .saturating_mul(factor)
-                .min(self.max_backoff_ticks),
+                .min(self.max_backoff_ms),
         )
     }
 
     /// The full schedule of backoff intervals, for inspection.
     pub fn schedule(&self) -> Vec<u64> {
         (0..self.max_attempts)
-            .map_while(|a| self.backoff_ticks(a))
+            .map_while(|a| self.backoff_ms(a))
             .collect()
     }
 }
@@ -224,8 +226,6 @@ pub struct MergeReport {
     pub excluded: Vec<(usize, ExclusionReason)>,
     /// Occurrences covered by the included sites.
     pub covered_n: u64,
-    /// Ticks elapsed when the merge was finalized.
-    pub finalized_at_tick: u64,
 }
 
 impl MergeReport {
@@ -269,26 +269,22 @@ pub struct QuorumOutcome {
 
 #[derive(Debug, Clone)]
 enum SlotState {
-    Waiting { attempt: u32, retry_at_tick: u64 },
+    Waiting { attempt: u32 },
     Accepted(Box<SiteReport>),
     Excluded(ExclusionReason),
 }
 
 /// Fault-tolerant collection of site reports.
 ///
-/// Usage is a tick-driven loop: the driver asks [`due_sites`] which
-/// sites to (re-)request, delivers whatever comes back via
-/// [`deliver_snapshot`] / [`deliver_report`] / [`deliver_failed`], and
-/// advances logical time with [`advance_tick`]. Once
-/// [`pending_sites`] is empty (every site accepted or excluded) —
-/// or the driver decides to stop waiting — [`finalize`] merges the
-/// accepted reports if they meet the quorum.
+/// The driver delivers whatever each site sends, in any order, via
+/// [`deliver_snapshot`] / [`deliver_report`] / [`deliver_failed`].
+/// Once [`pending_sites`] is empty (every site accepted or excluded) —
+/// or the driver's deadline passes — [`finalize`] merges the accepted
+/// reports if they meet the quorum.
 ///
-/// [`due_sites`]: QuorumCoordinator::due_sites
 /// [`deliver_snapshot`]: QuorumCoordinator::deliver_snapshot
 /// [`deliver_report`]: QuorumCoordinator::deliver_report
 /// [`deliver_failed`]: QuorumCoordinator::deliver_failed
-/// [`advance_tick`]: QuorumCoordinator::advance_tick
 /// [`pending_sites`]: QuorumCoordinator::pending_sites
 /// [`finalize`]: QuorumCoordinator::finalize
 #[derive(Debug, Clone)]
@@ -298,7 +294,6 @@ pub struct QuorumCoordinator {
     reference: CountSketch,
     quorum: usize,
     policy: RetryPolicy,
-    tick: u64,
     slots: Vec<SlotState>,
 }
 
@@ -324,20 +319,8 @@ impl QuorumCoordinator {
             reference: CountSketch::new(params, seed),
             quorum,
             policy,
-            tick: 0,
-            slots: vec![
-                SlotState::Waiting {
-                    attempt: 0,
-                    retry_at_tick: 0,
-                };
-                num_sites
-            ],
+            slots: vec![SlotState::Waiting { attempt: 0 }; num_sites],
         })
-    }
-
-    /// Current logical time.
-    pub fn tick(&self) -> u64 {
-        self.tick
     }
 
     /// The `(rows, buckets)` every delivered report must match.
@@ -371,23 +354,6 @@ impl QuorumCoordinator {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| matches!(s, SlotState::Accepted(_)).then_some(i))
-            .collect()
-    }
-
-    /// Advances logical time by one tick.
-    pub fn advance_tick(&mut self) {
-        self.tick += 1;
-    }
-
-    /// Sites whose (re-)request is due at the current tick.
-    pub fn due_sites(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                SlotState::Waiting { retry_at_tick, .. } if *retry_at_tick <= self.tick => Some(i),
-                _ => None,
-            })
             .collect()
     }
 
@@ -469,22 +435,18 @@ impl QuorumCoordinator {
         Ok(())
     }
 
-    /// Records that the current request to `site` failed (timeout,
-    /// connection refused). The retry policy decides whether the site is
-    /// rescheduled at a later tick or excluded as a straggler.
+    /// Records that a delivery attempt from `site` failed (a torn or
+    /// corrupt frame, a protocol violation). The site stays pending until
+    /// its `max_attempts`-th failure, which excludes it as a straggler.
     pub fn deliver_failed(&mut self, site: usize) -> Result<(), CoreError> {
-        let now = self.tick;
-        let policy = self.policy;
+        let max_attempts = self.policy.max_attempts;
         let slot = self.slot_mut(site)?;
-        if let SlotState::Waiting { attempt, .. } = *slot {
-            *slot = match policy.backoff_ticks(attempt) {
-                Some(backoff) => SlotState::Waiting {
-                    attempt: attempt + 1,
-                    retry_at_tick: now + backoff,
-                },
-                None => SlotState::Excluded(ExclusionReason::Straggler {
-                    attempts: attempt + 1,
-                }),
+        if let SlotState::Waiting { attempt } = *slot {
+            let attempts = attempt + 1;
+            *slot = if attempts >= max_attempts {
+                SlotState::Excluded(ExclusionReason::Straggler { attempts })
+            } else {
+                SlotState::Waiting { attempt: attempts }
             };
         }
         Ok(())
@@ -497,7 +459,7 @@ impl QuorumCoordinator {
     pub fn finalize(mut self) -> Result<QuorumOutcome, CoreError> {
         // Give up on anything still pending.
         for slot in &mut self.slots {
-            if let SlotState::Waiting { attempt, .. } = *slot {
+            if let SlotState::Waiting { attempt } = *slot {
                 *slot = SlotState::Excluded(ExclusionReason::Straggler { attempts: attempt });
             }
         }
@@ -533,7 +495,6 @@ impl QuorumCoordinator {
             included: included.clone(),
             excluded,
             covered_n,
-            finalized_at_tick: self.tick,
         };
         Ok(QuorumOutcome {
             sketch: DistributedSketch {
@@ -652,14 +613,19 @@ mod tests {
     fn retry_policy_schedule_is_deterministic_and_capped() {
         let p = RetryPolicy {
             max_attempts: 5,
-            base_backoff_ticks: 1,
+            base_backoff_ms: 1,
             multiplier: 3,
-            max_backoff_ticks: 10,
+            max_backoff_ms: 10,
         };
         assert_eq!(p.schedule(), vec![1, 3, 9, 10]);
-        assert_eq!(p.backoff_ticks(4), None, "budget exhausted");
+        assert_eq!(p.backoff_ms(4), None, "budget exhausted");
+    }
+
+    #[test]
+    fn default_retry_policy_backs_off_50_then_100_ms() {
         let d = RetryPolicy::default();
-        assert_eq!(d.schedule(), vec![1, 2]);
+        assert_eq!(d.max_attempts, 3);
+        assert_eq!(d.schedule(), vec![50, 100]);
     }
 
     fn quorum_setup(sites: usize, quorum: usize) -> (Vec<SiteReport>, QuorumCoordinator) {
@@ -744,20 +710,17 @@ mod tests {
     }
 
     #[test]
-    fn quorum_straggler_is_retried_then_excluded_tick_driven() {
+    fn quorum_straggler_is_excluded_after_max_attempts_failures() {
         let (reports, mut coord) = quorum_setup(2, 1);
         coord.deliver_report(0, reports[0].clone()).unwrap();
-        // Site 1 never answers: fail each due request, advancing ticks.
-        let mut failures = 0;
-        while coord.pending_sites().contains(&1) {
-            if coord.due_sites().contains(&1) {
-                coord.deliver_failed(1).unwrap();
-                failures += 1;
-            }
-            coord.advance_tick();
-            assert!(coord.tick() < 100, "retry loop must terminate");
+        // Site 1 fails every attempt: pending until the last one.
+        let max_attempts = RetryPolicy::default().max_attempts;
+        for _ in 1..max_attempts {
+            coord.deliver_failed(1).unwrap();
+            assert_eq!(coord.pending_sites(), vec![1]);
         }
-        assert_eq!(failures, RetryPolicy::default().max_attempts);
+        coord.deliver_failed(1).unwrap();
+        assert!(coord.pending_sites().is_empty());
         let outcome = coord.finalize().unwrap();
         assert_eq!(outcome.report.included, vec![0]);
         assert!(matches!(

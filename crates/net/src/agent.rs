@@ -4,10 +4,10 @@
 //! One delivery attempt is the fixed conversation
 //! `HELLO → SNAPSHOT → REPORT → (ACK | NACK) → BYE`. Any connect,
 //! write, read or NACK failure is one *failed attempt*; the agent then
-//! sleeps the policy's backoff (logical ticks × [`SiteAgent::tick_ms`])
-//! and reconnects from scratch, until the policy's attempt budget runs
-//! out — the same deterministic schedule the coordinator uses to decide
-//! when a site becomes a straggler, wired to real socket failures.
+//! sleeps the policy's backoff in milliseconds and reconnects from
+//! scratch, until the policy's attempt budget runs out — the same
+//! `max_attempts` the coordinator uses to decide when a site becomes a
+//! straggler, wired to real socket failures.
 //!
 //! Every socket operation carries an explicit timeout: connect via
 //! [`TcpStream::connect_timeout`], reads and writes via per-socket
@@ -43,8 +43,6 @@ pub struct SiteAgent {
     pub sites: usize,
     /// Retry schedule for failed delivery attempts.
     pub policy: RetryPolicy,
-    /// Wall-clock milliseconds per logical backoff tick.
-    pub tick_ms: u64,
     /// Per-socket connect/read/write timeout in milliseconds.
     pub timeout_ms: u64,
     /// Optional link-fault policy: when set, every connection is wrapped
@@ -56,14 +54,13 @@ pub struct SiteAgent {
 }
 
 impl SiteAgent {
-    /// An agent with the default retry policy (3 attempts, exponential
-    /// backoff), 50 ms ticks and 5 s socket timeouts.
+    /// An agent with the default retry policy (3 attempts, backoffs of
+    /// 50 and 100 ms) and 5 s socket timeouts.
     pub fn new(site_id: usize, sites: usize) -> Self {
         Self {
             site_id,
             sites,
             policy: RetryPolicy::default(),
-            tick_ms: 50,
             timeout_ms: 5_000,
             fault: None,
             fault_seed: 1,
@@ -82,9 +79,9 @@ impl SiteAgent {
         loop {
             match self.try_ship(addr, report, &snapshot) {
                 Ok(outcome) => return Ok(outcome),
-                Err(err) => match self.policy.backoff_ticks(attempt) {
-                    Some(ticks) => {
-                        std::thread::sleep(Duration::from_millis(ticks * self.tick_ms));
+                Err(err) => match self.policy.backoff_ms(attempt) {
+                    Some(ms) => {
+                        std::thread::sleep(Duration::from_millis(ms));
                         attempt += 1;
                     }
                     None => return Err(err),
@@ -192,12 +189,12 @@ mod tests {
             l.local_addr().unwrap().port()
         };
         let mut agent = SiteAgent::new(0, 1);
-        agent.tick_ms = 1;
+        agent.policy.base_backoff_ms = 1;
         agent.timeout_ms = 200;
         let t0 = std::time::Instant::now();
         let err = agent.ship(&format!("127.0.0.1:{port}"), &report());
         assert!(err.is_err(), "{err:?}");
-        // Default policy: 3 attempts with backoffs of 1 and 2 ticks.
+        // 3 attempts with backoffs of 1 and 2 ms.
         assert!(
             t0.elapsed() >= Duration::from_millis(3),
             "backoff must actually sleep"

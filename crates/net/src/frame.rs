@@ -200,6 +200,29 @@ impl Frame {
     }
 }
 
+/// Checks a frame header's magic, version and declared length; returns
+/// the type code and the payload length. Nothing is sized from the
+/// length before this accepts it.
+fn check_header(header: &[u8; HEADER]) -> Result<(u32, usize), NetError> {
+    let field = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
+    let magic = field(0);
+    if magic != MAGIC {
+        return Err(NetError::BadMagic(magic));
+    }
+    let version = field(4);
+    if version != VERSION {
+        return Err(NetError::BadVersion(version));
+    }
+    let len = field(12) as usize;
+    if len > MAX_PAYLOAD {
+        return Err(NetError::Oversized {
+            len,
+            max: MAX_PAYLOAD,
+        });
+    }
+    Ok((field(8), len))
+}
+
 /// Encodes a frame to its complete wire bytes (header, payload, CRC).
 ///
 /// # Panics
@@ -246,22 +269,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), NetError> {
             available: bytes.len(),
         });
     }
-    let field = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    let magic = field(0);
-    if magic != MAGIC {
-        return Err(NetError::BadMagic(magic));
-    }
-    let version = field(4);
-    if version != VERSION {
-        return Err(NetError::BadVersion(version));
-    }
-    let len = field(12) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(NetError::Oversized {
-            len,
-            max: MAX_PAYLOAD,
-        });
-    }
+    let (code, len) = check_header(bytes[..HEADER].try_into().expect("HEADER bytes"))?;
     let total = HEADER + len + 4;
     if bytes.len() < total {
         return Err(NetError::Truncated {
@@ -274,7 +282,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), NetError> {
     if stored != computed {
         return Err(NetError::ChecksumMismatch { stored, computed });
     }
-    let frame = Frame::from_parts(field(8), bytes[HEADER..HEADER + len].to_vec())?;
+    let frame = Frame::from_parts(code, bytes[HEADER..HEADER + len].to_vec())?;
     Ok((frame, total))
 }
 
@@ -317,22 +325,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, NetError> {
             Err(e) => return Err(NetError::from_io(e)),
         }
     }
-    let field = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
-    let magic = field(0);
-    if magic != MAGIC {
-        return Err(NetError::BadMagic(magic));
-    }
-    let version = field(4);
-    if version != VERSION {
-        return Err(NetError::BadVersion(version));
-    }
-    let len = field(12) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(NetError::Oversized {
-            len,
-            max: MAX_PAYLOAD,
-        });
-    }
+    let (code, len) = check_header(&header)?;
     let mut rest = vec![0u8; len + 4];
     r.read_exact(&mut rest).map_err(NetError::from_io)?;
     let stored = u32::from_le_bytes(rest[len..].try_into().expect("4 bytes"));
@@ -344,7 +337,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, NetError> {
         return Err(NetError::ChecksumMismatch { stored, computed });
     }
     rest.truncate(len);
-    Frame::from_parts(field(8), rest)
+    Frame::from_parts(code, rest)
 }
 
 #[cfg(test)]
@@ -477,16 +470,24 @@ mod tests {
         assert!(wire.is_empty());
     }
 
+    /// Both decoders' verdict on `bytes`: the slice decoder's error must
+    /// be the stream reader's.
+    fn both_reject(bytes: &[u8]) -> NetError {
+        let sliced = decode_frame(bytes).unwrap_err();
+        assert_eq!(read_frame(&mut &bytes[..]).unwrap_err(), sliced);
+        sliced
+    }
+
     #[test]
     fn alien_magic_and_version_are_typed() {
         let mut bytes = encode_frame(&Frame::Bye);
         bytes[0] = b'X';
-        assert!(matches!(decode_frame(&bytes), Err(NetError::BadMagic(_))));
+        assert!(matches!(both_reject(&bytes), NetError::BadMagic(_)));
         let mut bytes = encode_frame(&Frame::Bye);
         bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
         // Version check runs before the CRC, so a future-versioned frame
         // is reported as such rather than as generic corruption.
-        assert!(matches!(decode_frame(&bytes), Err(NetError::BadVersion(9))));
+        assert_eq!(both_reject(&bytes), NetError::BadVersion(9));
     }
 
     #[test]
@@ -497,10 +498,7 @@ mod tests {
         let n = bytes.len();
         let crc = cs_hash::crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            decode_frame(&bytes),
-            Err(NetError::BadFrameType(77))
-        ));
+        assert_eq!(both_reject(&bytes), NetError::BadFrameType(77));
     }
 
     proptest! {

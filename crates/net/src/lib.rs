@@ -14,9 +14,9 @@
 //!   [`RetryPolicy`](cs_core::distributed::RetryPolicy)-driven
 //!   reconnect/backoff wired to real connect/write failures.
 //! * **Coordinator server** ([`server`]) — a threaded accept loop
-//!   driving the tick-based
-//!   [`QuorumCoordinator`](cs_core::distributed::QuorumCoordinator)
-//!   off real sockets, finalizing on quorum or deadline.
+//!   driving [`QuorumCoordinator`](cs_core::distributed::QuorumCoordinator)
+//!   off real sockets until every site is resolved or a deadline in
+//!   milliseconds passes.
 //! * **Fault-injected links** ([`conn`]) — [`FaultyConn`] wraps any
 //!   connection with a [`LinkFault`](cs_stream::LinkFault) policy
 //!   (cut, bit-flip, stall) so robustness tests exercise the real
@@ -38,7 +38,7 @@ pub use conn::FaultyConn;
 pub use frame::{
     decode_frame, encode_frame, read_frame, try_encode_frame, write_encoded, write_frame, Frame,
 };
-pub use server::{render_report, serve, CoordinatorServer, ServeConfig};
+pub use server::{render_report, CoordinatorServer, ServeConfig};
 
 /// Errors from the wire transport.
 ///

@@ -1,14 +1,13 @@
 //! The coordinator server: a threaded accept loop that drives the
-//! tick-based [`QuorumCoordinator`] off real sockets.
+//! [`QuorumCoordinator`] off real sockets.
 //!
 //! Each accepted connection is handled on its own thread and walks the
 //! shipping conversation (`HELLO → SNAPSHOT → REPORT → ACK/NACK`),
 //! feeding the coordinator's `deliver_*` methods under a mutex. The
-//! accept loop itself is non-blocking and owns logical time: every
-//! `tick_ms` of wall clock it advances the coordinator one tick, so
-//! straggler/backoff bookkeeping matches the deterministic in-process
-//! model. The loop exits when every site is resolved (accepted or
-//! excluded) or the deadline tick passes, then finalizes.
+//! accept loop itself is non-blocking and polls every few milliseconds.
+//! It exits when every site is resolved (accepted or excluded) or
+//! `deadline_ms` of wall clock has passed, then finalizes; a site that
+//! is still pending then is excluded as a straggler.
 //!
 //! Every socket carries explicit read/write timeouts; a wedged or
 //! half-dead client can stall one handler thread for at most
@@ -25,6 +24,9 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// How long the accept loop sleeps when no connection is waiting.
+const POLL: Duration = Duration::from_millis(5);
+
 /// Configuration for a coordinator server.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -36,19 +38,17 @@ pub struct ServeConfig {
     pub params: SketchParams,
     /// Hash seed every site must match.
     pub seed: u64,
-    /// Straggler/backoff policy (in logical ticks).
+    /// Failed attempts after which a site is excluded as a straggler.
     pub policy: RetryPolicy,
-    /// Wall-clock milliseconds per logical tick.
-    pub tick_ms: u64,
-    /// Ticks after which collection stops and stragglers are excluded.
-    pub deadline_ticks: u64,
+    /// Milliseconds after which collection stops and the sites still
+    /// pending are excluded as stragglers.
+    pub deadline_ms: u64,
     /// Per-connection read/write timeout in milliseconds.
     pub timeout_ms: u64,
 }
 
 impl ServeConfig {
-    /// A config with 50 ms ticks, a 200-tick (10 s) deadline and 5 s
-    /// per-connection timeouts.
+    /// A config with a 10 s deadline and 5 s per-connection timeouts.
     pub fn new(sites: usize, quorum: usize, params: SketchParams, seed: u64) -> Self {
         Self {
             sites,
@@ -56,8 +56,7 @@ impl ServeConfig {
             params,
             seed,
             policy: RetryPolicy::default(),
-            tick_ms: 50,
-            deadline_ticks: 200,
+            deadline_ms: 10_000,
             timeout_ms: 5_000,
         }
     }
@@ -69,12 +68,6 @@ pub struct CoordinatorServer {
     listener: TcpListener,
     coordinator: Arc<Mutex<QuorumCoordinator>>,
     config: ServeConfig,
-}
-
-/// Binds a coordinator at `addr`, runs it to completion and returns the
-/// merged outcome. Convenience for [`CoordinatorServer::bind`] + `run`.
-pub fn serve(addr: impl ToSocketAddrs, config: ServeConfig) -> Result<QuorumOutcome, NetError> {
-    CoordinatorServer::bind(addr, config)?.run()
 }
 
 impl CoordinatorServer {
@@ -107,8 +100,7 @@ impl CoordinatorServer {
     /// passes, then finalizes the quorum merge.
     pub fn run(self) -> Result<QuorumOutcome, NetError> {
         let started = Instant::now();
-        let tick_ms = self.config.tick_ms.max(1);
-        let poll = Duration::from_millis(tick_ms.clamp(1, 5));
+        let deadline = Duration::from_millis(self.config.deadline_ms);
         let mut handlers = Vec::new();
         loop {
             match self.listener.accept() {
@@ -120,23 +112,18 @@ impl CoordinatorServer {
                     }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(poll);
+                    std::thread::sleep(POLL);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(NetError::from_io(e)),
             }
-            // Advance logical time to match the wall clock, one tick at a
-            // time so due/backoff bookkeeping never skips a tick.
-            let target_tick =
-                (started.elapsed().as_millis() as u64 / tick_ms).min(self.config.deadline_ticks);
-            let done = {
-                let mut coord = self.coordinator.lock().expect("coordinator lock");
-                while coord.tick() < target_tick {
-                    coord.advance_tick();
-                }
-                coord.pending_sites().is_empty() || coord.tick() >= self.config.deadline_ticks
-            };
-            if done {
+            let resolved = self
+                .coordinator
+                .lock()
+                .expect("coordinator lock")
+                .pending_sites()
+                .is_empty();
+            if resolved || started.elapsed() >= deadline {
                 break;
             }
         }
@@ -304,15 +291,14 @@ mod tests {
 
     fn fast_config(sites: usize, quorum: usize) -> ServeConfig {
         let mut config = ServeConfig::new(sites, quorum, params(), SEED);
-        config.tick_ms = 2;
-        config.deadline_ticks = 500;
+        config.deadline_ms = 1_000;
         config.timeout_ms = 500;
         config
     }
 
     fn fast_agent(site_id: usize, sites: usize) -> SiteAgent {
         let mut agent = SiteAgent::new(site_id, sites);
-        agent.tick_ms = 1;
+        agent.policy.base_backoff_ms = 1;
         agent.timeout_ms = 500;
         agent
     }
@@ -417,9 +403,38 @@ mod tests {
     }
 
     #[test]
+    fn silent_site_is_excluded_once_the_deadline_passes() {
+        let mut config = fast_config(2, 1);
+        config.deadline_ms = 300;
+        let deadline = Duration::from_millis(config.deadline_ms);
+        let server = CoordinatorServer::bind("127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let started = Instant::now();
+        let serve = std::thread::spawn(move || server.run());
+        // Site 0 meets the quorum at once; site 1 never connects.
+        let report = site_report(&Stream::from_ids([1, 1, 2]), 2, params(), SEED);
+        assert_eq!(
+            fast_agent(0, 2).ship(&addr, &report).unwrap(),
+            ShipOutcome::Accepted
+        );
+        let outcome = serve.join().unwrap().unwrap();
+        let elapsed = started.elapsed();
+        assert!(elapsed >= deadline, "returned after {elapsed:?}");
+        assert!(
+            elapsed < deadline + Duration::from_secs(5),
+            "returned after {elapsed:?}"
+        );
+        assert_eq!(outcome.report.included, vec![0]);
+        assert_eq!(
+            outcome.report.excluded,
+            vec![(1, ExclusionReason::Straggler { attempts: 0 })]
+        );
+    }
+
+    #[test]
     fn quorum_not_met_is_a_typed_error() {
         let mut config = fast_config(2, 2);
-        config.deadline_ticks = 5;
+        config.deadline_ms = 10;
         let server = CoordinatorServer::bind("127.0.0.1:0", config).unwrap();
         // No agents ever ship: deadline passes, both sites straggle.
         assert!(matches!(

@@ -4,7 +4,7 @@
 //! file, or snapshot) can be **truncated** by a torn write, **bit-flipped**
 //! in transit or at rest, **duplicated** by an at-least-once transport,
 //! **reordered** by retries racing each other, or **delayed** by a
-//! straggling site. [`FaultInjector`] produces all of these from one
+//! straggling site that fails an attempt before it delivers. [`FaultInjector`] produces all of these from one
 //! seeded generator, so a failing test case reproduces from its seed
 //! alone — the same engine drives both `tests/robustness.rs` and
 //! `tests/fault_recovery.rs`.
@@ -29,11 +29,9 @@ pub enum Fault {
     Duplicate,
     /// Shuffle element order (racing retries).
     Reorder,
-    /// Delay delivery by this many logical ticks (straggling site).
-    Straggle {
-        /// Ticks until the delivery arrives.
-        ticks: u64,
-    },
+    /// Deliver late: one failed attempt, then the intact payload
+    /// (straggling site).
+    Straggle,
     /// Never deliver at all.
     Drop,
 }
@@ -184,14 +182,9 @@ impl FaultInjector {
         }
     }
 
-    /// A straggler delay in `[1, max_ticks]` logical ticks.
-    pub fn straggler_delay(&mut self, max_ticks: u64) -> u64 {
-        self.pick(1, max_ticks + 1)
-    }
-
     /// Draws one fault uniformly from the full byte-and-collection
     /// matrix.
-    pub fn any_fault(&mut self, max_straggle_ticks: u64) -> Fault {
+    pub fn any_fault(&mut self) -> Fault {
         match self.pick(0, 6) {
             0 => Fault::Truncate,
             1 => Fault::BitFlip {
@@ -199,9 +192,7 @@ impl FaultInjector {
             },
             2 => Fault::Duplicate,
             3 => Fault::Reorder,
-            4 => Fault::Straggle {
-                ticks: self.straggler_delay(max_straggle_ticks),
-            },
+            4 => Fault::Straggle,
             _ => Fault::Drop,
         }
     }
@@ -218,7 +209,7 @@ impl FaultInjector {
             Fault::BitFlip { flips } => {
                 self.flip_bits(payload, flips);
             }
-            Fault::Duplicate | Fault::Reorder | Fault::Straggle { .. } | Fault::Drop => {}
+            Fault::Duplicate | Fault::Reorder | Fault::Straggle | Fault::Drop => {}
         }
     }
 }
@@ -248,7 +239,7 @@ mod tests {
         let mut a = FaultInjector::new(7);
         let mut b = FaultInjector::new(7);
         for _ in 0..100 {
-            assert_eq!(a.any_fault(10), b.any_fault(10));
+            assert_eq!(a.any_fault(), b.any_fault());
         }
     }
 
@@ -256,8 +247,8 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = FaultInjector::new(1);
         let mut b = FaultInjector::new(2);
-        let fa: Vec<Fault> = (0..20).map(|_| a.any_fault(10)).collect();
-        let fb: Vec<Fault> = (0..20).map(|_| b.any_fault(10)).collect();
+        let fa: Vec<Fault> = (0..20).map(|_| a.any_fault()).collect();
+        let fb: Vec<Fault> = (0..20).map(|_| b.any_fault()).collect();
         assert_ne!(fa, fb);
     }
 
@@ -313,25 +304,16 @@ mod tests {
     }
 
     #[test]
-    fn straggler_delay_in_range() {
-        let mut inj = FaultInjector::new(13);
-        for _ in 0..100 {
-            let d = inj.straggler_delay(5);
-            assert!((1..=5).contains(&d));
-        }
-    }
-
-    #[test]
     fn any_fault_covers_the_matrix() {
         let mut inj = FaultInjector::new(17);
         let mut seen_discriminants = std::collections::BTreeSet::new();
         for _ in 0..200 {
-            seen_discriminants.insert(match inj.any_fault(10) {
+            seen_discriminants.insert(match inj.any_fault() {
                 Fault::Truncate => 0,
                 Fault::BitFlip { .. } => 1,
                 Fault::Duplicate => 2,
                 Fault::Reorder => 3,
-                Fault::Straggle { .. } => 4,
+                Fault::Straggle => 4,
                 Fault::Drop => 5,
             });
         }
@@ -344,7 +326,7 @@ mod tests {
         let mut payload = vec![0xFF; 32];
         inj.corrupt(Fault::Reorder, &mut payload);
         inj.corrupt(Fault::Drop, &mut payload);
-        inj.corrupt(Fault::Straggle { ticks: 3 }, &mut payload);
+        inj.corrupt(Fault::Straggle, &mut payload);
         inj.corrupt(Fault::Duplicate, &mut payload);
         assert_eq!(payload, vec![0xFF; 32], "delivery faults keep bytes");
         inj.corrupt(Fault::BitFlip { flips: 1 }, &mut payload);

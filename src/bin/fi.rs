@@ -33,7 +33,7 @@ fn main() {
                  [-t ROWS] [-b BUCKETS] [--seed S] [--phi P] [--eps E] [--algorithm A] \
                  [--threads N] [--snapshot PATH] [--snapshot-every N] [--resume PATH] \
                  [--listen ADDR] [--to ADDR] [--site-id I] [--sites N] [--quorum Q] \
-                 [--deadline-ms MS] [--tick-ms MS] [--timeout-ms MS] [--fault SPEC] \
+                 [--deadline-ms MS] [--timeout-ms MS] [--fault SPEC] \
                  [--fault-seed S] [--out-prefix P] [FILE...]"
             );
             std::process::exit(cli::EXIT_USAGE);

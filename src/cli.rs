@@ -159,10 +159,8 @@ pub struct Options {
     /// Minimum validated reports for a usable merge (`serve`; 0 = all
     /// sites).
     pub quorum: usize,
-    /// Collection deadline in milliseconds (`serve`).
+    /// Collection deadline in milliseconds (`serve`); positive.
     pub deadline_ms: u64,
-    /// Milliseconds per logical coordinator/backoff tick.
-    pub tick_ms: u64,
     /// Per-connection socket timeout in milliseconds.
     pub timeout_ms: u64,
     /// Link-fault spec for `ship` (`cut:BYTES` | `flip:FROM_BYTE` |
@@ -197,7 +195,6 @@ impl Default for Options {
             sites: 1,
             quorum: 0,
             deadline_ms: 10_000,
-            tick_ms: 50,
             timeout_ms: 5_000,
             fault: None,
             fault_seed: 1,
@@ -312,11 +309,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--deadline-ms: {e}"))?
             }
-            "--tick-ms" => {
-                opts.tick_ms = flag_value("--tick-ms")?
-                    .parse()
-                    .map_err(|e| format!("--tick-ms: {e}"))?
-            }
             "--timeout-ms" => {
                 opts.timeout_ms = flag_value("--timeout-ms")?
                     .parse()
@@ -428,6 +420,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     "--quorum {} exceeds --sites {}",
                     opts.quorum, opts.sites
                 ));
+            }
+            if opts.deadline_ms == 0 {
+                return Err("--deadline-ms must be positive".into());
             }
             if !opts.files.is_empty() {
                 return Err("serve takes no input files".into());
@@ -800,8 +795,7 @@ pub fn run_inspect(opts: &Options) -> Result<String, CliError> {
 }
 
 /// Builds a [`ServeConfig`] from parsed options. `--quorum 0` (the
-/// default) means every site must report; `--deadline-ms` is converted
-/// to logical ticks at the configured tick rate.
+/// default) means every site must report.
 fn serve_config(opts: &Options) -> ServeConfig {
     let quorum = if opts.quorum == 0 {
         opts.sites
@@ -814,8 +808,7 @@ fn serve_config(opts: &Options) -> ServeConfig {
         SketchParams::new(opts.rows, opts.buckets),
         opts.seed,
     );
-    config.tick_ms = opts.tick_ms.max(1);
-    config.deadline_ticks = (opts.deadline_ms / config.tick_ms).max(1);
+    config.deadline_ms = opts.deadline_ms;
     config.timeout_ms = opts.timeout_ms;
     config
 }
@@ -871,7 +864,6 @@ pub fn run_ship(opts: &Options, text: &str) -> Result<String, CliError> {
     let site_id = opts.site_id.expect("parse_args requires --site-id");
     let report = scan_site(opts, text);
     let mut agent = SiteAgent::new(site_id, opts.sites);
-    agent.tick_ms = opts.tick_ms.max(1);
     agent.timeout_ms = opts.timeout_ms;
     agent.fault_seed = opts.fault_seed;
     if let Some(spec) = &opts.fault {
@@ -1057,6 +1049,9 @@ mod tests {
         assert!(parse_args(&args("top -k 0")).is_err());
         assert!(parse_args(&args("diff only-one.txt")).is_err());
         assert!(parse_args(&args("top a.txt b.txt")).is_err());
+        // Collection stops at a positive deadline in milliseconds.
+        let err = parse_args(&args("serve --listen a --deadline-ms 0")).unwrap_err();
+        assert!(err.starts_with("--deadline-ms"), "{err}");
         // The iceberg threshold needs 0 < phi <= 1 and 0 <= eps < phi
         // (the default eps is 0.002).
         for (flags, named) in [
@@ -1589,13 +1584,14 @@ mod tests {
     #[test]
     fn parse_serve_subcommand() {
         let o = parse_args(&args(
-            "serve --listen 127.0.0.1:7700 --sites 3 --quorum 2 --deadline-ms 2000 --tick-ms 5",
+            "serve --listen 127.0.0.1:7700 --sites 3 --quorum 2 --deadline-ms 2000",
         ))
         .unwrap();
         assert_eq!(o.command, "serve");
         assert_eq!(o.listen.as_deref(), Some("127.0.0.1:7700"));
         assert_eq!((o.sites, o.quorum), (3, 2));
-        assert_eq!((o.deadline_ms, o.tick_ms), (2000, 5));
+        assert_eq!(o.deadline_ms, 2000);
+        assert_eq!(serve_config(&o).deadline_ms, 2000);
         // Quorum defaults to all sites.
         let all = parse_args(&args("serve --listen 127.0.0.1:0 --sites 3")).unwrap();
         assert_eq!(serve_config(&all).quorum, 3);
@@ -1709,7 +1705,6 @@ mod tests {
             k: 2,
             listen: Some(addr.clone()),
             sites: 2,
-            tick_ms: 2,
             deadline_ms: 5_000,
             ..Default::default()
         };
@@ -1723,7 +1718,6 @@ mod tests {
                 to: Some(addr.clone()),
                 site_id: Some(i),
                 sites: 2,
-                tick_ms: 1,
                 ..Default::default()
             };
             shippers.push(std::thread::spawn(move || run_ship(&opts, &text)));

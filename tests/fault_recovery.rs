@@ -99,7 +99,7 @@ proptest! {
         let clean = original.to_snapshot_bytes();
         let mut inj = FaultInjector::new(seed ^ 0xF417);
         for _ in 0..rounds {
-            let fault = inj.any_fault(5);
+            let fault = inj.any_fault();
             let mut bytes = clean.clone();
             inj.corrupt(fault, &mut bytes);
             match CountSketch::from_snapshot_bytes(&bytes) {
@@ -143,21 +143,17 @@ proptest! {
             let mut sk = CountSketch::new(params, seed);
             sk.absorb(stream, 1);
             let mut bytes = sk.to_snapshot_bytes();
-            let fault = inj.any_fault(3);
+            let fault = inj.any_fault();
             match fault {
                 Fault::Drop => {
                     // Site never answers: exhaust the retry policy.
                     for _ in 0..RetryPolicy::default().max_attempts {
                         coord.deliver_failed(site).unwrap();
-                        coord.advance_tick();
                     }
                 }
-                Fault::Straggle { ticks } => {
-                    // Late but intact: fails a few times, then delivers.
+                Fault::Straggle => {
+                    // Late but intact: one failed attempt, then delivery.
                     coord.deliver_failed(site).unwrap();
-                    for _ in 0..ticks {
-                        coord.advance_tick();
-                    }
                     coord.deliver_snapshot(site, &bytes, vec![], stream.len() as u64).unwrap();
                     healthy.push(site);
                 }

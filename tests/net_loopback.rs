@@ -38,15 +38,14 @@ fn reports(streams: &[Stream], k: usize) -> Vec<SiteReport> {
 
 fn fast_config(sites: usize, quorum: usize) -> ServeConfig {
     let mut config = ServeConfig::new(sites, quorum, params(), SEED);
-    config.tick_ms = 2;
-    config.deadline_ticks = 2_000;
+    config.deadline_ms = 4_000;
     config.timeout_ms = 400;
     config
 }
 
 fn fast_agent(site_id: usize, sites: usize) -> SiteAgent {
     let mut agent = SiteAgent::new(site_id, sites);
-    agent.tick_ms = 1;
+    agent.policy.base_backoff_ms = 1;
     agent.timeout_ms = 400;
     agent
 }
@@ -161,14 +160,14 @@ fn failed_and_corrupted_sites_are_excluded_not_silent() {
 #[test]
 fn retry_backoff_spends_real_wall_clock() {
     // Nothing listening: connect fails fast, so elapsed time is the
-    // backoff schedule itself (1 + 2 ticks at 20 ms/tick = 60 ms).
+    // backoff schedule itself (20 + 40 ms = 60 ms).
     let port = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().port()
     };
     let report = site_report(&Stream::from_ids([1, 1, 2]), 2, params(), SEED);
     let mut agent = fast_agent(0, 1);
-    agent.tick_ms = 20;
+    agent.policy.base_backoff_ms = 20;
     agent.timeout_ms = 100;
     let t0 = std::time::Instant::now();
     assert!(agent.ship(&format!("127.0.0.1:{port}"), &report).is_err());

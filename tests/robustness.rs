@@ -70,7 +70,7 @@ proptest! {
         let clean = io::encode(&stream);
         let mut inj = FaultInjector::new(seed);
         for _ in 0..8 {
-            let fault = inj.any_fault(4);
+            let fault = inj.any_fault();
             let mut bytes = clean.clone();
             inj.corrupt(fault, &mut bytes);
             // Typed decode failure is the expected outcome; a success
