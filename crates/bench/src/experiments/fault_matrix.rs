@@ -81,10 +81,7 @@ fn fault_for(site: usize) -> LinkFault {
 fn run_trial(reports: &[SiteReport], faulted: usize, seed: u64) -> Trial {
     let params = SketchParams::new(ROWS, BUCKETS);
     let mut config = ServeConfig::new(SITES, QUORUM, params, seed);
-    config.policy = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    config.max_attempts = 2;
     config.deadline_ms = 20_000;
     config.timeout_ms = 500;
 

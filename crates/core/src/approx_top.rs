@@ -20,10 +20,13 @@
 //! cells it just wrote. The state is bit-identical to separate calls.
 //! The tracker ([`TopKTracker`]) is a flat array with a cached minimum
 //! and does not hash the key at small `k`.
+//! [`ApproxTopProcessor::observe_cells`] applies the same rule to a key
+//! whose row cells were hashed ahead, so the caller can hash on another
+//! thread.
 
 use crate::median::Combiner;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, GenericCountSketch};
+use crate::sketch::{CountSketch, GenericCountSketch, RowCells};
 use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
@@ -106,10 +109,24 @@ where
     /// arrival is incremented and added, an untracked one is added and
     /// estimated in one fused pass over its `t` cells.
     pub fn observe(&mut self, key: ItemKey) {
+        self.observe_with(key, self.sketch.key_cells(key));
+    }
+
+    /// [`Self::observe`] of an arrival whose row cells were computed
+    /// ahead, by a [`RowHasher`](crate::sketch::RowHasher) of this
+    /// processor's sketch: `cells` holds the key's `t` words. The state
+    /// is bit-identical to `observe(key)`.
+    pub fn observe_cells(&mut self, key: ItemKey, cells: &[u32]) {
+        self.observe_with(key, cells);
+    }
+
+    /// The per-arrival rule, with `key`'s row cells read from `cells`.
+    #[inline]
+    fn observe_with(&mut self, key: ItemKey, cells: impl RowCells) {
         if self.policy == HeapPolicy::IncrementTracked && self.tracker.increment(key) {
-            self.sketch.add(key);
+            self.sketch.update_with(cells, 1);
         } else {
-            let est = self.sketch.update_estimate(key, 1);
+            let est = self.sketch.update_estimate_with(cells, 1);
             self.tracker.offer(key, est);
         }
     }
@@ -333,6 +350,47 @@ mod tests {
             let want = add_then_estimate(&ids, params, k, combiner, policy);
             proptest::prop_assert_eq!(p.result(), want.result());
             proptest::prop_assert_eq!(p.to_snapshot_bytes(), want.to_snapshot_bytes());
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_observe_cells_matches_observe(
+            ids in proptest::prop::collection::vec(0u64..80, 0..400),
+            rows in 1usize..20,
+            buckets in 1usize..64,
+            k in 1usize..12,
+            comb in 0usize..3,
+            always in proptest::prelude::any::<bool>(),
+            run in 1usize..50,
+        ) {
+            // Cells hashed ahead, a run at a time as `fi`'s scanner
+            // hashes them, give the state of one `observe(key)` per key.
+            let params = SketchParams::new(rows, buckets);
+            let combiner = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean][comb];
+            let policy = if always {
+                HeapPolicy::AlwaysReEstimate
+            } else {
+                HeapPolicy::IncrementTracked
+            };
+            let fresh = || {
+                ApproxTopProcessor::new(params, k, 29)
+                    .with_combiner(combiner)
+                    .with_policy(policy)
+            };
+            let (mut by_key, mut by_cells) = (fresh(), fresh());
+            let hasher = by_cells.sketch().row_hasher().unwrap();
+            let keys: Vec<ItemKey> = ids.iter().map(|&id| ItemKey(id)).collect();
+            let mut cells = Vec::new();
+            for chunk in keys.chunks(run) {
+                hasher.hash_keys(chunk, &mut cells);
+                for (&key, key_cells) in chunk.iter().zip(cells.chunks_exact(rows)) {
+                    by_cells.observe_cells(key, key_cells);
+                    by_key.observe(key);
+                }
+            }
+            proptest::prop_assert_eq!(by_cells.result(), by_key.result());
+            proptest::prop_assert_eq!(by_cells.to_snapshot_bytes(), by_key.to_snapshot_bytes());
         }
     }
 

@@ -278,14 +278,14 @@ enum SlotState {
 ///
 /// The driver delivers whatever each site sends, in any order, via
 /// [`deliver_snapshot`] / [`deliver_report`] / [`deliver_failed`].
-/// Once [`pending_sites`] is empty (every site accepted or excluded) —
-/// or the driver's deadline passes — [`finalize`] merges the accepted
-/// reports if they meet the quorum.
+/// Once [`is_resolved`] (every site accepted or excluded) — or the
+/// driver's deadline passes — [`finalize`] merges the accepted reports
+/// if they meet the quorum.
 ///
 /// [`deliver_snapshot`]: QuorumCoordinator::deliver_snapshot
 /// [`deliver_report`]: QuorumCoordinator::deliver_report
 /// [`deliver_failed`]: QuorumCoordinator::deliver_failed
-/// [`pending_sites`]: QuorumCoordinator::pending_sites
+/// [`is_resolved`]: QuorumCoordinator::is_resolved
 /// [`finalize`]: QuorumCoordinator::finalize
 #[derive(Debug, Clone)]
 pub struct QuorumCoordinator {
@@ -293,13 +293,16 @@ pub struct QuorumCoordinator {
     /// report is validated against it.
     reference: CountSketch,
     quorum: usize,
-    policy: RetryPolicy,
+    /// Failed attempts after which a site is excluded as a straggler.
+    max_attempts: u32,
     slots: Vec<SlotState>,
 }
 
 impl QuorumCoordinator {
     /// Creates a coordinator expecting `num_sites` reports sketched with
-    /// `(params, seed)`, requiring at least `quorum` of them.
+    /// `(params, seed)`, requiring at least `quorum` of them. Of `policy`
+    /// it keeps only `max_attempts`: the coordinator waits for sites and
+    /// schedules no retries.
     pub fn new(
         num_sites: usize,
         quorum: usize,
@@ -318,7 +321,7 @@ impl QuorumCoordinator {
         Ok(Self {
             reference: CountSketch::new(params, seed),
             quorum,
-            policy,
+            max_attempts: policy.max_attempts,
             slots: vec![SlotState::Waiting { attempt: 0 }; num_sites],
         })
     }
@@ -348,22 +351,19 @@ impl QuorumCoordinator {
         self.quorum
     }
 
-    /// Sites whose reports have been validated and accepted so far.
-    pub fn accepted_sites(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| matches!(s, SlotState::Accepted(_)).then_some(i))
-            .collect()
+    /// Whether `site`'s report has been validated and accepted (false
+    /// for a site out of range).
+    pub fn is_accepted(&self, site: usize) -> bool {
+        matches!(self.slots.get(site), Some(SlotState::Accepted(_)))
     }
 
-    /// Sites still awaited (neither accepted nor excluded).
-    pub fn pending_sites(&self) -> Vec<usize> {
-        self.slots
+    /// Whether every site is accepted or excluded, so no site is still
+    /// awaited.
+    pub fn is_resolved(&self) -> bool {
+        !self
+            .slots
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| matches!(s, SlotState::Waiting { .. }).then_some(i))
-            .collect()
+            .any(|s| matches!(s, SlotState::Waiting { .. }))
     }
 
     fn slot_mut(&mut self, site: usize) -> Result<&mut SlotState, CoreError> {
@@ -439,7 +439,7 @@ impl QuorumCoordinator {
     /// corrupt frame, a protocol violation). The site stays pending until
     /// its `max_attempts`-th failure, which excludes it as a straggler.
     pub fn deliver_failed(&mut self, site: usize) -> Result<(), CoreError> {
-        let max_attempts = self.policy.max_attempts;
+        let max_attempts = self.max_attempts;
         let slot = self.slot_mut(site)?;
         if let SlotState::Waiting { attempt } = *slot {
             let attempts = attempt + 1;
@@ -713,14 +713,17 @@ mod tests {
     fn quorum_straggler_is_excluded_after_max_attempts_failures() {
         let (reports, mut coord) = quorum_setup(2, 1);
         coord.deliver_report(0, reports[0].clone()).unwrap();
+        assert!(coord.is_accepted(0));
         // Site 1 fails every attempt: pending until the last one.
         let max_attempts = RetryPolicy::default().max_attempts;
         for _ in 1..max_attempts {
             coord.deliver_failed(1).unwrap();
-            assert_eq!(coord.pending_sites(), vec![1]);
+            assert!(!coord.is_resolved());
+            assert!(!coord.is_accepted(1));
         }
         coord.deliver_failed(1).unwrap();
-        assert!(coord.pending_sites().is_empty());
+        assert!(coord.is_resolved());
+        assert!(!coord.is_accepted(1));
         let outcome = coord.finalize().unwrap();
         assert_eq!(outcome.report.included, vec![0]);
         assert!(matches!(
@@ -762,9 +765,11 @@ mod tests {
         assert_eq!(coord.expected_seed(), 99);
         assert_eq!(coord.num_sites(), 3);
         assert_eq!(coord.quorum(), 2);
-        assert!(coord.accepted_sites().is_empty());
+        assert!((0..3).all(|site| !coord.is_accepted(site)));
         coord.deliver_report(1, reports[1].clone()).unwrap();
-        assert_eq!(coord.accepted_sites(), vec![1]);
+        let accepted: Vec<usize> = (0..3).filter(|&site| coord.is_accepted(site)).collect();
+        assert_eq!(accepted, vec![1]);
+        assert!(!coord.is_accepted(3), "site index out of range");
     }
 
     #[test]

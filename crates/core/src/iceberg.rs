@@ -17,6 +17,7 @@
 
 use crate::approx_top::ApproxTopProcessor;
 use crate::params::SketchParams;
+use crate::sketch::CountSketch;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
 
@@ -59,6 +60,11 @@ impl IcebergProcessor {
         }
     }
 
+    /// Read access to the underlying sketch.
+    pub fn sketch(&self) -> &CountSketch {
+        self.top.sketch()
+    }
+
     /// The candidate budget `l`.
     pub fn candidate_budget(&self) -> usize {
         self.top.tracker().capacity()
@@ -68,6 +74,13 @@ impl IcebergProcessor {
     pub fn observe(&mut self, key: ItemKey) {
         self.n += 1;
         self.top.observe(key);
+    }
+
+    /// [`Self::observe`] of an occurrence whose row cells were hashed
+    /// ahead (see [`ApproxTopProcessor::observe_cells`]).
+    pub fn observe_cells(&mut self, key: ItemKey, cells: &[u32]) {
+        self.n += 1;
+        self.top.observe_cells(key, cells);
     }
 
     /// Feeds a whole stream, one occurrence at a time.
@@ -116,7 +129,6 @@ pub fn iceberg(
 mod tests {
     use super::*;
     use crate::approx_top::HeapPolicy;
-    use crate::sketch::CountSketch;
     use crate::topk::TopKTracker;
     use cs_stream::{ExactCounter, Zipf, ZipfStreamKind};
 

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::params::SketchParams;
     pub use crate::relchange::{max_relative_change, ChangeObjective, RelChangeSketch};
     pub use crate::sketch::{
-        CheckedEstimate, CountSketch, FastCountSketch, GenericCountSketch, SketchHealth,
+        CheckedEstimate, CountSketch, FastCountSketch, GenericCountSketch, RowHasher, SketchHealth,
     };
     pub use crate::snapshot::{
         inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo, SnapshotKind,
@@ -92,4 +92,4 @@ pub mod prelude {
 
 pub use error::CoreError;
 pub use params::SketchParams;
-pub use sketch::{CountSketch, FastCountSketch, GenericCountSketch};
+pub use sketch::{CountSketch, FastCountSketch, GenericCountSketch, RowHasher};

@@ -70,6 +70,16 @@ impl DiffSketch {
         }
     }
 
+    /// [`Self::absorb_keys`] over a run whose row cells were hashed
+    /// ahead by a [`RowHasher`](crate::sketch::RowHasher) of this
+    /// sketch: `cells` holds `t` words an occurrence.
+    pub fn absorb_cells(&mut self, cells: &[u32], weight: i64) {
+        debug_assert_eq!(cells.len() % self.sketch.rows(), 0);
+        for key_cells in cells.chunks_exact(self.sketch.rows()) {
+            self.sketch.update_with(key_cells, weight);
+        }
+    }
+
     /// Pass-1 step over `S1`: `h_i[q] -= s_i[q]` for each occurrence.
     pub fn absorb_first(&mut self, stream: &Stream) {
         self.absorb_keys(stream.as_slice(), -1);
@@ -295,6 +305,18 @@ mod tests {
             incremental.sketch().counters(),
             from_sketches.sketch().counters()
         );
+
+        // Cells hashed ahead, in runs, build the same sketch.
+        let mut hashed = DiffSketch::new(params, 7);
+        let hasher = hashed.sketch().row_hasher().unwrap();
+        let mut cells = Vec::new();
+        for (stream, weight) in [(&pair.s1, -1), (&pair.s2, 1)] {
+            for run in stream.as_slice().chunks(1000) {
+                hasher.hash_keys(run, &mut cells);
+                hashed.absorb_cells(&cells, weight);
+            }
+        }
+        assert_eq!(hashed.sketch().counters(), incremental.sketch().counters());
     }
 
     #[test]

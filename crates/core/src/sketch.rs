@@ -111,8 +111,8 @@ pub struct GenericCountSketch<H, S> {
     /// probe it are suspect — [`GenericCountSketch::estimate_checked`]
     /// excludes such rows and [`GenericCountSketch::health`] reports them.
     pub(crate) saturated: Vec<u64>,
-    pub(crate) hashers: Vec<H>,
-    pub(crate) signs: Vec<S>,
+    /// The `2t` hash functions.
+    pub(crate) hash: RowHasher<H, S>,
     pub(crate) seed: u64,
     pub(crate) combiner: Combiner,
     /// Upper bound on `|counter|` over every cell: the saturating sum of
@@ -224,8 +224,11 @@ impl<H: DrawBucketHasher, S: DrawSignHasher> GenericCountSketch<H, S> {
             buckets,
             counters: vec![0; params.rows * buckets],
             saturated: vec![0; (params.rows * buckets).div_ceil(64)],
-            hashers,
-            signs,
+            hash: RowHasher {
+                hashers,
+                signs,
+                buckets,
+            },
             seed,
             combiner: Combiner::default(),
             abs_mass: 0,
@@ -281,58 +284,64 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// Counters never wrap. Two-tier overflow handling: while the
     /// `abs_mass` watermark proves no cell can reach the `i64` limits the
     /// additions run branch-free in pure `i64`; once headroom is exhausted
-    /// every update falls back to [`Self::update_exact`], whose `i128`
-    /// clamp-and-flag is surfaced by [`Self::health`] and
+    /// every update falls back to the exact tier ([`Self::update_exact`]),
+    /// whose `i128` clamp-and-flag is surfaced by [`Self::health`] and
     /// [`Self::estimate_checked`]. Both tiers produce bit-identical
     /// counters — the fast tier is only taken when clamping cannot occur.
     #[inline]
     pub fn update(&mut self, key: ItemKey, weight: i64) {
+        self.update_with(self.hash.canon(key), weight);
+    }
+
+    /// The counter loop behind every update, in both tiers. `cells` is
+    /// the key or, for a key hashed ahead, its `t` words from a
+    /// [`RowHasher`] of this sketch.
+    #[inline]
+    pub(crate) fn update_with(&mut self, cells: impl RowCells, weight: i64) {
         match self.headroom_after(weight) {
             Some(mass) => {
                 self.abs_mass = mass;
-                // Canonicalize the key once per hash family, not once per
-                // row (see `BucketHasher::canon`).
-                let k = key.raw();
-                let (kb, ks) = (self.hashers[0].canon(k), self.signs[0].canon(k));
-                for (i, (h, sg)) in self.hashers.iter().zip(&self.signs).enumerate() {
-                    self.counters[i * self.buckets + h.bucket_canon(kb)] +=
-                        sg.sign_canon(ks) * weight;
+                for (idx, sign) in cells.cells(&self.hash) {
+                    self.counters[idx] += sign * weight;
                 }
             }
-            None => self.update_exact(key, weight),
+            None => self.update_exact_with(cells, weight),
         }
+    }
+
+    /// `key` as a row-cell source for the kernels, hashed row by row as
+    /// they read it.
+    #[inline]
+    pub(crate) fn key_cells(&self, key: ItemKey) -> impl RowCells {
+        self.hash.canon(key)
     }
 
     /// `update(key, weight)` followed by `ESTIMATE(C, key)` in one pass:
     /// the estimate reads back the `t` cells the update just wrote, so
-    /// each row is hashed once instead of twice. Same two-tier overflow
-    /// scheme as [`Self::update`]: while the `abs_mass` watermark proves
-    /// no cell can clamp, the row estimates `s_i(q)·C[i][h_i(q)]` come
-    /// straight from the fresh cells into [`Self::estimate`]'s column;
-    /// otherwise it falls back to [`Self::update_exact`] plus
-    /// [`Self::estimate`]. Counters, saturation flags, `abs_mass` and the
-    /// returned value are bit-identical to `update` then `estimate` in
-    /// either tier.
+    /// each row is hashed once instead of twice.
     #[inline]
     pub(crate) fn update_estimate(&mut self, key: ItemKey, weight: i64) -> i64 {
+        self.update_estimate_with(self.hash.canon(key), weight)
+    }
+
+    /// The fused kernel. Same two-tier overflow scheme as
+    /// [`Self::update`]: while the `abs_mass` watermark proves no cell
+    /// can clamp, the row estimates `s_i(q)·C[i][h_i(q)]` come straight
+    /// from the fresh cells into [`Self::estimate`]'s column; otherwise
+    /// it runs the exact tier and then reads the cells. Counters,
+    /// saturation flags, `abs_mass` and the returned value are
+    /// bit-identical to `update` then `estimate` in either tier.
+    #[inline]
+    pub(crate) fn update_estimate_with(&mut self, cells: impl RowCells, weight: i64) -> i64 {
         let Some(mass) = self.headroom_after(weight) else {
-            self.update_exact(key, weight);
-            return self.estimate(key);
+            self.update_exact_with(cells, weight);
+            return self.estimate_with(cells);
         };
         self.abs_mass = mass;
         let (mut stack, mut heap) = ([0; FUSED_ROWS], Vec::new());
         let column = column(&mut stack, &mut heap, self.rows);
-        let k = key.raw();
-        let (kb, ks) = (self.hashers[0].canon(k), self.signs[0].canon(k));
-        for (i, ((h, sg), e)) in self
-            .hashers
-            .iter()
-            .zip(&self.signs)
-            .zip(column.iter_mut())
-            .enumerate()
-        {
-            let sign = sg.sign_canon(ks);
-            let cell = &mut self.counters[i * self.buckets + h.bucket_canon(kb)];
+        for (e, (idx, sign)) in column.iter_mut().zip(cells.cells(&self.hash)) {
+            let cell = &mut self.counters[idx];
             *cell += sign * weight;
             // |cell| ≤ abs_mass ≤ i64::MAX, so the product is exact.
             *e = sign * *cell;
@@ -347,14 +356,16 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// automatically when headroom runs out.
     #[inline]
     pub fn update_exact(&mut self, key: ItemKey, weight: i64) {
+        self.update_exact_with(self.hash.canon(key), weight);
+    }
+
+    /// The exact tier's loop.
+    #[inline]
+    fn update_exact_with(&mut self, cells: impl RowCells, weight: i64) {
         self.abs_mass = self.abs_mass.saturating_add(weight.unsigned_abs());
-        let k = key.raw();
-        for i in 0..self.rows {
-            let bucket = self.hashers[i].bucket(k);
-            let sign = self.signs[i].sign(k);
-            let idx = i * self.buckets + bucket;
+        for (idx, sign) in cells.cells(&self.hash) {
             let sum = i128::from(self.counters[idx]) + i128::from(sign) * i128::from(weight);
-            self.counters[idx] = self.clamp_and_flag(idx, sum);
+            self.counters[idx] = clamp_and_flag(&mut self.saturated, idx, sum);
         }
     }
 
@@ -381,27 +392,6 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
             .map(|c| c.unsigned_abs())
             .max()
             .unwrap_or(0);
-    }
-
-    /// Clamps an exact `i128` cell value into `i64`, flagging the cell as
-    /// saturated if clamping happened.
-    #[inline]
-    fn clamp_and_flag(&mut self, idx: usize, exact: i128) -> i64 {
-        if exact > i128::from(i64::MAX) {
-            self.flag_saturated(idx);
-            i64::MAX
-        } else if exact < i128::from(i64::MIN) {
-            self.flag_saturated(idx);
-            i64::MIN
-        } else {
-            exact as i64
-        }
-    }
-
-    /// Records that cell `idx` has been clamped.
-    #[inline]
-    fn flag_saturated(&mut self, idx: usize) {
-        self.saturated[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Whether the counter at `(row, bucket)` has ever been clamped.
@@ -456,25 +446,20 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         }
     }
 
-    /// Each row's `(cell index, sign)` for `key`, in row order. The key
-    /// is canonicalized once per hash family (see `BucketHasher::canon`),
-    /// as in [`Self::update`].
-    #[inline]
-    fn cells(&self, key: ItemKey) -> impl Iterator<Item = (usize, i64)> + '_ {
-        let k = key.raw();
-        let (kb, ks) = (self.hashers[0].canon(k), self.signs[0].canon(k));
-        let rows = self.hashers.iter().zip(&self.signs).enumerate();
-        rows.map(move |(i, (h, sg))| (i * self.buckets + h.bucket_canon(kb), sg.sign_canon(ks)))
-    }
-
     /// The paper's `ESTIMATE(C, q)`: the combiner (median by default) of
     /// the per-row estimates `s_i(q)·C[i][h_i(q)]`, gathered into a stack
     /// column (one `Vec` for sketches deeper than `FUSED_ROWS`) and
     /// combined in place.
     pub fn estimate(&self, key: ItemKey) -> i64 {
+        self.estimate_with(self.hash.canon(key))
+    }
+
+    /// `ESTIMATE` over one key's row cells.
+    #[inline]
+    fn estimate_with(&self, cells: impl RowCells) -> i64 {
         let (mut stack, mut heap) = ([0; FUSED_ROWS], Vec::new());
         let column = column(&mut stack, &mut heap, self.rows);
-        for (e, (idx, sign)) in column.iter_mut().zip(self.cells(key)) {
+        for (e, (idx, sign)) in column.iter_mut().zip(cells.cells(&self.hash)) {
             // saturating: −1 · i64::MIN must not wrap (a clamped cell can
             // legitimately hold i64::MIN).
             *e = sign.saturating_mul(self.counters[idx]);
@@ -494,7 +479,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         // Clean rows fill the column from the front, saturated ones from
         // the back; every combiner ignores the order of its input.
         let (mut clean, mut back) = (0, self.rows);
-        for (idx, sign) in self.cells(key) {
+        for (idx, sign) in self.hash.cells(key) {
             let est = sign.saturating_mul(self.counters[idx]);
             if self.is_flagged(idx) {
                 back -= 1;
@@ -584,7 +569,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         self.compatible(other)?;
         for idx in 0..self.counters.len() {
             let sum = i128::from(self.counters[idx]) + i128::from(other.counters[idx]);
-            self.counters[idx] = self.clamp_and_flag(idx, sum);
+            self.counters[idx] = clamp_and_flag(&mut self.saturated, idx, sum);
         }
         for (w, &o) in self.saturated.iter_mut().zip(&other.saturated) {
             *w |= o;
@@ -660,18 +645,139 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// The `(bucket, sign)` cell a key maps to in each row, in row order.
     /// Exposes the hash functions without exposing the hasher types.
     pub fn row_cells(&self, key: ItemKey) -> impl Iterator<Item = (usize, i64)> + '_ {
-        let k = key.raw();
-        (0..self.rows).map(move |i| (self.hashers[i].bucket(k), self.signs[i].sign(k)))
+        self.hash
+            .cells(key)
+            .map(move |(idx, sign)| (idx % self.buckets, sign))
+    }
+
+    /// A copy of this sketch's hash functions, to compute row cells away
+    /// from the counters (on another thread, ahead of the updates).
+    /// `None` if the sketch has more than 2³¹ cells, too many for a
+    /// `u32` cell word.
+    pub fn row_hasher(&self) -> Option<RowHasher<H, S>>
+    where
+        H: Clone,
+        S: Clone,
+    {
+        (self.counters.len() <= 1 << 31).then(|| self.hash.clone())
     }
 
     /// Heap + inline bytes: counters plus the stored hash functions. This
     /// is the `O(tb)` term of the paper's space bound, with real constants.
     pub fn space_bytes(&self) -> usize {
         let counters = self.counters.capacity() * std::mem::size_of::<i64>();
-        let hashers: usize = self.hashers.iter().map(|h| h.space_bytes()).sum();
-        let signs: usize = self.signs.iter().map(|s| SignHasher::space_bytes(s)).sum();
+        let hashers: usize = self.hash.hashers.iter().map(|h| h.space_bytes()).sum();
+        let signs: usize = self.hash.signs.iter().map(SignHasher::space_bytes).sum();
         std::mem::size_of::<Self>() + counters + hashers + signs
     }
+}
+
+/// A sketch's `t` row hash functions without its counters, from
+/// [`GenericCountSketch::row_hasher`].
+///
+/// It maps a key to one cell word per row: the cell's row-major index
+/// shifted left by one, with the low bit set when the row's sign is
+/// `-1`. A processor fed these words only touches its counters, so the
+/// hashing can run on another thread.
+#[derive(Debug, Clone)]
+pub struct RowHasher<H = PairwiseHash, S = PairwiseSign> {
+    hashers: Vec<H>,
+    signs: Vec<S>,
+    buckets: usize,
+}
+
+impl<H: BucketHasher, S: SignHasher> RowHasher<H, S> {
+    /// Rows `t`: the words each key takes.
+    pub fn rows(&self) -> usize {
+        self.hashers.len()
+    }
+
+    /// Each row's `(cell index, sign)` for `key`, in row order.
+    #[inline]
+    fn cells(&self, key: ItemKey) -> impl Iterator<Item = (usize, i64)> + '_ {
+        self.canon(key).cells(self)
+    }
+
+    /// `key` canonicalized once per hash family (see
+    /// `BucketHasher::canon`), not once per row.
+    #[inline]
+    fn canon(&self, key: ItemKey) -> Canon {
+        let k = key.raw();
+        Canon {
+            bucket: self.hashers[0].canon(k),
+            sign: self.signs[0].canon(k),
+        }
+    }
+
+    /// Replaces the contents of `cells` with the cell words of `keys`:
+    /// `t` words a key, in key order.
+    pub fn hash_keys(&self, keys: &[ItemKey], cells: &mut Vec<u32>) {
+        cells.clear();
+        cells.resize(keys.len() * self.rows(), 0);
+        for (&key, words) in keys.iter().zip(cells.chunks_exact_mut(self.rows())) {
+            for (word, (idx, sign)) in words.iter_mut().zip(self.cells(key)) {
+                // `row_hasher` only hands out hashers whose words fit.
+                *word = (idx as u32) << 1 | u32::from(sign < 0);
+            }
+        }
+    }
+}
+
+/// Where the kernels read a key's row cells: the key itself, hashed row
+/// by row, or the cell words a [`RowHasher`] computed ahead.
+pub(crate) trait RowCells: Copy {
+    /// Each row's `(cell index, sign)`, in row order.
+    fn cells<H: BucketHasher, S: SignHasher>(
+        self,
+        hash: &RowHasher<H, S>,
+    ) -> impl Iterator<Item = (usize, i64)>;
+}
+
+/// A key canonicalized for both hash families.
+#[derive(Clone, Copy)]
+struct Canon {
+    bucket: u64,
+    sign: u64,
+}
+
+impl RowCells for Canon {
+    /// The one per-row hash loop.
+    #[inline]
+    fn cells<H: BucketHasher, S: SignHasher>(
+        self,
+        hash: &RowHasher<H, S>,
+    ) -> impl Iterator<Item = (usize, i64)> {
+        let rows = hash.hashers.iter().zip(&hash.signs).enumerate();
+        rows.map(move |(i, (h, sg))| {
+            let bucket = h.bucket_canon(self.bucket);
+            (i * hash.buckets + bucket, sg.sign_canon(self.sign))
+        })
+    }
+}
+
+impl RowCells for &[u32] {
+    /// Unpacks the cell words: the index is a word shifted right once,
+    /// its low bit marks a `-1` sign.
+    #[inline]
+    fn cells<H: BucketHasher, S: SignHasher>(
+        self,
+        hash: &RowHasher<H, S>,
+    ) -> impl Iterator<Item = (usize, i64)> {
+        assert_eq!(self.len(), hash.rows(), "one cell word per row");
+        self.iter()
+            .map(|&word| ((word >> 1) as usize, 1 - 2 * i64::from(word & 1)))
+    }
+}
+
+/// Clamps an exact `i128` cell value into `i64`, flagging cell `idx` in
+/// the saturation bitset if clamping happened.
+#[inline]
+fn clamp_and_flag(saturated: &mut [u64], idx: usize, exact: i128) -> i64 {
+    let clamped = exact.clamp(i128::from(i64::MIN), i128::from(i64::MAX));
+    if clamped != exact {
+        saturated[idx / 64] |= 1 << (idx % 64);
+    }
+    clamped as i64
 }
 
 /// Deepest sketch whose row estimates are staged on the stack; deeper
@@ -1071,6 +1177,56 @@ mod tests {
         }
     }
 
+    /// Drives the key-taking `update`/`update_estimate` on one copy of
+    /// `sketch` and the cells kernels, fed by the sketch's [`RowHasher`],
+    /// on another, asserting equal answers and equal state (counters,
+    /// saturation bits, watermark) after every op. An op is `(key,
+    /// weight, fused)`; a fused op also compares the estimates.
+    fn assert_cells_match_keys<H: BucketHasher + Clone, S: SignHasher + Clone>(
+        sketch: GenericCountSketch<H, S>,
+        ops: &[(u64, i64, bool)],
+    ) {
+        let hasher = sketch.row_hasher().unwrap();
+        let mut by_key = sketch.clone();
+        let mut by_cells = sketch;
+        let mut cells = Vec::new();
+        for &(id, weight, fused) in ops {
+            let key = ItemKey(id);
+            hasher.hash_keys(&[key], &mut cells);
+            if fused {
+                let got = by_cells.update_estimate_with(&cells[..], weight);
+                let want = by_key.update_estimate(key, weight);
+                assert_eq!(got, want, "estimate after ({id}, {weight})");
+            } else {
+                by_cells.update_with(&cells[..], weight);
+                by_key.update(key, weight);
+            }
+            assert_eq!(by_cells.counters, by_key.counters);
+            assert_eq!(by_cells.saturated, by_key.saturated);
+            assert_eq!(by_cells.abs_mass, by_key.abs_mass);
+        }
+    }
+
+    #[test]
+    fn row_hasher_words_are_the_row_cells() {
+        // Each word is the row-major index of the row's cell, shifted
+        // left once, plus 1 for a negative sign; keys follow each other.
+        let sketch = CountSketch::new(SketchParams::new(5, 100), 3);
+        let hasher = sketch.row_hasher().unwrap();
+        assert_eq!(hasher.rows(), 5);
+        let keys = [ItemKey(1), ItemKey(99), ItemKey(u64::MAX)];
+        let mut cells = vec![7; 3];
+        hasher.hash_keys(&keys, &mut cells);
+        let want: Vec<u32> = keys
+            .iter()
+            .flat_map(|&key| sketch.row_cells(key).enumerate().collect::<Vec<_>>())
+            .map(|(row, (bucket, sign))| ((row * 100 + bucket) << 1) as u32 | u32::from(sign < 0))
+            .collect();
+        assert_eq!(cells, want);
+        hasher.hash_keys(&[], &mut cells);
+        assert!(cells.is_empty());
+    }
+
     #[test]
     fn fused_kernel_crosses_into_the_slow_tier() {
         // Unit weights on the fast tier, then weights near ±i64::MAX that
@@ -1084,6 +1240,10 @@ mod tests {
             (5, i64::MIN),
         ]);
         ops.extend((0..50u64).map(|i| (i % 7, if i % 2 == 0 { 1 } else { -1 })));
+        // The same ops through the cells kernels, fused every other op.
+        let cells_ops: Vec<(u64, i64, bool)> = (ops.iter().enumerate())
+            .map(|(i, &(id, weight))| (id, weight, i % 2 == 0))
+            .collect();
         for rows in FUSED_DEPTHS {
             for combiner in COMBINERS {
                 let params = SketchParams::new(rows, 8);
@@ -1094,6 +1254,14 @@ mod tests {
                 assert_fused_matches_split(
                     FastCountSketch::new(params, 11).with_combiner(combiner),
                     &ops,
+                );
+                assert_cells_match_keys(
+                    CountSketch::new(params, 11).with_combiner(combiner),
+                    &cells_ops,
+                );
+                assert_cells_match_keys(
+                    FastCountSketch::new(params, 11).with_combiner(combiner),
+                    &cells_ops,
                 );
             }
         }
@@ -1129,6 +1297,33 @@ mod tests {
             );
         }
 
+
+        #[test]
+        fn prop_cells_kernels_equal_key_updates(
+            seed: u64,
+            depth in 0usize..9,
+            comb in 0usize..3,
+            buckets in 1usize..40,
+            ops in prop::collection::vec((0u64..60, 0u8..24, any::<bool>()), 1..200),
+        ) {
+            // Weights as in `prop_update_estimate_equals_update_then_estimate`:
+            // the near-±i64::MAX ones send every later op to the slow tier.
+            let weight = |w: u8| match w {
+                0..=13 => 1,
+                14..=21 => -1,
+                22 => i64::MAX - 2,
+                _ => -(i64::MAX - 2),
+            };
+            let ops: Vec<(u64, i64, bool)> =
+                ops.into_iter().map(|(id, w, fused)| (id, weight(w), fused)).collect();
+            let params = SketchParams::new(FUSED_DEPTHS[depth], buckets);
+            let combiner = COMBINERS[comb];
+            assert_cells_match_keys(CountSketch::new(params, seed).with_combiner(combiner), &ops);
+            assert_cells_match_keys(
+                FastCountSketch::new(params, seed).with_combiner(combiner),
+                &ops,
+            );
+        }
 
         #[test]
         fn prop_turnstile_net_zero(ids in prop::collection::vec(0u64..50, 0..100)) {

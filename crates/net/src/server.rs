@@ -39,7 +39,7 @@ pub struct ServeConfig {
     /// Hash seed every site must match.
     pub seed: u64,
     /// Failed attempts after which a site is excluded as a straggler.
-    pub policy: RetryPolicy,
+    pub max_attempts: u32,
     /// Milliseconds after which collection stops and the sites still
     /// pending are excluded as stragglers.
     pub deadline_ms: u64,
@@ -48,14 +48,15 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with a 10 s deadline and 5 s per-connection timeouts.
+    /// A config with a 10 s deadline, 5 s per-connection timeouts and
+    /// the default [`RetryPolicy`]'s attempt budget.
     pub fn new(sites: usize, quorum: usize, params: SketchParams, seed: u64) -> Self {
         Self {
             sites,
             quorum,
             params,
             seed,
-            policy: RetryPolicy::default(),
+            max_attempts: RetryPolicy::default().max_attempts,
             deadline_ms: 10_000,
             timeout_ms: 5_000,
         }
@@ -78,7 +79,10 @@ impl CoordinatorServer {
             config.quorum,
             config.params,
             config.seed,
-            config.policy,
+            RetryPolicy {
+                max_attempts: config.max_attempts,
+                ..RetryPolicy::default()
+            },
         )
         .map_err(|e| NetError::Config(e.to_string()))?;
         let listener = TcpListener::bind(addr).map_err(NetError::from_io)?;
@@ -121,8 +125,7 @@ impl CoordinatorServer {
                 .coordinator
                 .lock()
                 .expect("coordinator lock")
-                .pending_sites()
-                .is_empty();
+                .is_resolved();
             if resolved || started.elapsed() >= deadline {
                 break;
             }
@@ -247,7 +250,7 @@ fn session(
     coord
         .deliver_decoded(site, decoded, candidates, local_n)
         .map_err(|e| NetError::Protocol(e.to_string()))?;
-    Ok(coord.accepted_sites().contains(&site))
+    Ok(coord.is_accepted(site))
 }
 
 /// Renders a merged outcome as the canonical top-k report text.
@@ -371,10 +374,7 @@ mod tests {
     #[test]
     fn corrupting_link_ends_in_a_reported_exclusion() {
         let mut config = fast_config(2, 1);
-        config.policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
+        config.max_attempts = 2;
         let server = CoordinatorServer::bind("127.0.0.1:0", config).unwrap();
         let addr = server.local_addr().unwrap().to_string();
         let serve = std::thread::spawn(move || server.run());

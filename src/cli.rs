@@ -53,6 +53,7 @@
 use crate::prelude::*;
 use crate::sketch::iceberg::IcebergProcessor;
 use cs_core::snapshot::sketch_snapshot_len;
+use cs_core::RowHasher;
 use cs_net::frame::MAX_PAYLOAD;
 use std::convert::Infallible;
 use std::path::Path;
@@ -517,11 +518,11 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
         "diff" => {
             let t1 = read_file(&opts.files[0])?;
             let t2 = read_file(&opts.files[1])?;
-            Ok(run_diff(opts, &t1, &t2))
+            run_diff(opts, &t1, &t2)
         }
         "iceberg" => {
             let text = read_input(opts.files.first())?;
-            Ok(run_iceberg(opts, &text))
+            run_iceberg(opts, &text)
         }
         "inspect" => run_inspect(opts),
         "serve" => run_serve(opts),
@@ -560,8 +561,8 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
                 "lossy" => Box::new(LossyCounting::new((1.0 / (4 * opts.k) as f64).min(0.5))),
                 _ => unreachable!("parse_args validates the algorithm"),
             };
-            let Ok(tokens) = Tokens::scan(text, |run| {
-                alg.process_batch(run);
+            let Ok(tokens) = Tokens::scan(text, None, |keys, _| {
+                alg.process_batch(keys);
                 Ok::<_, Infallible>(())
             });
             let items = alg
@@ -605,6 +606,9 @@ fn top_processor<'a>(
             opts.seed,
         )
     });
+    // The processor that ingests supplies the hash functions: under
+    // `--resume` the restored sketch, whose geometry overrides -t/-b.
+    let hasher = row_hasher(p.sketch())?;
     let tokens = match (&opts.snapshot, opts.snapshot_every) {
         (Some(path), every) if every > 0 => {
             // Periodic persistence: after every `every` items the state
@@ -617,15 +621,15 @@ fn top_processor<'a>(
             // stream prefix, so the report and the final snapshot equal
             // a run without checkpoints.
             let mut due = every;
-            Tokens::scan(text, |run| {
-                observe_with_checkpoints(&mut p, run, every, &mut due, |p| save_snapshot(path, p))
+            Tokens::scan(text, Some(&hasher), |keys, cells| {
+                observe_with_checkpoints(&mut p, keys, cells, every, &mut due, |p| {
+                    save_snapshot(path, p)
+                })
             })?
         }
         _ => {
-            let Ok(tokens) = Tokens::scan(text, |run| {
-                for &key in run {
-                    p.observe(key);
-                }
+            let Ok(tokens) = Tokens::scan(text, Some(&hasher), |keys, cells| {
+                observe_run(&mut p, keys, cells);
                 Ok::<_, Infallible>(())
             });
             tokens
@@ -634,27 +638,51 @@ fn top_processor<'a>(
     Ok((tokens, p))
 }
 
-/// Observes `run` into `p`, calling `save(p)` each time `p` has seen
-/// another `every` items. `due`, the items left until the next call,
-/// carries over from one run to the next.
+/// A copy of `sketch`'s hash functions for [`Tokens::scan`], so the
+/// scanning thread computes each key's row cells. Every sketch `fi`
+/// builds from flags fits a cell word; only a resumed snapshot of more
+/// than 2³¹ cells does not.
+fn row_hasher(sketch: &CountSketch) -> Result<RowHasher, CliError> {
+    sketch.row_hasher().ok_or_else(|| {
+        CliError::Usage(format!(
+            "a {} x {} sketch has more cells than a row cell can address",
+            sketch.rows(),
+            sketch.buckets()
+        ))
+    })
+}
+
+/// Observes a run's keys into `p`, each with its cell words.
+fn observe_run(p: &mut ApproxTopProcessor, keys: &[ItemKey], cells: &[u32]) {
+    let rows = p.sketch().rows();
+    for (&key, cells) in keys.iter().zip(cells.chunks_exact(rows)) {
+        p.observe_cells(key, cells);
+    }
+}
+
+/// Observes a run's keys and cell words into `p`, calling `save(p)`
+/// each time `p` has seen another `every` items. `due`, the items left
+/// until the next call, carries over from one run to the next.
 fn observe_with_checkpoints<E>(
     p: &mut ApproxTopProcessor,
-    mut run: &[ItemKey],
+    mut keys: &[ItemKey],
+    mut cells: &[u32],
     every: usize,
     due: &mut usize,
     mut save: impl FnMut(&ApproxTopProcessor) -> Result<(), E>,
 ) -> Result<(), E> {
-    while !run.is_empty() {
-        let (window, rest) = run.split_at((*due).min(run.len()));
-        for &key in window {
-            p.observe(key);
-        }
-        *due -= window.len();
+    let rows = p.sketch().rows();
+    while !keys.is_empty() {
+        let n = (*due).min(keys.len());
+        let (window, rest) = keys.split_at(n);
+        let (window_cells, rest_cells) = cells.split_at(n * rows);
+        observe_run(p, window, window_cells);
+        *due -= n;
         if *due == 0 {
             save(p)?;
             *due = every;
         }
-        run = rest;
+        (keys, cells) = (rest, rest_cells);
     }
     Ok(())
 }
@@ -697,8 +725,8 @@ fn run_top_parallel<'a>(
 ) -> Result<(Tokens<'a>, ApproxTopProcessor), CliError> {
     let params = SketchParams::new(opts.rows, opts.buckets);
     let mut pool = SketchPool::new(params, opts.seed, opts.threads);
-    let Ok(tokens) = Tokens::scan(text, |run| {
-        pool.ingest(run);
+    let Ok(tokens) = Tokens::scan(text, None, |keys, _| {
+        pool.ingest(keys);
         Ok::<_, Infallible>(())
     });
     let mut merged = pool.finish();
@@ -862,7 +890,7 @@ pub fn run_serve(opts: &Options) -> Result<String, CliError> {
 pub fn run_ship(opts: &Options, text: &str) -> Result<String, CliError> {
     let to = opts.to.as_deref().expect("parse_args requires --to");
     let site_id = opts.site_id.expect("parse_args requires --site-id");
-    let report = scan_site(opts, text);
+    let report = scan_site(opts, text)?;
     let mut agent = SiteAgent::new(site_id, opts.sites);
     agent.timeout_ms = opts.timeout_ms;
     agent.fault_seed = opts.fault_seed;
@@ -891,7 +919,7 @@ pub fn run_ship(opts: &Options, text: &str) -> Result<String, CliError> {
 pub fn run_coordinate(opts: &Options) -> Result<String, CliError> {
     let mut reports = Vec::with_capacity(opts.files.len());
     for path in &opts.files {
-        reports.push(scan_site(opts, &read_file(path)?));
+        reports.push(scan_site(opts, &read_file(path)?)?);
     }
     let merged = DistributedSketch::coordinate(&reports)
         .map_err(|e| CliError::Usage(format!("coordinate: {e}")))?;
@@ -900,19 +928,18 @@ pub fn run_coordinate(opts: &Options) -> Result<String, CliError> {
 
 /// One site's report over its item text, as `fi ship` sends it and
 /// `fi coordinate` merges it: [`site_report`] over the text's keys.
-fn scan_site(opts: &Options, text: &str) -> SiteReport {
+fn scan_site(opts: &Options, text: &str) -> Result<SiteReport, CliError> {
     let mut p = ApproxTopProcessor::new(
         SketchParams::new(opts.rows, opts.buckets),
         opts.k,
         opts.seed,
     );
-    let Ok(tokens) = Tokens::scan(text, |run| {
-        for &key in run {
-            p.observe(key);
-        }
+    let hasher = row_hasher(p.sketch())?;
+    let Ok(tokens) = Tokens::scan(text, Some(&hasher), |keys, cells| {
+        observe_run(&mut p, keys, cells);
         Ok::<_, Infallible>(())
     });
-    SiteReport::from_processor(p, tokens.occurrences() as u64)
+    Ok(SiteReport::from_processor(p, tokens.occurrences() as u64))
 }
 
 /// Runs `fi shard` over input text: splits the items into `--sites`
@@ -948,10 +975,11 @@ pub fn run_shard(opts: &Options, text: &str) -> Result<String, CliError> {
 /// label is its first occurrence in the second text, else in the first.
 /// Pass 1 absorbs each run as it is scanned; pass 2 reads the two key
 /// vectors kept for it.
-pub fn run_diff(opts: &Options, text1: &str, text2: &str) -> String {
+pub fn run_diff(opts: &Options, text1: &str, text2: &str) -> Result<String, CliError> {
     let mut diff = DiffSketch::new(SketchParams::new(opts.rows, opts.buckets), opts.seed);
-    let (day1, s1) = diff_pass_one(&mut diff, text1, -1);
-    let (day2, s2) = diff_pass_one(&mut diff, text2, 1);
+    let hasher = row_hasher(diff.sketch())?;
+    let (day1, s1) = diff_pass_one(&mut diff, &hasher, text1, -1);
+    let (day2, s2) = diff_pass_one(&mut diff, &hasher, text2, 1);
     let result = diff.top_changes(&s1, &s2, opts.k, 4 * opts.k);
     let mut out = format!(
         "# top-{} changes ({} -> {} occurrences)\n",
@@ -966,18 +994,24 @@ pub fn run_diff(opts: &Options, text1: &str, text2: &str) -> String {
             .unwrap_or(UNKNOWN_LABEL);
         out.push_str(&format!("{:>+10}  {label}\n", item.exact_change));
     }
-    out
+    Ok(out)
 }
 
-/// Pass 1 of `fi diff` over one day: absorbs every key into `diff` with
-/// `weight` and collects the keys for pass 2.
-fn diff_pass_one<'a>(diff: &mut DiffSketch, text: &'a str, weight: i64) -> (Tokens<'a>, Stream) {
+/// Pass 1 of `fi diff` over one day: absorbs every key's cells, which
+/// `hasher` computes on the scanning thread, into `diff` with `weight`
+/// and collects the keys for pass 2.
+fn diff_pass_one<'a>(
+    diff: &mut DiffSketch,
+    hasher: &RowHasher,
+    text: &'a str,
+    weight: i64,
+) -> (Tokens<'a>, Stream) {
     // A token is at least one byte and all but the last are followed by
     // a separator, so `text` holds at most (len + 1) / 2 of them: the
     // vector never regrows, and only the pages it fills are touched.
     let mut keys = Vec::with_capacity(text.len().div_ceil(2));
-    let Ok(tokens) = Tokens::scan(text, |run| {
-        diff.absorb_keys(run, weight);
+    let Ok(tokens) = Tokens::scan(text, Some(hasher), |run, cells| {
+        diff.absorb_cells(cells, weight);
         keys.extend_from_slice(run);
         Ok::<_, Infallible>(())
     });
@@ -985,7 +1019,7 @@ fn diff_pass_one<'a>(diff: &mut DiffSketch, text: &'a str, weight: i64) -> (Toke
 }
 
 /// Runs `fi iceberg` over input text; returns the report.
-pub fn run_iceberg(opts: &Options, text: &str) -> String {
+pub fn run_iceberg(opts: &Options, text: &str) -> Result<String, CliError> {
     let mut p = IcebergProcessor::new(
         SketchParams::new(opts.rows, opts.buckets),
         opts.phi,
@@ -993,9 +1027,11 @@ pub fn run_iceberg(opts: &Options, text: &str) -> String {
         2,
         opts.seed,
     );
-    let Ok(tokens) = Tokens::scan(text, |run| {
-        for &key in run {
-            p.observe(key);
+    let hasher = row_hasher(p.sketch())?;
+    let rows = hasher.rows();
+    let Ok(tokens) = Tokens::scan(text, Some(&hasher), |keys, cells| {
+        for (&key, cells) in keys.iter().zip(cells.chunks_exact(rows)) {
+            p.observe_cells(key, cells);
         }
         Ok::<_, Infallible>(())
     });
@@ -1010,7 +1046,7 @@ pub fn run_iceberg(opts: &Options, text: &str) -> String {
         let label = tokens.label(*key).unwrap_or(UNKNOWN_LABEL);
         out.push_str(&format!("{est:>10}  {label}\n"));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1113,7 +1149,7 @@ mod tests {
         };
         let day1 = "old ".repeat(50) + &"stable ".repeat(20);
         let day2 = "new ".repeat(60) + &"stable ".repeat(20);
-        let report = run_diff(&opts, &day1, &day2);
+        let report = run_diff(&opts, &day1, &day2).unwrap();
         assert!(report.contains("+60  new"), "{report}");
         assert!(report.contains("-50  old"), "{report}");
     }
@@ -1127,7 +1163,7 @@ mod tests {
             ..Default::default()
         };
         let text = "big ".repeat(60) + &"small ".repeat(5) + &"mid ".repeat(35);
-        let report = run_iceberg(&opts, &text);
+        let report = run_iceberg(&opts, &text).unwrap();
         assert!(report.contains("big"));
         assert!(report.contains("mid"));
         assert!(!report.contains("small"), "{report}");
@@ -1406,6 +1442,8 @@ mod tests {
             .map(ItemKey::of)
             .collect();
         let fresh = || ApproxTopProcessor::new(SketchParams::new(5, 256), 4, 1);
+        let hasher = fresh().sketch().row_hasher().unwrap();
+        let mut cells = Vec::new();
         for every in [997, CHUNK, CHUNK + 1] {
             let mut expected = Vec::new();
             let mut one_by_one = fresh();
@@ -1419,7 +1457,8 @@ mod tests {
                 let mut p = fresh();
                 let (mut due, mut saved) = (every, Vec::new());
                 for run in keys.chunks(run_len) {
-                    observe_with_checkpoints(&mut p, run, every, &mut due, |p| {
+                    hasher.hash_keys(run, &mut cells);
+                    observe_with_checkpoints(&mut p, run, &cells, every, &mut due, |p| {
                         saved.push(p.to_snapshot_bytes());
                         Ok::<_, Infallible>(())
                     })
@@ -1462,9 +1501,11 @@ mod tests {
 
     #[test]
     fn multi_run_commands_equal_whole_stream_library_calls() {
-        // `fi diff`, `fi iceberg` and `fi coordinate` sketch each run as
-        // the scanner hands it over; over several runs their reports
-        // equal the library's calls over the whole key stream.
+        // `fi diff`, `fi iceberg`, `fi coordinate` and `fi top` sketch
+        // each run as the scanner hands it over, with the row cells the
+        // scanning thread computed; over several runs their reports (and
+        // `top`'s snapshots, with and without checkpoints) equal the
+        // library's key-by-key calls over the whole key stream.
         let dir = std::env::temp_dir().join(format!("fi-cli-multi-run-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         // Forty tokens as frequent on both days as the planted change
@@ -1504,7 +1545,7 @@ mod tests {
                 label(item.key)
             ));
         }
-        assert_eq!(run_diff(&opts, &day1, &day2), expected);
+        assert_eq!(run_diff(&opts, &day1, &day2).unwrap(), expected);
 
         let mut iceberg = IcebergProcessor::new(params, opts.phi, opts.eps, 2, opts.seed);
         iceberg.observe_stream(&s1);
@@ -1516,7 +1557,7 @@ mod tests {
         for (key, est) in &result.items {
             expected.push_str(&format!("{est:>10}  {}\n", label(*key)));
         }
-        assert_eq!(run_iceberg(&opts, &day1), expected);
+        assert_eq!(run_iceberg(&opts, &day1).unwrap(), expected);
 
         let files: Vec<String> = [&day1, &day2]
             .iter()
@@ -1537,6 +1578,82 @@ mod tests {
             run_coordinate(&coordinate).unwrap(),
             render_report(&merged, opts.k, &[])
         );
+
+        let mut top = ApproxTopProcessor::new(params, opts.k, opts.seed);
+        top.observe_stream(&s2);
+        let distinct: std::collections::HashSet<&str> = day2.split_whitespace().collect();
+        let mut expected = format!(
+            "# top-8 of {} occurrences ({} distinct seen, algorithm: count-sketch)\n",
+            s2.len(),
+            distinct.len()
+        );
+        for (key, est) in top.result().items {
+            expected.push_str(&format!("{est:>10}  {}\n", label(key)));
+        }
+        let snap = dir.join("top.csnp").to_string_lossy().into_owned();
+        for every in [0, 997] {
+            let opts = Options {
+                snapshot: Some(snap.clone()),
+                snapshot_every: every,
+                ..opts.clone()
+            };
+            assert_eq!(run_top(&opts, &day2).unwrap(), expected, "every = {every}");
+            let written = std::fs::read(&snap).unwrap();
+            assert!(written == top.to_snapshot_bytes(), "every = {every}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_hashes_with_the_restored_geometry() {
+        // The snapshot's -t 3 -b 64 overrides the default -t 5 -b 4096,
+        // so the scanner must hash with the restored sketch's functions:
+        // over several runs, with and without checkpoints, the report and
+        // the snapshot equal the library's restore-then-observe.
+        let dir = std::env::temp_dir().join(format!("fi-cli-resume-geo-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let day1 = zipf_text(2 * CHUNK + 3, 600, 1.0, 31);
+        let day2 = zipf_text(3 * CHUNK + 17, 600, 1.0, 32);
+        let first = Options {
+            command: "top".into(),
+            k: 5,
+            rows: 3,
+            buckets: 64,
+            snapshot: Some(path("small.csnp")),
+            ..Default::default()
+        };
+        run_top(&first, &day1).unwrap();
+        let restored = std::fs::read(path("small.csnp")).unwrap();
+
+        let mut p = <ApproxTopProcessor>::from_snapshot_bytes(&restored).unwrap();
+        assert_eq!((p.sketch().rows(), p.sketch().buckets()), (3, 64));
+        for tok in day2.split_whitespace() {
+            p.observe(ItemKey::of(tok));
+        }
+        let distinct: std::collections::HashSet<&str> = day2.split_whitespace().collect();
+        let mut expected = format!(
+            "# top-5 of {} occurrences ({} distinct seen, algorithm: count-sketch)\n",
+            3 * CHUNK + 17,
+            distinct.len()
+        );
+        for (key, est) in p.result().items {
+            let label = distinct.iter().find(|tok| ItemKey::of(tok) == key);
+            expected.push_str(&format!("{est:>10}  {}\n", label.unwrap_or(&UNKNOWN_LABEL)));
+        }
+        for every in [0, 997] {
+            let opts = Options {
+                command: "top".into(),
+                k: 5,
+                resume: Some(path("small.csnp")),
+                snapshot: Some(path("resumed.csnp")),
+                snapshot_every: every,
+                ..Default::default()
+            };
+            assert_eq!(run_top(&opts, &day2).unwrap(), expected, "every = {every}");
+            let written = std::fs::read(path("resumed.csnp")).unwrap();
+            assert!(written == p.to_snapshot_bytes(), "every = {every}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,12 +26,24 @@
 //! hold, in the same order, so any state it builds one key at a time is
 //! the same as before.
 //!
+//! A sketching sink also passes a [`RowHasher`] cloned from its sketch,
+//! and gets each key's `t` row cells (one `u32` word a row: cell index
+//! and sign) beside the keys, so it only adds to counters. Sinks that do
+//! not sketch pass no hasher and get no cells.
+//!
 //! The caller's thread scans the first run itself. Only if tokens remain
 //! after it does the scan move to one scoped thread, which fills the
 //! following runs while the caller's thread runs the sink; a bounded
 //! channel keeps the scanner at most [`RUNS_AHEAD`] runs ahead, and the
-//! sink hands each emptied buffer back for reuse. An input of one run
-//! or less starts no thread: a spawn costs about as much as sketching a
+//! sink hands each emptied run, keys and cells, back for reuse, so at
+//! most `RUNS_AHEAD + 2` runs exist at once. Row hashing goes to the
+//! thread that would otherwise wait: the scanner hashes a run only when
+//! the channel is full, which means the sink is behind, and the caller's
+//! thread hashes every run that arrives without cells. A large sketch,
+//! whose cache-missing updates make the sink the slow stage, thus gets
+//! most runs hashed ahead, while a small one, whose scan is the slow
+//! stage, leaves the scanner as fast as it was. An input of one run or
+//! less starts no thread: a spawn costs about as much as sketching a
 //! short input. If the spawn fails, the caller's thread scans the rest
 //! itself.
 //!
@@ -40,6 +52,7 @@
 //! joins it before [`Tokens::scan`] returns the error, so no thread
 //! outlives the call and none waits on a receiver that is gone.
 
+use cs_core::RowHasher;
 use cs_hash::mix::{finalize, Fnv1a};
 use cs_hash::ItemKey;
 use cs_stream::Stream;
@@ -47,7 +60,7 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::hash::Hasher;
 use std::ops::Range;
-use std::sync::mpsc::{channel, sync_channel};
+use std::sync::mpsc::{channel, sync_channel, TrySendError};
 use std::thread::{self, Scope};
 
 /// Keys in one run handed to a sink: 64 KiB.
@@ -161,21 +174,44 @@ pub struct Tokens<'a> {
     len: usize,
 }
 
+/// One run for a sink: up to [`CHUNK`] keys and, once hashed, their
+/// cell words (`t` a key, in key order).
+#[derive(Debug, Default)]
+struct Run {
+    keys: Vec<ItemKey>,
+    cells: Vec<u32>,
+}
+
+impl Run {
+    /// Computes the run's cell words with `hasher`, if there is one and
+    /// no thread has yet.
+    fn hash(&mut self, hasher: Option<&RowHasher>) {
+        if let Some(hasher) = hasher {
+            if self.cells.is_empty() {
+                hasher.hash_keys(&self.keys, &mut self.cells);
+            }
+        }
+    }
+}
+
 impl<'a> Tokens<'a> {
     /// Scans `text` once: splits it, keys every token and records the
     /// first occurrence of every distinct key. Every token's key goes to
     /// `sink`, in input order, in runs of [`CHUNK`] keys; only the last
     /// run may be shorter, and an input without tokens calls `sink`
-    /// never. The runs after the first are scanned on a second, scoped
-    /// thread that stays a few runs ahead of `sink`; it is joined before
-    /// this returns, also when `sink` fails.
+    /// never. With a `hasher`, the sink also gets each run's cell words;
+    /// without one its second argument is empty. The runs after the first
+    /// are scanned on a second, scoped thread that stays a few runs ahead
+    /// of `sink`; it is joined before this returns, also when `sink`
+    /// fails.
     ///
     /// The first error `sink` returns ends the scan and is returned.
     pub fn scan<E>(
         text: &'a str,
-        sink: impl FnMut(&[ItemKey]) -> Result<(), E>,
+        hasher: Option<&RowHasher>,
+        sink: impl FnMut(&[ItemKey], &[u32]) -> Result<(), E>,
     ) -> Result<Self, E> {
-        Self::scan_on(text, sink, true)
+        Self::scan_on(text, hasher, sink, true)
     }
 
     /// [`Tokens::scan`], with the scanner thread only if `pipelined`:
@@ -183,7 +219,8 @@ impl<'a> Tokens<'a> {
     /// the spawn fails.
     fn scan_on<E>(
         text: &'a str,
-        mut sink: impl FnMut(&[ItemKey]) -> Result<(), E>,
+        hasher: Option<&RowHasher>,
+        mut sink: impl FnMut(&[ItemKey], &[u32]) -> Result<(), E>,
         pipelined: bool,
     ) -> Result<Self, E> {
         let mut tokens = Tokens {
@@ -192,14 +229,15 @@ impl<'a> Tokens<'a> {
             first_seen: FirstSeen::default(),
             len: 0,
         };
-        let mut run = Vec::with_capacity(CHUNK);
+        let mut run = Run::default();
         tokens.fill(&mut run);
-        let piped =
-            pipelined && !tokens.done() && thread::scope(|s| tokens.pipeline(s, &run, &mut sink))?;
+        let piped = pipelined
+            && !tokens.done()
+            && thread::scope(|s| tokens.pipeline(s, hasher, &mut run, &mut sink))?;
         if !piped {
-            while !run.is_empty() {
-                sink(&run)?;
-                run.clear();
+            while !run.keys.is_empty() {
+                run.hash(hasher);
+                sink(&run.keys, &run.cells)?;
                 tokens.fill(&mut run);
             }
         }
@@ -211,53 +249,65 @@ impl<'a> Tokens<'a> {
         self.at == self.text.len()
     }
 
-    /// Appends the keys of the next [`CHUNK`] tokens, or of all that are
-    /// left if fewer, to the empty `run`, and records their first
-    /// occurrences.
+    /// Replaces `run` with the keys of the next [`CHUNK`] tokens, or of
+    /// all that are left if fewer, not yet hashed, and records their
+    /// first occurrences.
     ///
     /// Keys reach the table in runs of `INSERT_RUN`: the probes of one
     /// run depend on nothing but the keys, so their cache misses overlap
     /// once the table outgrows the cache.
-    fn fill(&mut self, run: &mut Vec<ItemKey>) {
-        debug_assert!(run.is_empty());
+    fn fill(&mut self, run: &mut Run) {
+        run.cells.clear();
+        let keys = &mut run.keys;
+        keys.clear();
+        keys.reserve(CHUNK);
         let mut starts = [0; INSERT_RUN];
-        while run.len() < CHUNK {
+        while keys.len() < CHUNK {
             let Some((span, key)) = next_token(self.text, self.at) else {
                 break;
             };
             self.at = span.end;
-            starts[run.len() % INSERT_RUN] = span.start;
-            run.push(key);
-            if run.len().is_multiple_of(INSERT_RUN) {
+            starts[keys.len() % INSERT_RUN] = span.start;
+            keys.push(key);
+            if keys.len().is_multiple_of(INSERT_RUN) {
                 self.first_seen
-                    .insert_run(&run[run.len() - INSERT_RUN..], &starts);
+                    .insert_run(&keys[keys.len() - INSERT_RUN..], &starts);
             }
         }
-        let tail = run.len() % INSERT_RUN;
+        let tail = keys.len() % INSERT_RUN;
         self.first_seen
-            .insert_run(&run[run.len() - tail..], &starts[..tail]);
+            .insert_run(&keys[keys.len() - tail..], &starts[..tail]);
         self.at = skip_space(self.text, self.at);
-        self.len += run.len();
+        self.len += keys.len();
     }
 
     /// Feeds `first`, then every later run, to `sink`, while a scoped
-    /// thread fills the later runs. `Ok(false)` if the thread could not
-    /// be spawned; `sink` has then seen nothing.
+    /// thread fills the later runs; `first`'s buffers go to the scanner
+    /// for reuse. `Ok(false)` if the thread could not be spawned; `sink`
+    /// has then seen nothing and `first` is untouched.
     fn pipeline<'scope, E>(
         &'scope mut self,
         scope: &'scope Scope<'scope, '_>,
-        first: &[ItemKey],
-        sink: &mut impl FnMut(&[ItemKey]) -> Result<(), E>,
+        hasher: Option<&'scope RowHasher>,
+        first: &mut Run,
+        sink: &mut impl FnMut(&[ItemKey], &[u32]) -> Result<(), E>,
     ) -> Result<bool, E> {
-        let (full, runs) = sync_channel::<Vec<ItemKey>>(RUNS_AHEAD);
-        let (spare, spares) = channel::<Vec<ItemKey>>();
+        let (full, runs) = sync_channel::<Run>(RUNS_AHEAD);
+        let (spare, spares) = channel::<Run>();
         let scan = move || {
             while !self.done() {
-                let mut run = spares
-                    .try_recv()
-                    .unwrap_or_else(|_| Vec::with_capacity(CHUNK));
-                run.clear();
+                let mut run = spares.try_recv().unwrap_or_default();
                 self.fill(&mut run);
+                // A full channel means the sink is behind and this thread
+                // would wait, so it hashes the run first.
+                let run = match full.try_send(run) {
+                    Ok(()) => continue,
+                    Err(TrySendError::Full(mut run)) => {
+                        run.hash(hasher);
+                        run
+                    }
+                    Err(TrySendError::Disconnected(_)) => break,
+                };
                 if full.send(run).is_err() {
                     // The sink failed and dropped the receiver.
                     break;
@@ -271,9 +321,12 @@ impl<'a> Tokens<'a> {
         {
             return Ok(false);
         }
-        sink(first)?;
-        for run in runs {
-            sink(&run)?;
+        first.hash(hasher);
+        sink(&first.keys, &first.cells)?;
+        spare.send(std::mem::take(first)).ok();
+        for mut run in runs {
+            run.hash(hasher);
+            sink(&run.keys, &run.cells)?;
             // Fails only once the scanner has finished and needs no buffer.
             spare.send(run).ok();
         }
@@ -315,7 +368,7 @@ impl<'a> Tokens<'a> {
 /// prints with [`Tokens::label`].
 pub fn tokenize(text: &str) -> (Stream, HashMap<ItemKey, String>) {
     let mut keys = Vec::new();
-    let Ok(tokens) = Tokens::scan(text, |run| {
+    let Ok(tokens) = Tokens::scan(text, None, |run, _| {
         keys.extend_from_slice(run);
         Ok::<_, Infallible>(())
     });
@@ -412,6 +465,7 @@ impl FirstSeen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cs_core::{CountSketch, SketchParams};
     use proptest::prelude::*;
 
     /// Every char with the Unicode `White_Space` property.
@@ -445,15 +499,33 @@ mod tests {
         (keys, labels)
     }
 
-    /// The runs `Tokens::scan` hands its sink, and the scan; the runs
-    /// must not depend on whether the scanner thread ran.
+    /// The runs `Tokens::scan` hands its sink, and the scan. The runs
+    /// must not depend on whether the scanner thread ran or hashed: with
+    /// a row hasher each run's cells are its keys' words, and without
+    /// one they are empty.
     fn scan_runs(text: &str) -> (Tokens<'_>, Vec<Vec<ItemKey>>) {
-        let [(tokens, runs), (_, inline)] = [true, false].map(|pipelined| {
+        let hasher = CountSketch::new(SketchParams::new(3, 64), 7)
+            .row_hasher()
+            .unwrap();
+        let mut expected = Vec::new();
+        let [(tokens, runs), (_, inline), (_, hashed), (_, hashed_inline)] = [
+            (true, None),
+            (false, None),
+            (true, Some(&hasher)),
+            (false, Some(&hasher)),
+        ]
+        .map(|(pipelined, hasher)| {
             let mut runs = Vec::new();
             let Ok(tokens) = Tokens::scan_on(
                 text,
-                |run| {
-                    runs.push(run.to_vec());
+                hasher,
+                |keys, cells| {
+                    match hasher {
+                        Some(h) => h.hash_keys(keys, &mut expected),
+                        None => expected.clear(),
+                    }
+                    assert!(cells == expected, "cells of a {}-key run", keys.len());
+                    runs.push(keys.to_vec());
                     Ok::<_, Infallible>(())
                 },
                 pipelined,
@@ -461,6 +533,11 @@ mod tests {
             (tokens, runs)
         });
         assert!(runs == inline, "{} runs", runs.len());
+        assert!(
+            runs == hashed && runs == hashed_inline,
+            "{} runs",
+            runs.len()
+        );
         (tokens, runs)
     }
 
@@ -580,7 +657,7 @@ mod tests {
         // and must stop rather than wait on the dropped receiver.
         let text = "a ".repeat(10 * CHUNK);
         let mut calls = 0;
-        let scanned = Tokens::scan(&text, |_| {
+        let scanned = Tokens::scan(&text, None, |_, _| {
             calls += 1;
             if calls == 2 {
                 Err("full")
@@ -590,6 +667,28 @@ mod tests {
         });
         assert!(matches!(scanned, Err("full")));
         assert_eq!(calls, 2);
+    }
+
+    #[test]
+    fn runs_hashed_on_either_thread_carry_their_own_cells() {
+        // Ten runs and a sink that is slow on the first: the channel
+        // fills, so the scanner hashes some runs and the caller's thread
+        // the others. Each run's cells must be its own keys' words.
+        let text: String = (0..10 * CHUNK).map(|i| format!("k{} ", i % 5000)).collect();
+        let hasher = CountSketch::new(SketchParams::new(7, 4096), 3)
+            .row_hasher()
+            .unwrap();
+        let (mut runs, mut want) = (0, Vec::new());
+        let Ok(tokens) = Tokens::scan(&text, Some(&hasher), |keys, cells| {
+            let busy = if runs == 0 { 50 } else { 1 };
+            for _ in 0..busy {
+                hasher.hash_keys(keys, &mut want);
+            }
+            assert!(cells == want, "run {runs}");
+            runs += 1;
+            Ok::<_, Infallible>(())
+        });
+        assert_eq!((runs, tokens.occurrences()), (10, 10 * CHUNK));
     }
 
     fn piece() -> impl Strategy<Value = String> {

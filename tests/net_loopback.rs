@@ -107,10 +107,7 @@ fn failed_and_corrupted_sites_are_excluded_not_silent() {
     let site_reports = reports(&streams, K);
 
     let mut config = fast_config(4, 2);
-    config.policy = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    config.max_attempts = 2;
     let server = CoordinatorServer::bind("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let serve = std::thread::spawn(move || server.run());
