@@ -19,8 +19,10 @@
 //! rather than failing the whole merge, and the final [`MergeReport`]
 //! states exactly which sites are missing and how far the error bound
 //! widened as a result. By additivity the merge does not depend on when
-//! or in what order reports arrive, so the coordinator keeps no clock:
-//! only a count of failed attempts per site. The driver owns the one
+//! or in what order reports arrive, so the coordinator keeps no clock,
+//! only a count of failed attempts per site, and no site sketch: it adds
+//! each accepted report into one running sum at delivery, so it holds
+//! `O(t·b)` counters however many sites report. The driver owns the one
 //! deadline, in wall-clock milliseconds.
 
 use crate::approx_top::ApproxTopProcessor;
@@ -108,6 +110,11 @@ impl DistributedSketch {
     /// Total occurrences across all sites.
     pub fn total_n(&self) -> u64 {
         self.total_n
+    }
+
+    /// The merged sketch.
+    pub fn merged(&self) -> &CountSketch {
+        &self.merged
     }
 
     /// Global point estimate for any item.
@@ -269,18 +276,31 @@ pub struct QuorumOutcome {
 
 #[derive(Debug, Clone)]
 enum SlotState {
-    Waiting { attempt: u32 },
-    Accepted(Box<SiteReport>),
+    Waiting {
+        attempt: u32,
+    },
+    /// The site's sketch is already in the running sum; only what the
+    /// report adds besides its counters is kept.
+    Accepted {
+        candidates: Vec<ItemKey>,
+        local_n: u64,
+    },
     Excluded(ExclusionReason),
 }
 
 /// Fault-tolerant collection of site reports.
 ///
 /// The driver delivers whatever each site sends, in any order, via
-/// [`deliver_snapshot`] / [`deliver_report`] / [`deliver_failed`].
-/// Once [`is_resolved`] (every site accepted or excluded) — or the
-/// driver's deadline passes — [`finalize`] merges the accepted reports
-/// if they meet the quorum.
+/// [`deliver_snapshot`] / [`deliver_report`] / [`deliver_failed`]. A
+/// compatible report is added into the running merged sketch as it is
+/// delivered, and the site sketch is dropped. Once [`is_resolved`]
+/// (every site accepted or excluded) — or the driver's deadline passes —
+/// [`finalize`] checks the quorum and hands the sum out.
+///
+/// The merge is the same for every delivery order, with one exception:
+/// when adding a report would overflow a counter, the merge is refused
+/// and *that* site, the later arrival, is excluded as
+/// `Corrupt(CounterSaturated)`. The sites already in the sum stay.
 ///
 /// [`deliver_snapshot`]: QuorumCoordinator::deliver_snapshot
 /// [`deliver_report`]: QuorumCoordinator::deliver_report
@@ -289,9 +309,10 @@ enum SlotState {
 /// [`finalize`]: QuorumCoordinator::finalize
 #[derive(Debug, Clone)]
 pub struct QuorumCoordinator {
-    /// Empty sketch with the expected `(params, seed)`; every delivered
-    /// report is validated against it.
-    reference: CountSketch,
+    /// Sum of every accepted report's sketch. It starts empty with the
+    /// expected `(params, seed)`, and every delivered report is
+    /// validated against it.
+    merged: CountSketch,
     quorum: usize,
     /// Failed attempts after which a site is excluded as a straggler.
     max_attempts: u32,
@@ -319,7 +340,7 @@ impl QuorumCoordinator {
             )));
         }
         Ok(Self {
-            reference: CountSketch::new(params, seed),
+            merged: CountSketch::new(params, seed),
             quorum,
             max_attempts: policy.max_attempts,
             slots: vec![SlotState::Waiting { attempt: 0 }; num_sites],
@@ -329,14 +350,14 @@ impl QuorumCoordinator {
     /// The `(rows, buckets)` every delivered report must match.
     pub fn expected_params(&self) -> SketchParams {
         SketchParams {
-            rows: self.reference.rows(),
-            buckets: self.reference.buckets(),
+            rows: self.merged.rows(),
+            buckets: self.merged.buckets(),
         }
     }
 
     /// The hash seed every delivered report must match.
     pub fn expected_seed(&self) -> u64 {
-        self.reference.seed()
+        self.merged.seed()
     }
 
     /// Sites the coordinator expects to hear from.
@@ -351,10 +372,10 @@ impl QuorumCoordinator {
         self.quorum
     }
 
-    /// Whether `site`'s report has been validated and accepted (false
-    /// for a site out of range).
+    /// Whether `site`'s report has been validated and merged (false for
+    /// a site out of range).
     pub fn is_accepted(&self, site: usize) -> bool {
-        matches!(self.slots.get(site), Some(SlotState::Accepted(_)))
+        matches!(self.slots.get(site), Some(SlotState::Accepted { .. }))
     }
 
     /// Whether every site is accepted or excluded, so no site is still
@@ -418,19 +439,32 @@ impl QuorumCoordinator {
         }
     }
 
-    /// Delivers an already-decoded report. Incompatible `(params, seed)`
-    /// excludes the site; a matching report is accepted.
+    /// Delivers an already-decoded report and merges it at once.
+    /// Incompatible `(params, seed)` excludes the site as incompatible;
+    /// a merge that would overflow a counter is refused, leaving the sum
+    /// untouched, and excludes the site as corrupt. The report's sketch
+    /// is dropped either way.
     pub fn deliver_report(&mut self, site: usize, report: SiteReport) -> Result<(), CoreError> {
-        let verdict = self.reference.compatible(&report.sketch);
-        let slot = self.slot_mut(site)?;
-        if !matches!(slot, SlotState::Waiting { .. }) {
+        if !matches!(self.slot_mut(site)?, SlotState::Waiting { .. }) {
             // Duplicate delivery (e.g. a retried request answered twice):
             // first result wins, later ones are ignored.
             return Ok(());
         }
-        *slot = match verdict {
-            Ok(()) => SlotState::Accepted(Box::new(report)),
-            Err(e) => SlotState::Excluded(ExclusionReason::Incompatible(e)),
+        let verdict = self
+            .merged
+            .compatible(&report.sketch)
+            .map_err(ExclusionReason::Incompatible)
+            .and_then(|()| {
+                self.merged
+                    .merge(&report.sketch)
+                    .map_err(ExclusionReason::Corrupt)
+            });
+        self.slots[site] = match verdict {
+            Ok(()) => SlotState::Accepted {
+                candidates: report.candidates,
+                local_n: report.local_n,
+            },
+            Err(reason) => SlotState::Excluded(reason),
         };
         Ok(())
     }
@@ -452,34 +486,30 @@ impl QuorumCoordinator {
         Ok(())
     }
 
-    /// Merges the accepted reports, if they meet the quorum. Sites still
-    /// pending count as stragglers (the driver chose to stop waiting).
-    /// A site whose merge would saturate a counter is excluded and
-    /// reported, not silently wrapped.
-    pub fn finalize(mut self) -> Result<QuorumOutcome, CoreError> {
-        // Give up on anything still pending.
-        for slot in &mut self.slots {
-            if let SlotState::Waiting { attempt } = *slot {
-                *slot = SlotState::Excluded(ExclusionReason::Straggler { attempts: attempt });
-            }
-        }
-        let mut merged = self.reference.clone();
+    /// Hands out the merged sketch, if enough reports were accepted to
+    /// meet the quorum. Sites still pending count as stragglers (the
+    /// driver chose to stop waiting). Every merge already happened at
+    /// delivery, so this only gathers the candidates and the report.
+    pub fn finalize(self) -> Result<QuorumOutcome, CoreError> {
         let mut candidates: Vec<ItemKey> = Vec::new();
         let mut included = Vec::new();
         let mut excluded = Vec::new();
         let mut covered_n = 0u64;
-        for (site, slot) in self.slots.iter().enumerate() {
+        let total_sites = self.slots.len();
+        for (site, slot) in self.slots.into_iter().enumerate() {
             match slot {
-                SlotState::Accepted(report) => match merged.merge(&report.sketch) {
-                    Ok(()) => {
-                        candidates.extend_from_slice(&report.candidates);
-                        covered_n += report.local_n;
-                        included.push(site);
-                    }
-                    Err(e) => excluded.push((site, ExclusionReason::Corrupt(e))),
-                },
-                SlotState::Excluded(reason) => excluded.push((site, reason.clone())),
-                SlotState::Waiting { .. } => unreachable!("drained above"),
+                SlotState::Accepted {
+                    candidates: site_candidates,
+                    local_n,
+                } => {
+                    candidates.extend(site_candidates);
+                    covered_n += local_n;
+                    included.push(site);
+                }
+                SlotState::Excluded(reason) => excluded.push((site, reason)),
+                SlotState::Waiting { attempt } => {
+                    excluded.push((site, ExclusionReason::Straggler { attempts: attempt }))
+                }
             }
         }
         if included.len() < self.quorum {
@@ -490,20 +520,19 @@ impl QuorumCoordinator {
         }
         candidates.sort_unstable();
         candidates.dedup();
-        let report = MergeReport {
-            total_sites: self.slots.len(),
-            included: included.clone(),
-            excluded,
-            covered_n,
-        };
         Ok(QuorumOutcome {
             sketch: DistributedSketch {
-                merged,
+                merged: self.merged,
                 candidates,
                 sites: included.len(),
                 total_n: covered_n,
             },
-            report,
+            report: MergeReport {
+                total_sites,
+                included,
+                excluded,
+                covered_n,
+            },
         })
     }
 }
@@ -756,6 +785,52 @@ mod tests {
         let outcome = coord.finalize().unwrap();
         assert_eq!(outcome.report.included, vec![0, 1]);
         assert_eq!(outcome.sketch.total_n(), 8_000);
+    }
+
+    /// A site whose every row cell for `key` holds `±i64::MAX`: merged
+    /// after any site that counted `key`, a counter overflows.
+    fn saturating_report(key: ItemKey) -> SiteReport {
+        let mut sketch = CountSketch::new(PARAMS, 99);
+        sketch.update(key, i64::MAX);
+        SiteReport {
+            sketch,
+            candidates: vec![key],
+            local_n: 1,
+        }
+    }
+
+    #[test]
+    fn quorum_excludes_the_later_arrival_when_a_merge_would_saturate() {
+        // The one order rule: of two sites whose sum would overflow a
+        // counter, the later arrival is refused at delivery and the sum
+        // keeps exactly the earlier one.
+        let (reports, _) = quorum_setup(2, 1);
+        let key = reports[0].candidates[0];
+        let report = |site: usize| match site {
+            0 => reports[0].clone(),
+            _ => saturating_report(key),
+        };
+        for (first, later) in [(0, 1), (1, 0)] {
+            let mut coord =
+                QuorumCoordinator::new(2, 1, PARAMS, 99, RetryPolicy::default()).unwrap();
+            coord.deliver_report(first, report(first)).unwrap();
+            coord.deliver_report(later, report(later)).unwrap();
+            assert!(coord.is_accepted(first));
+            assert!(!coord.is_accepted(later), "refused before finalize");
+            let outcome = coord.finalize().unwrap();
+            assert_eq!(outcome.report.included, vec![first]);
+            assert!(matches!(
+                outcome.report.excluded[..],
+                [(
+                    site,
+                    ExclusionReason::Corrupt(CoreError::CounterSaturated { .. })
+                )] if site == later
+            ));
+            assert_eq!(
+                outcome.sketch.merged().counters(),
+                report(first).sketch.counters()
+            );
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@ pub enum ShipOutcome {
     /// The coordinator validated and merged the report.
     Accepted,
     /// The coordinator received the report but recorded a permanent
-    /// exclusion (incompatible configuration, or another delivery for
-    /// this site already won). Retrying cannot change this.
+    /// exclusion (incompatible configuration, a merge that would
+    /// overflow a counter, or another delivery for this site already
+    /// won). Retrying cannot change this.
     Excluded,
 }
 

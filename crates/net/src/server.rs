@@ -3,7 +3,11 @@
 //!
 //! Each accepted connection is handled on its own thread and walks the
 //! shipping conversation (`HELLO → SNAPSHOT → REPORT → ACK/NACK`),
-//! feeding the coordinator's `deliver_*` methods under a mutex. The
+//! feeding the coordinator's `deliver_*` methods under a mutex. A
+//! session decodes its snapshot before taking the lock; the coordinator
+//! adds it into its one running sum and drops it, so the server holds
+//! one merged sketch plus the snapshots still in flight, and the ACK
+//! carries the merge's verdict. The
 //! accept loop itself is non-blocking and polls every few milliseconds.
 //! It exits when every site is resolved (accepted or excluded) or
 //! `deadline_ms` of wall clock has passed, then finalizes; a site that
@@ -101,7 +105,8 @@ impl CoordinatorServer {
     }
 
     /// Runs the accept loop until every site resolves or the deadline
-    /// passes, then finalizes the quorum merge.
+    /// passes, then finalizes: checks the quorum and returns the sum
+    /// merged at delivery.
     pub fn run(self) -> Result<QuorumOutcome, NetError> {
         let started = Instant::now();
         let deadline = Duration::from_millis(self.config.deadline_ms);
@@ -137,7 +142,7 @@ impl CoordinatorServer {
             let _ = h.join();
         }
         // Every handler has been joined, so this is the last reference:
-        // take the coordinator rather than clone every accepted sketch.
+        // take the coordinator rather than clone its merged sketch.
         let coordinator = Arc::try_unwrap(self.coordinator)
             .expect("every handler thread has been joined")
             .into_inner()
@@ -213,7 +218,7 @@ fn handle_connection(
 }
 
 /// Reads SNAPSHOT + REPORT and delivers them; returns whether the site
-/// ended up accepted.
+/// ended up accepted, that is, merged into the running sum.
 fn session(
     conn: &mut TcpStream,
     site: usize,
@@ -243,7 +248,8 @@ fn session(
         .as_slice()
         .to_vec();
     // Verify and decode before taking the lock, so concurrent sessions
-    // decode in parallel; the coordinator only records the verdict.
+    // decode in parallel; under the lock the coordinator merges the
+    // sketch and drops it.
     let decoded = CountSketch::from_snapshot_bytes(&snapshot);
     drop(snapshot);
     let mut coord = coordinator.lock().expect("coordinator lock");
@@ -283,7 +289,8 @@ pub fn render_report(
 mod tests {
     use super::*;
     use crate::agent::{ShipOutcome, SiteAgent};
-    use cs_core::distributed::site_report;
+    use cs_core::distributed::{site_report, SiteReport};
+    use cs_hash::ItemKey;
     use cs_stream::{LinkFault, Stream};
 
     const SEED: u64 = 41;
@@ -341,6 +348,47 @@ mod tests {
             render_report(&outcome.sketch, 3, &outcome.report.excluded),
             render_report(&direct, 3, &[]),
             "wire path must be byte-identical to the in-process merge"
+        );
+    }
+
+    #[test]
+    fn site_that_would_saturate_the_sum_is_excluded_before_its_ack() {
+        let reports: Vec<_> = [[1, 1, 2], [1, 3, 3]]
+            .iter()
+            .map(|ids| site_report(&Stream::from_ids(*ids), 2, params(), SEED))
+            .collect();
+        // Key 1's cell in every row holds its sign times i64::MAX, so
+        // adding site 0's count of key 1 overflows.
+        let mut sketch = CountSketch::new(params(), SEED);
+        sketch.update(ItemKey(1), i64::MAX);
+        let saturating = SiteReport {
+            sketch,
+            candidates: vec![ItemKey(1)],
+            local_n: 1,
+        };
+
+        let server = CoordinatorServer::bind("127.0.0.1:0", fast_config(3, 1)).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let serve = std::thread::spawn(move || server.run());
+        let ship = |site: usize, report: &SiteReport| fast_agent(site, 3).ship(&addr, report);
+        assert_eq!(ship(0, &reports[0]).unwrap(), ShipOutcome::Accepted);
+        assert_eq!(ship(1, &saturating).unwrap(), ShipOutcome::Excluded);
+        assert_eq!(ship(2, &reports[1]).unwrap(), ShipOutcome::Accepted);
+        let outcome = serve.join().unwrap().unwrap();
+
+        assert_eq!(outcome.report.included, vec![0, 2]);
+        assert!(matches!(
+            outcome.report.excluded[..],
+            [(
+                1,
+                ExclusionReason::Corrupt(CoreError::CounterSaturated { .. })
+            )]
+        ));
+        let direct = DistributedSketch::coordinate(&reports).unwrap();
+        assert_eq!(
+            render_report(&outcome.sketch, 3, &[]),
+            render_report(&direct, 3, &[]),
+            "the served merge is the other sites' merge"
         );
     }
 

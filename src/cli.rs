@@ -222,6 +222,13 @@ pub const MAX_CELLS: usize = 1 << 28;
 /// the host for thousands of threads.
 pub const MAX_THREADS: usize = 256;
 
+/// The most sites `--sites` names (`serve`, `ship`, `shard`): a policy
+/// limit far above any deployment one coordinator serves, that makes a
+/// mistyped `--sites` exit 2 at parsing instead of aborting on the
+/// coordinator's per-site slots or on `shard`'s per-site buffers, both
+/// allocated before any site reports or any input is read.
+pub const MAX_SITES: usize = 65_536;
+
 // Every `-b` under the cell maximum is a range `PairwiseHash` can draw.
 const _: () = assert!((MAX_CELLS as u64) < cs_hash::prime::P);
 
@@ -360,8 +367,11 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
         // no mid-stream point at which a consistent snapshot exists.
         return Err("--snapshot-every requires --threads 1".into());
     }
-    if opts.sites == 0 {
-        return Err("--sites must be at least 1".into());
+    if opts.sites == 0 || opts.sites > MAX_SITES {
+        return Err(format!(
+            "--sites {} must be between 1 and {MAX_SITES}",
+            opts.sites
+        ));
     }
     if opts.command == "iceberg" {
         // Written so that NaN fails both checks.
@@ -1751,6 +1761,23 @@ mod tests {
         }
         // Commands that ship nothing keep any geometry.
         assert!(parse_args(&args("top -t 9 -b 1048576")).is_ok());
+    }
+
+    #[test]
+    fn sites_are_bounded_by_the_site_limit() {
+        // Parsed only, never run: `serve` holds a slot per site and
+        // `shard` a buffer per site.
+        for cmd in [
+            "serve --listen a",
+            "ship --to a --site-id 0",
+            "shard --out-prefix p",
+        ] {
+            assert!(parse_args(&args(&format!("{cmd} --sites 65536"))).is_ok());
+            for n in ["65537", "1000000000", "18446744073709551615"] {
+                let err = parse_args(&args(&format!("{cmd} --sites {n}"))).unwrap_err();
+                assert!(err.contains("between 1 and 65536"), "{cmd} {n}: {err}");
+            }
+        }
     }
 
     #[test]

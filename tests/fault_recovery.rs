@@ -205,6 +205,112 @@ proptest! {
     }
 }
 
+/// One site's report for the delivery-order property: a short stream
+/// drawn from `seed`, and when `scarred`, saturation flags on the cells
+/// of one key whose counters are back to small values, so the merged
+/// saturation words carry some set bits.
+fn order_site_report(seed: u64, site: usize, scarred: bool, params: SketchParams) -> SiteReport {
+    let ids: Vec<u64> = (0..60u64)
+        .map(|i| (i * (site as u64 + 2) + seed % 7) % 40)
+        .collect();
+    let mut report = site_report(&Stream::from_ids(ids), 4, params, seed);
+    if scarred {
+        let key = ItemKey(1_000 + site as u64);
+        report.sketch.update(key, i64::MAX);
+        report.sketch.update(key, i64::MAX);
+        report.sketch.update(key, -i64::MAX);
+    }
+    report
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// §3.2 additivity at the coordinator: any permutation of the
+    /// deliveries, mixed with duplicate deliveries and with failed
+    /// attempts below `max_attempts`, gives the same `MergeReport`,
+    /// merged counters, saturation words and rendered report as
+    /// `DistributedSketch::coordinate` over the accepted reports in site
+    /// order.
+    #[test]
+    fn quorum_merge_does_not_depend_on_delivery_order(
+        seed: u64,
+        order_seed: u64,
+        plan in prop::collection::vec((0u32..3, 0usize..3, any::<bool>()), 1..6),
+    ) {
+        // Per site: failed attempts, deliveries (0 = never, 2 = one
+        // duplicate) and whether its sketch carries saturation flags.
+        let params = SketchParams::new(3, 32);
+        let policy = RetryPolicy::default();
+        prop_assert!(plan.iter().all(|&(failures, _, _)| failures < policy.max_attempts));
+        let reports: Vec<SiteReport> = plan
+            .iter()
+            .enumerate()
+            .map(|(site, &(_, _, scarred))| order_site_report(seed, site, scarred, params))
+            .collect();
+        let snapshots: Vec<Vec<u8>> = reports.iter().map(|r| r.sketch.to_snapshot_bytes()).collect();
+
+        // Each event is (site, delivered?), shuffled by Fisher–Yates.
+        let mut events: Vec<(usize, bool)> = Vec::new();
+        for (site, &(failures, deliveries, _)) in plan.iter().enumerate() {
+            events.extend((0..failures).map(|_| (site, false)));
+            events.extend((0..deliveries).map(|_| (site, true)));
+        }
+        let mut state = order_seed;
+        for i in (1..events.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            events.swap(i, (state >> 33) as usize % (i + 1));
+        }
+
+        let mut coord = QuorumCoordinator::new(plan.len(), 1, params, seed, policy).unwrap();
+        for &(site, delivered) in &events {
+            if delivered {
+                let r = &reports[site];
+                coord.deliver_snapshot(site, &snapshots[site], r.candidates.clone(), r.local_n).unwrap();
+            } else {
+                coord.deliver_failed(site).unwrap();
+            }
+        }
+
+        let included: Vec<usize> = (0..plan.len()).filter(|&site| plan[site].1 > 0).collect();
+        let excluded: Vec<(usize, ExclusionReason)> = plan
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, deliveries, _))| deliveries == 0)
+            .map(|(site, &(attempts, _, _))| (site, ExclusionReason::Straggler { attempts }))
+            .collect();
+        let accepted: Vec<SiteReport> = included.iter().map(|&site| reports[site].clone()).collect();
+        let outcome = coord.finalize();
+        if accepted.is_empty() {
+            prop_assert_eq!(
+                outcome.unwrap_err(),
+                CoreError::QuorumNotMet { validated: 0, required: 1 }
+            );
+            return;
+        }
+        let outcome = outcome.unwrap();
+        let direct = DistributedSketch::coordinate(&accepted).unwrap();
+        prop_assert_eq!(
+            &outcome.report,
+            &MergeReport {
+                total_sites: plan.len(),
+                included,
+                covered_n: direct.total_n(),
+                excluded: excluded.clone(),
+            }
+        );
+        prop_assert_eq!(outcome.sketch.merged().counters(), direct.merged().counters());
+        prop_assert_eq!(
+            outcome.sketch.merged().saturated_words(),
+            direct.merged().saturated_words()
+        );
+        prop_assert_eq!(
+            render_report(&outcome.sketch, 5, &outcome.report.excluded),
+            render_report(&direct, 5, &excluded)
+        );
+    }
+}
+
 /// Torn write on disk: the previous good snapshot plus a truncated new
 /// one. Recovery reads the good file after the new one fails — the
 /// last-good-snapshot pattern every crash-safe store uses.
