@@ -79,7 +79,7 @@ pub struct DistributedSketch {
 
 impl DistributedSketch {
     /// Merges site reports. All sites must have sketched with the same
-    /// `(params, seed)`.
+    /// `(params, seed)`, and their `local_n` must sum within `u64`.
     pub fn coordinate(reports: &[SiteReport]) -> Result<Self, CoreError> {
         let first = reports
             .first()
@@ -90,7 +90,7 @@ impl DistributedSketch {
         for report in &reports[1..] {
             merged.merge(&report.sketch)?;
             candidates.extend_from_slice(&report.candidates);
-            total_n += report.local_n;
+            total_n = add_local_n(total_n, report.local_n)?;
         }
         candidates.sort_unstable();
         candidates.dedup();
@@ -138,6 +138,16 @@ impl DistributedSketch {
     pub fn per_site_bytes(report: &SiteReport) -> usize {
         report.sketch.space_bytes() + report.candidates.len() * std::mem::size_of::<ItemKey>()
     }
+}
+
+/// `covered + local_n`, or a typed error when a site's count (a field
+/// read off the wire) would overflow the total of the sites before it.
+fn add_local_n(covered: u64, local_n: u64) -> Result<u64, CoreError> {
+    covered.checked_add(local_n).ok_or_else(|| {
+        CoreError::InvalidParameter(format!(
+            "local_n {local_n} overflows the {covered} occurrences already covered"
+        ))
+    })
 }
 
 /// Retry schedule for a site's delivery attempts, in milliseconds.
@@ -196,8 +206,9 @@ impl RetryPolicy {
 /// Why a site's contribution was left out of a quorum merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExclusionReason {
-    /// Snapshot bytes failed validation (checksum, structure, or a merge
-    /// that would saturate a counter).
+    /// Snapshot bytes failed validation (checksum, structure, a merge
+    /// that would saturate a counter, or a `local_n` that would overflow
+    /// the covered total).
     Corrupt(CoreError),
     /// Report was shaped correctly but incompatible with the expected
     /// `(params, seed)` configuration.
@@ -279,11 +290,10 @@ enum SlotState {
     Waiting {
         attempt: u32,
     },
-    /// The site's sketch is already in the running sum; only what the
-    /// report adds besides its counters is kept.
+    /// The site's sketch and `local_n` are already in the running sums;
+    /// only its candidates are kept.
     Accepted {
         candidates: Vec<ItemKey>,
-        local_n: u64,
     },
     Excluded(ExclusionReason),
 }
@@ -298,9 +308,10 @@ enum SlotState {
 /// [`finalize`] checks the quorum and hands the sum out.
 ///
 /// The merge is the same for every delivery order, with one exception:
-/// when adding a report would overflow a counter, the merge is refused
-/// and *that* site, the later arrival, is excluded as
-/// `Corrupt(CounterSaturated)`. The sites already in the sum stay.
+/// when adding a report would overflow a counter, or its `local_n` the
+/// covered total, the merge is refused and *that* site, the later
+/// arrival, is excluded as `Corrupt` (`CounterSaturated`, or
+/// `InvalidParameter` for the count). The sites already in the sums stay.
 ///
 /// [`deliver_snapshot`]: QuorumCoordinator::deliver_snapshot
 /// [`deliver_report`]: QuorumCoordinator::deliver_report
@@ -313,6 +324,8 @@ pub struct QuorumCoordinator {
     /// expected `(params, seed)`, and every delivered report is
     /// validated against it.
     merged: CountSketch,
+    /// Sum of every accepted report's `local_n`.
+    covered_n: u64,
     quorum: usize,
     /// Failed attempts after which a site is excluded as a straggler.
     max_attempts: u32,
@@ -341,6 +354,7 @@ impl QuorumCoordinator {
         }
         Ok(Self {
             merged: CountSketch::new(params, seed),
+            covered_n: 0,
             quorum,
             max_attempts: policy.max_attempts,
             slots: vec![SlotState::Waiting { attempt: 0 }; num_sites],
@@ -441,7 +455,8 @@ impl QuorumCoordinator {
 
     /// Delivers an already-decoded report and merges it at once.
     /// Incompatible `(params, seed)` excludes the site as incompatible;
-    /// a merge that would overflow a counter is refused, leaving the sum
+    /// a `local_n` that would overflow the covered total, or a merge
+    /// that would overflow a counter, is refused, leaving both sums
     /// untouched, and excludes the site as corrupt. The report's sketch
     /// is dropped either way.
     pub fn deliver_report(&mut self, site: usize, report: SiteReport) -> Result<(), CoreError> {
@@ -455,15 +470,20 @@ impl QuorumCoordinator {
             .compatible(&report.sketch)
             .map_err(ExclusionReason::Incompatible)
             .and_then(|()| {
+                let covered = add_local_n(self.covered_n, report.local_n)
+                    .map_err(ExclusionReason::Corrupt)?;
                 self.merged
                     .merge(&report.sketch)
-                    .map_err(ExclusionReason::Corrupt)
+                    .map_err(ExclusionReason::Corrupt)?;
+                Ok(covered)
             });
         self.slots[site] = match verdict {
-            Ok(()) => SlotState::Accepted {
-                candidates: report.candidates,
-                local_n: report.local_n,
-            },
+            Ok(covered) => {
+                self.covered_n = covered;
+                SlotState::Accepted {
+                    candidates: report.candidates,
+                }
+            }
             Err(reason) => SlotState::Excluded(reason),
         };
         Ok(())
@@ -494,16 +514,13 @@ impl QuorumCoordinator {
         let mut candidates: Vec<ItemKey> = Vec::new();
         let mut included = Vec::new();
         let mut excluded = Vec::new();
-        let mut covered_n = 0u64;
         let total_sites = self.slots.len();
         for (site, slot) in self.slots.into_iter().enumerate() {
             match slot {
                 SlotState::Accepted {
                     candidates: site_candidates,
-                    local_n,
                 } => {
                     candidates.extend(site_candidates);
-                    covered_n += local_n;
                     included.push(site);
                 }
                 SlotState::Excluded(reason) => excluded.push((site, reason)),
@@ -525,13 +542,13 @@ impl QuorumCoordinator {
                 merged: self.merged,
                 candidates,
                 sites: included.len(),
-                total_n: covered_n,
+                total_n: self.covered_n,
             },
             report: MergeReport {
                 total_sites,
                 included,
                 excluded,
-                covered_n,
+                covered_n: self.covered_n,
             },
         })
     }
@@ -830,6 +847,54 @@ mod tests {
                 outcome.sketch.merged().counters(),
                 report(first).sketch.counters()
             );
+        }
+    }
+
+    #[test]
+    fn local_n_that_would_overflow_the_total_is_refused_in_either_order() {
+        // Two sites whose wire-supplied counts sum past u64::MAX: the
+        // coordinator excludes the later arrival at delivery, over either
+        // delivery path, and the strict merge refuses the pair; the total
+        // never wraps.
+        let (mut reports, _) = quorum_setup(2, 1);
+        reports[0].local_n = u64::MAX;
+        reports[1].local_n = 2;
+        for (first, later) in [(0, 1), (1, 0)] {
+            for wire in [false, true] {
+                let mut coord =
+                    QuorumCoordinator::new(2, 1, PARAMS, 99, RetryPolicy::default()).unwrap();
+                for site in [first, later] {
+                    let r = reports[site].clone();
+                    if wire {
+                        let bytes = r.sketch.to_snapshot_bytes();
+                        coord
+                            .deliver_snapshot(site, &bytes, r.candidates, r.local_n)
+                            .unwrap();
+                    } else {
+                        coord.deliver_report(site, r).unwrap();
+                    }
+                }
+                assert!(coord.is_accepted(first));
+                assert!(!coord.is_accepted(later), "refused before finalize");
+                let outcome = coord.finalize().unwrap();
+                assert_eq!(outcome.report.included, vec![first]);
+                assert!(matches!(
+                    &outcome.report.excluded[..],
+                    [(site, ExclusionReason::Corrupt(CoreError::InvalidParameter(m)))]
+                        if *site == later && m.contains("overflows")
+                ));
+                assert_eq!(outcome.report.covered_n, reports[first].local_n);
+                assert_eq!(outcome.sketch.total_n(), reports[first].local_n);
+                assert_eq!(
+                    outcome.sketch.merged().counters(),
+                    reports[first].sketch.counters()
+                );
+            }
+            let pair = [reports[first].clone(), reports[later].clone()];
+            assert!(matches!(
+                DistributedSketch::coordinate(&pair),
+                Err(CoreError::InvalidParameter(m)) if m.contains("overflows")
+            ));
         }
     }
 

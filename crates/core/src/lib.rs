@@ -26,7 +26,11 @@
 //! multiply-shift/tabulation hasher configuration
 //! ([`sketch::FastCountSketch`]), and parallel sketching via additivity:
 //! a long-lived worker pool whose workers each sketch one key-hash shard,
-//! merged by counter addition ([`parallel`]).
+//! merged by counter addition ([`parallel`]). Built on the same sketch:
+//! iceberg queries ([`iceberg`]), one-pass hierarchical heavy-hitter
+//! recovery ([`hierarchical`]), per-site sketches merged at a
+//! coordinator ([`distributed`]) and checksummed snapshots
+//! ([`snapshot`]).
 //!
 //! ## Quick example
 //!
@@ -58,11 +62,9 @@ pub mod maxchange;
 pub mod median;
 pub mod parallel;
 pub mod params;
-pub mod relchange;
 pub mod sketch;
 pub mod snapshot;
 pub mod topk;
-pub mod window;
 
 /// One-stop imports for typical use.
 pub mod prelude {
@@ -78,7 +80,6 @@ pub mod prelude {
     pub use crate::maxchange::{max_change, MaxChangeResult};
     pub use crate::parallel::{sketch_stream_pooled, SketchPool};
     pub use crate::params::SketchParams;
-    pub use crate::relchange::{max_relative_change, ChangeObjective, RelChangeSketch};
     pub use crate::sketch::{
         CheckedEstimate, CountSketch, FastCountSketch, GenericCountSketch, RowHasher, SketchHealth,
     };
@@ -86,7 +87,6 @@ pub mod prelude {
         inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo, SnapshotKind,
     };
     pub use crate::topk::TopKTracker;
-    pub use crate::window::SlidingSketch;
     pub use cs_hash::ItemKey;
 }
 

@@ -115,14 +115,36 @@ impl DiffSketch {
     /// keeps `l ≥ k` to absorb estimation error; §4.1 suggests `l = O(k)`).
     pub fn top_changes(&self, s1: &Stream, s2: &Stream, k: usize, l: usize) -> MaxChangeResult {
         assert!(l >= k, "need l >= k");
-        // |i64::MIN| saturates: that estimate ranks highest, not lowest.
-        let tracked = pass_two(s1, s2, l, |key| {
-            let est = self.sketch.estimate(key);
-            (est.saturating_abs(), est)
-        });
-        let mut candidates: Vec<ChangeItem> = tracked
-            .into_iter()
-            .map(|(key, [c1, c2], estimated_change)| ChangeItem {
+        // The tracker keeps the `l` largest |n̂_q|. Parallel to its slots,
+        // each survivor's counts in S1 and S2 and its estimate: an
+        // admitted key takes the slot of the minimum it evicts, so its
+        // counts start afresh.
+        let mut tracker = TopKTracker::new(l);
+        let mut slots: Vec<([u64; 2], i64)> = Vec::new();
+        for (which, stream) in [s1, s2].into_iter().enumerate() {
+            for &key in stream.as_slice() {
+                if let Some(s) = tracker.slot(key) {
+                    slots[s].0[which] += 1;
+                    continue;
+                }
+                let estimate = self.sketch.estimate(key);
+                // |i64::MIN| saturates: that estimate ranks highest, not lowest.
+                let Some(s) = tracker.admit(key, estimate.saturating_abs()) else {
+                    continue;
+                };
+                let mut counts = [0; 2];
+                counts[which] = 1;
+                if s == slots.len() {
+                    slots.push((counts, estimate));
+                } else {
+                    slots[s] = (counts, estimate);
+                }
+            }
+        }
+        let mut candidates: Vec<ChangeItem> = tracker
+            .keys()
+            .zip(slots)
+            .map(|(key, ([c1, c2], estimated_change))| ChangeItem {
                 key,
                 exact_change: c2 as i64 - c1 as i64,
                 estimated_change,
@@ -137,47 +159,6 @@ impl DiffSketch {
         let items = candidates.iter().take(k).copied().collect();
         MaxChangeResult { items, candidates }
     }
-}
-
-/// Pass 2 over `S1` then `S2`, shared by max-change and the
-/// relative-change objectives. `rank(key)` scores an untracked arrival
-/// as `(value, estimate)`, and the tracker keeps the `l` largest values.
-/// Returns the survivors, in no particular order, as
-/// `(key, [count in S1, count in S2], estimate)`.
-pub(crate) fn pass_two(
-    s1: &Stream,
-    s2: &Stream,
-    l: usize,
-    mut rank: impl FnMut(ItemKey) -> (i64, i64),
-) -> Vec<(ItemKey, [u64; 2], i64)> {
-    let mut tracker = TopKTracker::new(l);
-    // Parallel to the tracker's slots: an admitted key takes the slot of
-    // the minimum it evicts, so its counts start afresh.
-    let mut slots: Vec<([u64; 2], i64)> = Vec::new();
-    for (which, stream) in [s1, s2].into_iter().enumerate() {
-        for &key in stream.as_slice() {
-            if let Some(s) = tracker.slot(key) {
-                slots[s].0[which] += 1;
-                continue;
-            }
-            let (value, estimate) = rank(key);
-            let Some(s) = tracker.admit(key, value) else {
-                continue;
-            };
-            let mut counts = [0; 2];
-            counts[which] = 1;
-            if s == slots.len() {
-                slots.push((counts, estimate));
-            } else {
-                slots[s] = (counts, estimate);
-            }
-        }
-    }
-    tracker
-        .keys()
-        .zip(slots)
-        .map(|(key, (counts, estimate))| (key, counts, estimate))
-        .collect()
 }
 
 /// The complete two-pass algorithm in one call.

@@ -316,15 +316,9 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         self.hash.canon(key)
     }
 
-    /// `update(key, weight)` followed by `ESTIMATE(C, key)` in one pass:
-    /// the estimate reads back the `t` cells the update just wrote, so
-    /// each row is hashed once instead of twice.
-    #[inline]
-    pub(crate) fn update_estimate(&mut self, key: ItemKey, weight: i64) -> i64 {
-        self.update_estimate_with(self.hash.canon(key), weight)
-    }
-
-    /// The fused kernel. Same two-tier overflow scheme as
+    /// `update` followed by `ESTIMATE` in one pass: the estimate reads
+    /// back the `t` cells the update just wrote, so each row is hashed
+    /// once instead of twice. Same two-tier overflow scheme as
     /// [`Self::update`]: while the `abs_mass` watermark proves no cell
     /// can clamp, the row estimates `s_i(q)·C[i][h_i(q)]` come straight
     /// from the fresh cells into [`Self::estimate`]'s column; otherwise
@@ -1156,7 +1150,7 @@ mod tests {
     const FUSED_DEPTHS: [usize; 9] = [1, 2, 3, 5, 7, 9, 11, 16, 17];
     const COMBINERS: [Combiner; 3] = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean];
 
-    /// Drives `update_estimate` on one copy of `sketch` and `update` then
+    /// Drives the fused kernel on one copy of `sketch` and `update` then
     /// `estimate` on another, asserting equal answers and equal state
     /// (counters, saturation bits, watermark) after every op.
     fn assert_fused_matches_split<H: BucketHasher + Clone, S: SignHasher + Clone>(
@@ -1167,7 +1161,7 @@ mod tests {
         let mut split = sketch;
         for &(id, weight) in ops {
             let key = ItemKey(id);
-            let got = fused.update_estimate(key, weight);
+            let got = fused.update_estimate_with(fused.key_cells(key), weight);
             split.update(key, weight);
             let want = split.estimate(key);
             assert_eq!(got, want, "estimate after ({id}, {weight})");
@@ -1177,7 +1171,7 @@ mod tests {
         }
     }
 
-    /// Drives the key-taking `update`/`update_estimate` on one copy of
+    /// Drives the key-taking `update` and fused kernel on one copy of
     /// `sketch` and the cells kernels, fed by the sketch's [`RowHasher`],
     /// on another, asserting equal answers and equal state (counters,
     /// saturation bits, watermark) after every op. An op is `(key,
@@ -1195,7 +1189,7 @@ mod tests {
             hasher.hash_keys(&[key], &mut cells);
             if fused {
                 let got = by_cells.update_estimate_with(&cells[..], weight);
-                let want = by_key.update_estimate(key, weight);
+                let want = by_key.update_estimate_with(by_key.key_cells(key), weight);
                 assert_eq!(got, want, "estimate after ({id}, {weight})");
             } else {
                 by_cells.update_with(&cells[..], weight);

@@ -13,30 +13,23 @@
 //! ```text
 //! magic      u32  = 0x4353_4E50 ("CSNP")
 //! version    u32  = 2
-//! kind       u32  = 1 (sketch) | 2 (approx-top processor) | 3 (sliding window)
+//! kind       u32  = 1 (sketch) | 2 (approx-top processor)
 //! combiner   u32  = 0 median | 1 mean | 2 trimmed mean
 //! rows       u64
 //! buckets    u64            -- post-rounding, a fixed point of redrawing
 //! seed       u64
-//! counters   rows·buckets × varint    -- kind 3: the window sum sketch
+//! counters   rows·buckets × varint
 //! saturation ⌈rows·buckets/64⌉ × u64   -- overflow flags, 1 bit per cell
 //! [kind 2 only]
 //!   policy   u32  = 0 increment-tracked | 1 always-re-estimate
 //!   capacity u64
 //!   entries  u64
 //!   entry    entries × (key u64, value i64)
-//! [kind 3 only]
-//!   epoch_len      u64
-//!   window_epochs  u64
-//!   capacity       u64
-//!   filled         u64   -- occurrences in the partial epoch (< epoch_len)
-//!   completed      u64   -- completed epochs in the window (< window_epochs)
-//!   epoch sketch   completed × (counters + saturation)   -- oldest first
-//!   current sketch counters + saturation
-//!   entries        u64
-//!   entry          entries × (key u64, value i64)
 //! crc32      u32  -- CRC-32 (IEEE) over every preceding byte
 //! ```
+//!
+//! Kind 3, a sliding-window sketch, is retired: every reader rejects it
+//! as [`CoreError::CorruptSnapshot`] ("retired snapshot kind 3").
 //!
 //! A counter section is dense: one varint per cell, row-major. Each
 //! varint is the counter's zigzag code (`0, -1, 1, -2, …` → `0, 1, 2,
@@ -58,10 +51,6 @@
 //! [`inspect_snapshot_bytes`] reads through the same decoders and
 //! summarizes the value they return, so `fi inspect` accepts exactly
 //! the files that load.
-//!
-//! The kind-3 window sum is *stored*, not recomputed from the epochs on
-//! load: with saturation tracking the sum sketch's overflow flags are
-//! path-dependent, and storing it keeps resume bit-identical.
 //!
 //! Hash functions are *not* serialized: they are reconstructed
 //! deterministically from `(rows, buckets, seed)`, which both shrinks the
@@ -89,10 +78,8 @@ use crate::median::Combiner;
 use crate::params::SketchParams;
 use crate::sketch::{CountSketch, DrawBucketHasher, DrawSignHasher, GenericCountSketch};
 use crate::topk::TopKTracker;
-use crate::window::{SlidingSketch, WindowParts};
 use cs_hash::crc32::crc32;
 use cs_hash::{BucketHasher, ItemKey, SignHasher};
-use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 
@@ -105,7 +92,8 @@ const VERSION_RAW: u32 = 1;
 const MAX_VARINT: usize = 10;
 const KIND_SKETCH: u32 = 1;
 const KIND_PROCESSOR: u32 = 2;
-const KIND_WINDOW: u32 = 3;
+/// The sliding-window kind, no longer read or written.
+const KIND_RETIRED: u32 = 3;
 const HEADER: usize = 40;
 
 fn combiner_code(c: Combiner) -> u32 {
@@ -195,7 +183,7 @@ fn read_varint(body: &[u8], mut pos: usize) -> Result<(u64, usize), CoreError> {
 }
 
 /// Exact bytes of a sketch's counter and saturation sections as
-/// [`push_counters`] writes them, so every writer sizes its buffer once.
+/// [`push_sketch_body`] writes them, so every writer sizes its buffer once.
 fn counters_len<H: BucketHasher, S: SignHasher>(sketch: &GenericCountSketch<H, S>) -> usize {
     let varints: usize = sketch
         .counters()
@@ -205,24 +193,7 @@ fn counters_len<H: BucketHasher, S: SignHasher>(sketch: &GenericCountSketch<H, S
     varints + sketch.saturated_words().len() * 8
 }
 
-/// Appends a sketch's counter and saturation sections (no header).
-fn push_counters<H: BucketHasher, S: SignHasher>(
-    buf: &mut Vec<u8>,
-    sketch: &GenericCountSketch<H, S>,
-) {
-    for &c in sketch.counters() {
-        let mut z = zigzag(c);
-        while z >= 0x80 {
-            buf.push(z as u8 | 0x80);
-            z >>= 7;
-        }
-        buf.push(z as u8);
-    }
-    for &w in sketch.saturated_words() {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
+/// Appends the header and a sketch's counter and saturation sections.
 fn push_sketch_body<H: BucketHasher, S: SignHasher>(
     buf: &mut Vec<u8>,
     kind: u32,
@@ -235,7 +206,17 @@ fn push_sketch_body<H: BucketHasher, S: SignHasher>(
     buf.extend_from_slice(&(sketch.rows() as u64).to_le_bytes());
     buf.extend_from_slice(&(sketch.buckets() as u64).to_le_bytes());
     buf.extend_from_slice(&sketch.seed().to_le_bytes());
-    push_counters(buf, sketch);
+    for &c in sketch.counters() {
+        let mut z = zigzag(c);
+        while z >= 0x80 {
+            buf.push(z as u8 | 0x80);
+            z >>= 7;
+        }
+        buf.push(z as u8);
+    }
+    for &w in sketch.saturated_words() {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
 }
 
 fn seal(mut buf: Vec<u8>) -> Vec<u8> {
@@ -254,9 +235,10 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Verifies magic, version and CRC; returns a reader over the body
-    /// (everything between the magic and the trailing checksum) plus the
-    /// snapshot's kind code, without constraining what that kind is.
+    /// Verifies magic, version and CRC, and that the kind is not the
+    /// retired one; returns a reader over the body (everything between
+    /// the magic and the trailing checksum) plus the snapshot's kind
+    /// code, without constraining what that kind is.
     fn open_any(bytes: &'a [u8]) -> Result<(Self, u32), CoreError> {
         if bytes.len() < HEADER + 4 {
             return Err(CoreError::CorruptSnapshot(format!(
@@ -284,6 +266,11 @@ impl<'a> Reader<'a> {
             return Err(CoreError::ChecksumMismatch { stored, computed });
         }
         let kind = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        if kind == KIND_RETIRED {
+            return Err(CoreError::CorruptSnapshot(format!(
+                "retired snapshot kind {KIND_RETIRED}"
+            )));
+        }
         Ok((
             Self {
                 body: &bytes[..body_end],
@@ -417,22 +404,13 @@ where
             r.remaining()
         )));
     }
-    let sketch = GenericCountSketch::<H, S>::new(SketchParams::new(rows, buckets), seed)
+    let mut sketch = GenericCountSketch::<H, S>::new(SketchParams::new(rows, buckets), seed)
         .with_combiner(combiner);
     if sketch.buckets() != buckets || sketch.rows() != rows {
         return Err(CoreError::CorruptSnapshot(format!(
             "dimensions ({rows}, {buckets}) are not reproducible by this hasher construction"
         )));
     }
-    read_counters(r, sketch)
-}
-
-/// Fills `sketch`, whose geometry the caller has validated, from one
-/// counter+saturation section.
-fn read_counters<H: BucketHasher, S: SignHasher>(
-    r: &mut Reader<'_>,
-    mut sketch: GenericCountSketch<H, S>,
-) -> Result<GenericCountSketch<H, S>, CoreError> {
     r.counters(sketch.counters_mut())?;
     r.words(sketch.saturated_words_mut())?;
     // The counters were filled wholesale: re-establish the headroom
@@ -511,67 +489,6 @@ where
     Ok(ApproxTopProcessor::from_parts(sketch, tracker, policy))
 }
 
-/// The kind-3 decoder: the window sum sketch, the five window fields,
-/// every epoch's counter section and a tracker section.
-fn read_window(r: &mut Reader<'_>) -> Result<SlidingSketch, CoreError> {
-    let window: CountSketch = read_sketch(r)?;
-    let params = SketchParams {
-        rows: window.rows(),
-        buckets: window.buckets(),
-    };
-    let epoch_len = r.u64()? as usize;
-    let window_epochs = r.u64()? as usize;
-    let capacity = r.u64()? as usize;
-    let filled = r.u64()? as usize;
-    let completed_count = r.u64()? as usize;
-    if epoch_len == 0 || window_epochs == 0 {
-        return Err(CoreError::CorruptSnapshot(
-            "window geometry fields must be positive".into(),
-        ));
-    }
-    if filled >= epoch_len {
-        return Err(CoreError::CorruptSnapshot(format!(
-            "partial epoch holds {filled} occurrences, epoch length is {epoch_len}"
-        )));
-    }
-    if completed_count >= window_epochs {
-        return Err(CoreError::CorruptSnapshot(format!(
-            "{completed_count} completed epochs exceed a {window_epochs}-epoch window"
-        )));
-    }
-    // Bound every epoch section against the buffer before any
-    // allocation, so a forged count cannot trigger a huge one.
-    let need = completed_count
-        .checked_add(1)
-        .and_then(|n| n.checked_mul(r.min_section_bytes(params.rows * params.buckets)?))
-        .ok_or_else(|| CoreError::CorruptSnapshot("epoch section size overflows".into()))?;
-    if r.remaining() < need {
-        return Err(CoreError::CorruptSnapshot(format!(
-            "epoch sections need at least {need} bytes, {} remain",
-            r.remaining()
-        )));
-    }
-    let mut completed = VecDeque::with_capacity(completed_count);
-    let empty = CountSketch::new(params, window.seed()).with_combiner(window.combiner());
-    for _ in 0..completed_count {
-        completed.push_back(read_counters(r, empty.clone())?);
-    }
-    let current = read_counters(r, empty)?;
-    let tracker = read_tracker(r, capacity)?;
-    Ok(SlidingSketch::from_parts(WindowParts {
-        params,
-        seed: window.seed(),
-        epoch_len,
-        window_epochs,
-        completed,
-        current,
-        window,
-        filled,
-        tracker,
-        capacity,
-    }))
-}
-
 /// Bytes of a counter+saturation section of `cells` cells at
 /// `per_cell` bytes a counter, or `None` if it overflows `usize`.
 fn section_bytes(cells: usize, per_cell: usize) -> Option<usize> {
@@ -633,43 +550,6 @@ impl<H: DrawBucketHasher, S: DrawSignHasher> ApproxTopProcessor<H, S> {
     }
 }
 
-impl SlidingSketch {
-    /// Serializes the full window state — every epoch sketch, the window
-    /// sum, the partial-epoch fill level and the candidate tracker — to
-    /// the checksummed `CSNP` snapshot format (kind 3).
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let window = self.window_sketch();
-        let sections: usize = std::iter::once(window)
-            .chain(self.completed_sketches())
-            .chain(std::iter::once(self.current_sketch()))
-            .map(counters_len)
-            .sum();
-        let tracker = self.tracker();
-        // Five geometry fields (u64 each), and the CRC.
-        let mut buf = Vec::with_capacity(HEADER + sections + 40 + tracker_len(tracker) + 4);
-        push_sketch_body(&mut buf, KIND_WINDOW, window);
-        buf.extend_from_slice(&(self.epoch_len() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.window_epochs() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.tracker_capacity() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.filled() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.completed_sketches().len() as u64).to_le_bytes());
-        for epoch in self.completed_sketches() {
-            push_counters(&mut buf, epoch);
-        }
-        push_counters(&mut buf, self.current_sketch());
-        push_tracker(&mut buf, tracker);
-        seal(buf)
-    }
-
-    /// Restores a sliding window from snapshot bytes. Resuming
-    /// observation afterwards — including epoch rolls and expiry — is
-    /// bit-identical to never having stopped. Total: any malformed input
-    /// yields a typed [`CoreError`], never a panic.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        Reader::open(bytes, KIND_WINDOW)?.decode(read_window)
-    }
-}
-
 /// Writes snapshot bytes to `path` crash-safely: the bytes go to a
 /// sibling temporary file which is fsync'd and renamed into place, so a
 /// crash mid-write never leaves a torn file under the final name.
@@ -697,8 +577,6 @@ pub enum SnapshotKind {
     Sketch,
     /// An approx-top processor: sketch plus tracker (`kind = 2`).
     Processor,
-    /// A sliding-window sketch: epoch sketches plus tracker (`kind = 3`).
-    Window,
 }
 
 impl std::fmt::Display for SnapshotKind {
@@ -706,22 +584,8 @@ impl std::fmt::Display for SnapshotKind {
         match self {
             SnapshotKind::Sketch => write!(f, "sketch"),
             SnapshotKind::Processor => write!(f, "processor"),
-            SnapshotKind::Window => write!(f, "sliding window"),
         }
     }
-}
-
-/// Window geometry decoded from a kind-3 snapshot, for display.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowInfo {
-    /// Occurrences per epoch.
-    pub epoch_len: usize,
-    /// Window size in epochs.
-    pub window_epochs: usize,
-    /// Completed epochs captured in the snapshot.
-    pub completed_epochs: usize,
-    /// Occurrences in the partial epoch at snapshot time.
-    pub filled: usize,
 }
 
 /// A decoded-for-display summary of a snapshot, produced by
@@ -731,7 +595,7 @@ pub struct SnapshotInfo {
     /// Format version the snapshot was written in: 1 (raw `i64`
     /// counters) or 2 (varint counters).
     pub version: u32,
-    /// Snapshot kind (sketch, processor or window).
+    /// Snapshot kind (sketch or processor).
     pub kind: SnapshotKind,
     /// The estimate combiner the sketch was configured with.
     pub combiner: Combiner,
@@ -751,13 +615,11 @@ pub struct SnapshotInfo {
     pub top_counters: Vec<(usize, usize, i64)>,
     /// Tracker eviction policy (processor snapshots only).
     pub policy: Option<HeapPolicy>,
-    /// Tracker capacity `k` (processor and window snapshots).
+    /// Tracker capacity `k` (processor snapshots only).
     pub tracker_capacity: Option<usize>,
     /// Tracked `(key, estimate)` entries, estimate descending
-    /// (processor and window snapshots).
+    /// (processor snapshots only).
     pub tracked: Vec<(ItemKey, i64)>,
-    /// Window geometry (window snapshots only).
-    pub window: Option<WindowInfo>,
 }
 
 impl SnapshotInfo {
@@ -769,7 +631,7 @@ impl SnapshotInfo {
 
 /// Summarizes snapshot bytes for display: header fields, sketch
 /// geometry, per-row saturation, the `top` largest-magnitude counters,
-/// and (for processor and window snapshots) the tracked entries. The
+/// and (for processor snapshots) the tracked entries. The
 /// bytes are decoded by the same per-kind reader the kind's
 /// `from_snapshot_bytes` loader runs, so a file is summarized exactly
 /// when it loads, and a torn, bit-flipped or forged one yields the
@@ -790,7 +652,6 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
         policy: None,
         tracker_capacity: None,
         tracked: Vec::new(),
-        window: None,
     };
     Ok(match kind {
         KIND_SKETCH => summary(SnapshotKind::Sketch, &r.decode(read_sketch)?),
@@ -801,20 +662,6 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
                 tracker_capacity: Some(p.tracker().capacity()),
                 tracked: tracked(p.tracker()),
                 ..summary(SnapshotKind::Processor, p.sketch())
-            }
-        }
-        KIND_WINDOW => {
-            let w = r.decode(read_window)?;
-            SnapshotInfo {
-                tracker_capacity: Some(w.tracker_capacity()),
-                tracked: tracked(w.tracker()),
-                window: Some(WindowInfo {
-                    epoch_len: w.epoch_len(),
-                    window_epochs: w.window_epochs(),
-                    completed_epochs: w.completed_epochs(),
-                    filled: w.filled(),
-                }),
-                ..summary(SnapshotKind::Window, w.window_sketch())
             }
         }
         other => {
@@ -1101,132 +948,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    fn window_fixture() -> SlidingSketch {
-        SlidingSketch::new(SketchParams::new(3, 32), 13, 50, 3, 4)
-    }
-
-    #[test]
-    fn window_restart_mid_window_is_bit_identical() {
-        // 230 occurrences: 4 complete epochs (one already expired) plus a
-        // 30-deep partial epoch — snapshot right there, then keep feeding
-        // far enough that post-restore epoch rolls and expiry both fire.
-        let ids: Vec<u64> = (0..400u64).map(|i| i % 17).collect();
-        let split = 230;
-        let mut interrupted = window_fixture();
-        for &id in &ids[..split] {
-            interrupted.observe(ItemKey(id));
-        }
-        let bytes = interrupted.to_snapshot_bytes();
-        let mut resumed = SlidingSketch::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(resumed.completed_epochs(), interrupted.completed_epochs());
-        assert_eq!(
-            resumed.window_occurrences(),
-            interrupted.window_occurrences()
-        );
-        for &id in &ids[split..] {
-            resumed.observe(ItemKey(id));
-        }
-        let mut uninterrupted = window_fixture();
-        for &id in &ids {
-            uninterrupted.observe(ItemKey(id));
-        }
-        for id in 0..17u64 {
-            assert_eq!(
-                resumed.estimate(ItemKey(id)),
-                uninterrupted.estimate(ItemKey(id)),
-                "id {id}"
-            );
-        }
-        assert_eq!(resumed.top_k(), uninterrupted.top_k());
-        assert_eq!(resumed.completed_epochs(), uninterrupted.completed_epochs());
-        assert_eq!(
-            resumed.window_occurrences(),
-            uninterrupted.window_occurrences()
-        );
-    }
-
-    #[test]
-    fn window_kind_is_not_interchangeable() {
-        let mut w = window_fixture();
-        w.observe(ItemKey(1));
-        let bytes = w.to_snapshot_bytes();
-        // A window snapshot is neither a sketch nor a processor...
-        assert!(CountSketch::from_snapshot_bytes(&bytes).is_err());
-        assert!(ApproxTopProcessor::<cs_hash::PairwiseHash, cs_hash::PairwiseSign>::from_snapshot_bytes(&bytes).is_err());
-        // ...and vice versa.
-        let s = sketched(&Stream::from_ids([1, 2, 3]));
-        assert!(SlidingSketch::from_snapshot_bytes(&s.to_snapshot_bytes()).is_err());
-    }
-
-    #[test]
-    fn window_inspect_reports_geometry_and_tracker() {
-        let mut w = window_fixture();
-        for i in 0..130u64 {
-            w.observe(ItemKey(i % 5));
-        }
-        let info = inspect_snapshot_bytes(&w.to_snapshot_bytes(), 3).unwrap();
-        assert_eq!(info.kind, SnapshotKind::Window);
-        assert_eq!(
-            info.window,
-            Some(WindowInfo {
-                epoch_len: 50,
-                window_epochs: 3,
-                completed_epochs: 2,
-                filled: 30,
-            })
-        );
-        assert_eq!(info.tracker_capacity, Some(4));
-        assert!(info.policy.is_none());
-        assert!(!info.tracked.is_empty());
-    }
-
-    #[test]
-    fn window_forged_tracker_capacity_never_preallocates() {
-        let mut w = window_fixture();
-        for i in 0..120u64 {
-            w.observe(ItemKey(i % 9));
-        }
-        let clean = w.to_snapshot_bytes();
-        // Capacity is the third geometry field (see the forged-geometry
-        // test below for the offset of the first).
-        let at = HEADER + counters_len(w.window_sketch()) + 16;
-        assert_eq!(clean[at..at + 8], 4u64.to_le_bytes());
-        let bytes = forge(&clean, &[(at, 1 << 61)]);
-        let mut back =
-            SlidingSketch::from_snapshot_bytes(&bytes).expect("a huge capacity is well-formed");
-        assert_eq!(back.tracker_capacity(), 1 << 61);
-        // Keep going across an epoch roll, which rebuilds the tracker at
-        // the stored capacity.
-        for i in 0..60u64 {
-            back.observe(ItemKey(i % 11));
-        }
-        assert!(!back.top_k().is_empty());
-    }
-
-    #[test]
-    fn window_forged_geometry_is_rejected_before_allocation() {
-        let mut w = window_fixture();
-        w.observe(ItemKey(9));
-        // The five u64 geometry fields start right after the 40-byte
-        // header + window counter (96 varints) and saturation (2 × u64)
-        // sections.
-        let geo = HEADER + counters_len(w.window_sketch());
-        // Forge completed = 2^40 (and window_epochs above it so the
-        // structural check passes to the length check).
-        let bytes = forge(
-            &w.to_snapshot_bytes(),
-            &[(geo + 8, 1 << 41), (geo + 32, 1 << 40)],
-        );
-        assert!(matches!(
-            SlidingSketch::from_snapshot_bytes(&bytes),
-            Err(CoreError::CorruptSnapshot(_))
-        ));
-    }
-
     /// Re-encodes v2 snapshot bytes in the v1 layout (raw `i64`
     /// counters), as a writer from before v2 wrote the same state.
     fn to_v1(v2: &[u8]) -> Vec<u8> {
-        let (mut r, kind) = Reader::open_any(v2).unwrap();
+        let (mut r, _) = Reader::open_any(v2).unwrap();
         assert_eq!(r.version, VERSION);
         let mut out = v2[..HEADER].to_vec();
         out[4..8].copy_from_slice(&VERSION_RAW.to_le_bytes());
@@ -1234,16 +959,7 @@ mod tests {
             out.extend(s.counters().iter().flat_map(|c| c.to_le_bytes()));
             out.extend(s.saturated_words().iter().flat_map(|w| w.to_le_bytes()));
         };
-        let first: CountSketch = read_sketch(&mut r).unwrap();
-        raw(&first, &mut out);
-        if kind == KIND_WINDOW {
-            let fields = r.take(40).unwrap();
-            out.extend_from_slice(fields);
-            let completed = u64::from_le_bytes(fields[32..40].try_into().unwrap());
-            for _ in 0..=completed {
-                raw(&read_counters(&mut r, first.clone()).unwrap(), &mut out);
-            }
-        }
+        raw(&read_sketch(&mut r).unwrap(), &mut out);
         // The tracker section is the same in both versions.
         out.extend_from_slice(&r.body[r.pos..]);
         seal(out)
@@ -1266,38 +982,30 @@ mod tests {
         }
     }
 
-    fn one_sketch_of_each_kind() -> [(&'static str, Vec<u8>); 3] {
+    fn one_sketch_of_each_kind() -> [(&'static str, Vec<u8>); 2] {
         let zipf = Zipf::new(80, 1.1);
         let stream = zipf.stream(4_000, 2, ZipfStreamKind::Sampled);
         let mut p = ApproxTopProcessor::new(PARAMS, 6, 3);
         p.observe_stream(&stream);
-        let mut w = window_fixture();
-        for &key in stream.as_slice().iter().take(230) {
-            w.observe(key);
-        }
         [
             ("sketch", sketched(&stream).to_snapshot_bytes()),
             ("processor", p.to_snapshot_bytes()),
-            ("window", w.to_snapshot_bytes()),
         ]
     }
 
     /// One snapshot of each kind, small enough that a random tail often
-    /// reaches its tracker and window fields.
-    fn small_snapshots() -> [(&'static str, Vec<u8>); 3] {
+    /// reaches its tracker fields.
+    fn small_snapshots() -> [(&'static str, Vec<u8>); 2] {
         let params = SketchParams::new(2, 3);
         let mut s = CountSketch::new(params, 1);
         let mut p = ApproxTopProcessor::new(params, 2, 1);
-        let mut w = SlidingSketch::new(params, 1, 4, 2, 2);
         for id in [1, 2, 1, 3, 1, 2] {
             s.add(ItemKey(id));
             p.observe(ItemKey(id));
-            w.observe(ItemKey(id));
         }
         [
             ("sketch", s.to_snapshot_bytes()),
             ("processor", p.to_snapshot_bytes()),
-            ("window", w.to_snapshot_bytes()),
         ]
     }
 
@@ -1305,8 +1013,7 @@ mod tests {
     fn reencode(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, CoreError> {
         Ok(match kind {
             "sketch" => CountSketch::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
-            "processor" => <ApproxTopProcessor>::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
-            _ => SlidingSketch::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
+            _ => <ApproxTopProcessor>::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
         })
     }
 
@@ -1336,7 +1043,6 @@ mod tests {
             assert_eq!((old.version, new.version), (1, 2), "{kind}");
             assert_eq!(old.top_counters, new.top_counters, "{kind}");
             assert_eq!(old.tracked, new.tracked, "{kind}");
-            assert_eq!(old.window, new.window, "{kind}");
         }
     }
 
@@ -1406,22 +1112,12 @@ mod tests {
     #[test]
     fn forged_fields_fail_alike_in_the_loader_and_inspect() {
         // Processor fields follow the counters: policy (u32), capacity,
-        // entries, then (key, value) pairs. Window fields follow them too: epoch_len (50),
-        // window_epochs (3), capacity, filled, completed; the entry count
-        // precedes the entries at the end.
+        // entries, then (key, value) pairs.
         let mut p = ApproxTopProcessor::new(PARAMS, 6, 3);
         let empty = p.to_snapshot_bytes();
         p.observe_stream(&Stream::from_ids((0..200u64).map(|i| i % 9)));
         let full = p.to_snapshot_bytes();
         let cap = HEADER + counters_len(p.sketch()) + 4;
-        let mut w = window_fixture();
-        let empty_window = w.to_snapshot_bytes();
-        for i in 0..130u64 {
-            w.observe(ItemKey(i % 5));
-        }
-        let window = w.to_snapshot_bytes();
-        let geo = HEADER + counters_len(w.window_sketch());
-        let entries = window.len() - 4 - tracker_len(w.tracker());
         let cases = [
             ("processor", "capacity 0", forge(&empty, &[(cap, 0)])),
             (
@@ -1438,27 +1134,6 @@ mod tests {
                 "processor",
                 "a key twice",
                 forge(&full, &[(cap + 32, field(&full, cap + 16))]),
-            ),
-            ("window", "epoch_len 0", forge(&window, &[(geo, 0)])),
-            (
-                "window",
-                "capacity 0",
-                forge(&empty_window, &[(geo + 16, 0)]),
-            ),
-            (
-                "window",
-                "filled = epoch_len",
-                forge(&window, &[(geo + 24, 50)]),
-            ),
-            (
-                "window",
-                "completed = window_epochs",
-                forge(&window, &[(geo + 32, 3)]),
-            ),
-            (
-                "window",
-                "2^60 entries",
-                forge(&window, &[(geo + 16, u64::MAX), (entries, 1 << 60)]),
             ),
         ];
         for (kind, what, bytes) in cases {
@@ -1634,48 +1309,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_window_codec_roundtrips(
-            rows in 1usize..3,
-            buckets in 1usize..70,
-            values in prop::collection::vec((any::<u8>(), any::<i64>()), 1..40),
-            sat: u64,
-            completed in 0usize..4,
-            filled in 0usize..50,
-        ) {
-            let params = SketchParams::new(rows, buckets);
-            let sketch = |seed: u64| filled_sketch(rows, buckets, seed, &values, sat);
-            let mut tracker = TopKTracker::new(8);
-            for &(tag, v) in values.iter().take(8) {
-                tracker.offer(ItemKey(v as u64), cell_value(tag, v));
-            }
-            let w = SlidingSketch::from_parts(WindowParts {
-                params,
-                seed: 4,
-                epoch_len: 50,
-                window_epochs: 4,
-                completed: (0..completed as u64).map(sketch).collect(),
-                current: sketch(10),
-                window: sketch(11),
-                filled,
-                tracker,
-                capacity: 8,
-            });
-            let bytes = w.to_snapshot_bytes();
-            let back = SlidingSketch::from_snapshot_bytes(&bytes).unwrap();
-            prop_assert_eq!(back.window_sketch().counters(), w.window_sketch().counters());
-            prop_assert_eq!(back.current_sketch().counters(), w.current_sketch().counters());
-            prop_assert_eq!(back.completed_sketches().len(), completed);
-            for (a, b) in back.completed_sketches().iter().zip(w.completed_sketches()) {
-                prop_assert_eq!(a.counters(), b.counters());
-                prop_assert_eq!(a.saturated_words(), b.saturated_words());
-            }
-            prop_assert_eq!(back.tracker().items_desc(), w.tracker().items_desc());
-            prop_assert_eq!(back.to_snapshot_bytes(), bytes.clone());
-            let old = SlidingSketch::from_snapshot_bytes(&to_v1(&bytes)).unwrap();
-            prop_assert_eq!(old.to_snapshot_bytes(), bytes);
-        }
-
-        #[test]
         fn prop_decodable_counter_bytes_reencode_byte_for_byte(
             values in prop::collection::vec((any::<u8>(), any::<i64>()), 1..40),
             edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
@@ -1698,31 +1331,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn prop_window_resume_is_bit_identical(
-            ids in prop::collection::vec(0u64..40, 1..400),
-            split_frac in 0.0f64..1.0,
-        ) {
-            let split = ((ids.len() as f64) * split_frac) as usize;
-            let mut interrupted = SlidingSketch::new(SketchParams::new(3, 32), 5, 30, 2, 3);
-            for &id in &ids[..split] {
-                interrupted.observe(ItemKey(id));
-            }
-            let mut resumed =
-                SlidingSketch::from_snapshot_bytes(&interrupted.to_snapshot_bytes()).unwrap();
-            for &id in &ids[split..] {
-                resumed.observe(ItemKey(id));
-            }
-            let mut uninterrupted = SlidingSketch::new(SketchParams::new(3, 32), 5, 30, 2, 3);
-            for &id in &ids {
-                uninterrupted.observe(ItemKey(id));
-            }
-            for id in 0..40u64 {
-                prop_assert_eq!(resumed.estimate(ItemKey(id)), uninterrupted.estimate(ItemKey(id)));
-            }
-            prop_assert_eq!(resumed.top_k(), uninterrupted.top_k());
-        }
 
         #[test]
         fn prop_resume_is_bit_identical(
@@ -1777,13 +1385,12 @@ mod tests {
         #[test]
         fn prop_arbitrary_bytes_never_panic(
             bytes in prop::collection::vec(any::<u8>(), 0..256),
-            pick in 0usize..3,
+            pick in 0usize..2,
             keep: usize,
             tail in prop::collection::vec(any::<u8>(), 0..64),
         ) {
             let _ = CountSketch::from_snapshot_bytes(&bytes);
             let _ = <ApproxTopProcessor>::from_snapshot_bytes(&bytes);
-            let _ = SlidingSketch::from_snapshot_bytes(&bytes);
             let _ = inspect_snapshot_bytes(&bytes, 3);
             // A valid header and part of the body of one kind, then
             // random bytes, resealed so the structural decoder judges

@@ -205,11 +205,6 @@ impl TopKTracker {
         self.slot(key).map(|s| self.entries[s].0)
     }
 
-    /// The smallest stored value, if any.
-    pub fn min_value(&self) -> Option<i64> {
-        self.entries.get(self.min).map(|&(v, _)| v)
-    }
-
     /// Step 1 of the paper's rule: increment the stored count of a
     /// tracked item. Returns `true` if the item was tracked.
     #[inline]
@@ -276,31 +271,6 @@ impl TopKTracker {
         } else {
             None
         }
-    }
-
-    /// Removes a tracked item, returning its value.
-    pub fn remove(&mut self, key: ItemKey) -> Option<i64> {
-        let s = self.slot(key)?;
-        let (v, _) = self.entries.swap_remove(s);
-        if self.entries.len() > SCAN_MAX {
-            self.index.remove(key);
-            if let Some(&(_, moved)) = self.entries.get(s) {
-                self.index.set(moved, s, &self.entries);
-            }
-        } else {
-            self.index = SlotIndex::default();
-        }
-        // Rare (no arrival rule removes): rebuild both minimum levels.
-        self.block_min.clear();
-        for b in 0..self.entries.len().div_ceil(MIN_BLOCK) {
-            self.block_min.push(b * MIN_BLOCK);
-            self.rescan_block(b);
-        }
-        self.min = 0;
-        if !self.entries.is_empty() {
-            self.rescan_min();
-        }
-        Some(v)
     }
 
     /// All tracked items, values non-increasing; equal values list the
@@ -398,6 +368,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The smallest stored value, as the minimum structure holds it.
+    fn min_value(t: &TopKTracker) -> Option<i64> {
+        t.entries.get(t.min).map(|&(v, _)| v)
+    }
+
     #[test]
     fn fills_up_to_capacity() {
         let mut t = TopKTracker::new(3);
@@ -406,7 +381,7 @@ mod tests {
         t.offer(ItemKey(2), 5);
         t.offer(ItemKey(3), 8);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.min_value(), Some(5));
+        assert_eq!(min_value(&t), Some(5));
     }
 
     #[test]
@@ -451,7 +426,7 @@ mod tests {
         // Raise item 1 above item 2; min should become item 2.
         t.increment(ItemKey(1));
         t.increment(ItemKey(1));
-        assert_eq!(t.min_value(), Some(6));
+        assert_eq!(min_value(&t), Some(6));
         let evicted = t.offer(ItemKey(3), 100);
         assert_eq!(evicted, Some((ItemKey(2), 6)));
     }
@@ -475,15 +450,6 @@ mod tests {
             t.items_desc(),
             vec![(ItemKey(2), 9), (ItemKey(3), 6), (ItemKey(1), 3)]
         );
-    }
-
-    #[test]
-    fn remove_works() {
-        let mut t = TopKTracker::new(2);
-        t.offer(ItemKey(1), 5);
-        assert_eq!(t.remove(ItemKey(1)), Some(5));
-        assert_eq!(t.remove(ItemKey(1)), None);
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -575,10 +541,6 @@ mod tests {
             }
         }
 
-        fn remove(&mut self, key: ItemKey) -> Option<i64> {
-            self.pos(key).map(|p| self.0.remove(p).0)
-        }
-
         fn items_desc(&self) -> Vec<(ItemKey, i64)> {
             self.0.iter().rev().map(|&(v, k)| (k, v)).collect()
         }
@@ -600,7 +562,7 @@ mod tests {
         #[test]
         fn prop_matches_sorted_vec_model(
             cap_pick in 1usize..66,
-            ops in prop::collection::vec((0u8..4, 0u64..4096, -100i64..100), 0..3000),
+            ops in prop::collection::vec((0u8..3, 0u64..4096, -100i64..100), 0..3000),
         ) {
             // Capacities 1..=64, plus 1024 (a pick of 65). Keys are drawn
             // from about twice the capacity so offers both fill the
@@ -614,11 +576,10 @@ mod tests {
                 match op {
                     0 => prop_assert_eq!(t.offer(key, v), model.offer(cap, key, v)),
                     1 => prop_assert_eq!(t.increment(key), model.add_to(key, 1)),
-                    2 => prop_assert_eq!(t.add_to(key, v), model.add_to(key, v)),
-                    _ => prop_assert_eq!(t.remove(key), model.remove(key)),
+                    _ => prop_assert_eq!(t.add_to(key, v), model.add_to(key, v)),
                 }
                 prop_assert_eq!(t.len(), model.0.len());
-                prop_assert_eq!(t.min_value(), model.0.first().map(|&(v, _)| v));
+                prop_assert_eq!(min_value(&t), model.0.first().map(|&(v, _)| v));
                 prop_assert_eq!(t.items_desc(), model.items_desc());
                 prop_assert!(t.len() <= cap);
             }

@@ -393,6 +393,30 @@ mod tests {
     }
 
     #[test]
+    fn site_whose_local_n_would_overflow_the_total_is_excluded_before_its_ack() {
+        let mut reports: Vec<_> = [[1, 1, 2], [1, 3, 3]]
+            .iter()
+            .map(|ids| site_report(&Stream::from_ids(*ids), 2, params(), SEED))
+            .collect();
+        reports[0].local_n = u64::MAX;
+        for (first, later) in [(0, 1), (1, 0)] {
+            let server = CoordinatorServer::bind("127.0.0.1:0", fast_config(2, 1)).unwrap();
+            let addr = server.local_addr().unwrap().to_string();
+            let serve = std::thread::spawn(move || server.run());
+            let ship = |site: usize| fast_agent(site, 2).ship(&addr, &reports[site]);
+            assert_eq!(ship(first).unwrap(), ShipOutcome::Accepted);
+            assert_eq!(ship(later).unwrap(), ShipOutcome::Excluded);
+            let outcome = serve.join().unwrap().unwrap();
+            assert_eq!(outcome.report.included, vec![first]);
+            assert_eq!(outcome.report.covered_n, reports[first].local_n);
+            assert!(matches!(
+                outcome.report.excluded[..],
+                [(site, ExclusionReason::Corrupt(CoreError::InvalidParameter(_)))] if site == later
+            ));
+        }
+    }
+
+    #[test]
     fn bad_topology_is_nacked_and_never_occupies_a_slot() {
         let server = CoordinatorServer::bind("127.0.0.1:0", fast_config(2, 1)).unwrap();
         let addr = server.local_addr().unwrap().to_string();

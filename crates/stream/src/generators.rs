@@ -68,28 +68,6 @@ pub fn bursty_stream(counts: &[u64], seed: u64) -> Stream {
     Stream::from_keys(items)
 }
 
-/// A two-phase "trending" stream: first half uniform over `m` items, second
-/// half with probability `boost` concentrated on `hot` items. Used for
-/// time-varying workloads in the examples.
-pub fn trending_stream(m: usize, n: usize, hot: usize, boost: f64, seed: u64) -> Stream {
-    assert!(m > 0 && hot > 0 && hot <= m);
-    assert!((0.0..=1.0).contains(&boost));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let half = n / 2;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..half {
-        items.push(ItemKey(rng.gen_range(0..m as u64)));
-    }
-    for _ in half..n {
-        if rng.gen::<f64>() < boost {
-            items.push(ItemKey(rng.gen_range(0..hot as u64)));
-        } else {
-            items.push(ItemKey(rng.gen_range(0..m as u64)));
-        }
-    }
-    Stream::from_keys(items)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,18 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn trending_stream_shifts_mass() {
-        let s = trending_stream(1000, 100_000, 5, 0.5, 9);
-        let ex = ExactCounter::from_stream(&s);
-        // Hot items should hold far more than the uniform share.
-        let hot_total: u64 = (0..5u64).map(|id| ex.count(ItemKey(id))).sum();
-        assert!(
-            hot_total > 20_000,
-            "hot items got {hot_total}, expected ~26k"
-        );
-    }
-
-    #[test]
     fn generators_are_deterministic() {
         assert_eq!(uniform_stream(7, 100, 3), uniform_stream(7, 100, 3));
         assert_eq!(
@@ -178,10 +144,6 @@ mod tests {
             adversarial_boundary_stream(2, 5, 4, 1)
         );
         assert_eq!(bursty_stream(&[1, 2], 0), bursty_stream(&[1, 2], 0));
-        assert_eq!(
-            trending_stream(10, 50, 2, 0.3, 4),
-            trending_stream(10, 50, 2, 0.3, 4)
-        );
     }
 
     #[test]

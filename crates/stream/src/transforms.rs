@@ -2,13 +2,11 @@
 //!
 //! Pure functions from streams to streams: concatenation, seeded
 //! interleaving (merging two time periods into one stream while
-//! preserving per-item counts), subsampling (the SAMPLING baseline's
-//! input model), filtering, and key remapping.
+//! preserving per-item counts), and repetition.
 
 use crate::item::Stream;
-use cs_hash::ItemKey;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Concatenates streams in order.
 pub fn concat(streams: &[Stream]) -> Stream {
@@ -42,25 +40,6 @@ pub fn interleave(a: &Stream, b: &Stream, seed: u64) -> Stream {
         .collect()
 }
 
-/// Keeps each occurrence independently with probability `p` (Bernoulli
-/// subsampling — the model behind the SAMPLING baseline).
-pub fn subsample(stream: &Stream, p: f64, seed: u64) -> Stream {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    stream.iter().filter(|_| rng.gen::<f64>() < p).collect()
-}
-
-/// Keeps occurrences whose key satisfies the predicate.
-pub fn filter(stream: &Stream, mut pred: impl FnMut(ItemKey) -> bool) -> Stream {
-    stream.iter().filter(|&k| pred(k)).collect()
-}
-
-/// Remaps every key through a function (e.g. anonymization, bucketing
-/// flows by prefix).
-pub fn map_keys(stream: &Stream, f: impl FnMut(ItemKey) -> ItemKey) -> Stream {
-    stream.iter().map(f).collect()
-}
-
 /// Repeats a stream `times` times (longer synthetic workloads with
 /// identical relative frequencies).
 pub fn repeat(stream: &Stream, times: usize) -> Stream {
@@ -75,6 +54,7 @@ pub fn repeat(stream: &Stream, times: usize) -> Stream {
 mod tests {
     use super::*;
     use crate::exact::ExactCounter;
+    use cs_hash::ItemKey;
 
     #[test]
     fn concat_preserves_order_and_counts() {
@@ -109,30 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn subsample_rate() {
-        let s = Stream::from_ids((0..20_000u64).map(|i| i % 10));
-        let sub = subsample(&s, 0.25, 3);
-        let rate = sub.len() as f64 / s.len() as f64;
-        assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
-        assert!(subsample(&s, 0.0, 1).is_empty());
-        assert_eq!(subsample(&s, 1.0, 1), s);
-    }
-
-    #[test]
-    fn filter_keeps_matching() {
-        let s = Stream::from_ids([1, 2, 3, 4]);
-        let evens = filter(&s, |k| k.raw() % 2 == 0);
-        assert_eq!(evens, Stream::from_ids([2, 4]));
-    }
-
-    #[test]
-    fn map_keys_rewrites() {
-        let s = Stream::from_ids([1, 2]);
-        let shifted = map_keys(&s, |k| ItemKey(k.raw() + 100));
-        assert_eq!(shifted, Stream::from_ids([101, 102]));
-    }
-
-    #[test]
     fn repeat_multiplies_counts() {
         let s = Stream::from_ids([5, 5, 6]);
         let r = repeat(&s, 3);
@@ -140,11 +96,5 @@ mod tests {
         let ex = ExactCounter::from_stream(&r);
         assert_eq!(ex.count(ItemKey(5)), 6);
         assert!(repeat(&s, 0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "p must be in [0,1]")]
-    fn bad_subsample_p_rejected() {
-        subsample(&Stream::new(), 1.5, 0);
     }
 }

@@ -7,14 +7,10 @@
 //!   engine": Zipfian with `z < 1` (the paper's citation \[17\] reports
 //!   real query streams are Zipfian with parameter below 1), plus a
 //!   diurnal trending component.
-//! * [`packet_trace`] — "identifying large packet flows in a network
-//!   router": heavy-tailed flow sizes (`z > 1`, per \[3\] Crovella et al.)
-//!   with bursty arrivals (packets of a flow cluster in time).
 //! * [`balanced_shards`] — "load balancing in a distributed database":
 //!   a key-access stream plus its split across shards by key hash; the
 //!   frequent-items question is which keys make a shard hot.
 
-use crate::generators::bursty_stream;
 use crate::item::Stream;
 use crate::transforms;
 use crate::zipf::{Zipf, ZipfStreamKind};
@@ -40,16 +36,6 @@ pub fn search_queries(m: usize, n: usize, z: f64, seed: u64) -> Stream {
     };
     let second = transforms::interleave(&second, &trend, seed ^ 1);
     transforms::concat(&[first, second])
-}
-
-/// A router packet trace: `flows` flows with Zipf(z) sizes (z > 1
-/// typical), arrivals bursty — each flow's packets arrive in contiguous
-/// runs (per-flow trains), runs shuffled.
-pub fn packet_trace(flows: usize, packets: usize, z: f64, seed: u64) -> Stream {
-    assert!(flows >= 1 && packets >= 1);
-    let zipf = Zipf::new(flows, z);
-    let counts = zipf.rounded_counts(packets);
-    bursty_stream(&counts, seed)
 }
 
 /// A distributed key-access workload: the global stream plus its split
@@ -98,21 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn packet_trace_sizes_are_zipf_and_bursty() {
-        let s = packet_trace(500, 50_000, 1.2, 7);
-        assert_eq!(s.len(), 50_000);
-        let exact = ExactCounter::from_stream(&s);
-        // Flow 0 dominates.
-        let z = Zipf::new(500, 1.2);
-        assert_eq!(exact.count(ItemKey(0)), z.rounded_counts(50_000)[0]);
-        // Burstiness: adjacent-packet flow changes are exactly
-        // (#nonempty flows - 1), far fewer than for an i.i.d. shuffle.
-        let changes = s.as_slice().windows(2).filter(|w| w[0] != w[1]).count();
-        let nonempty = exact.distinct();
-        assert_eq!(changes, nonempty - 1);
-    }
-
-    #[test]
     fn shards_partition_the_global_stream() {
         let (global, shards) = balanced_shards(200, 20_000, 1.0, 4, 5);
         let total: usize = shards.iter().map(Stream::len).sum();
@@ -135,10 +106,6 @@ mod tests {
         assert_eq!(
             search_queries(50, 1000, 0.8, 9),
             search_queries(50, 1000, 0.8, 9)
-        );
-        assert_eq!(
-            packet_trace(50, 1000, 1.2, 9),
-            packet_trace(50, 1000, 1.2, 9)
         );
         let (g1, s1) = balanced_shards(50, 1000, 1.0, 3, 9);
         let (g2, s2) = balanced_shards(50, 1000, 1.0, 3, 9);

@@ -3,6 +3,7 @@
 //! never a panic (exit 101) or an abort on a failed allocation (134),
 //! and `fi inspect` exits exactly as `fi top --resume` does.
 
+use frequent_items::prelude::{inspect_snapshot_bytes, ApproxTopProcessor, CoreError, CountSketch};
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -151,6 +152,39 @@ fn forged_geometry_beyond_the_bytes_present_is_rejected_before_allocation() {
                 "fi {args} {rows}x{buckets}: {stderr}"
             );
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retired_window_kind_is_a_typed_error_for_every_reader() {
+    let dir = std::env::temp_dir().join(format!("fi-forged-kind-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.txt");
+    std::fs::write(&input, "a b a c a b\n").unwrap();
+    let snap = dir.join("s.csnp");
+    let out = fi()
+        .args(["top", "--snapshot"])
+        .arg(&snap)
+        .arg(&input)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    // Kind 3 (the sliding window) in the header, with a valid CRC.
+    let mut bytes = std::fs::read(&snap).unwrap();
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    reseal(&mut bytes);
+    let retired = |e: CoreError| e == CoreError::CorruptSnapshot("retired snapshot kind 3".into());
+    assert!(CountSketch::from_snapshot_bytes(&bytes).is_err_and(retired));
+    assert!(<ApproxTopProcessor>::from_snapshot_bytes(&bytes).is_err_and(retired));
+    assert!(inspect_snapshot_bytes(&bytes, 3).is_err_and(retired));
+
+    std::fs::write(&snap, &bytes).unwrap();
+    for (args, out) in resume_and_inspect(&snap, &input) {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "fi {args}: {stderr}");
+        assert!(stderr.contains("retired snapshot kind 3"), "{stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,31 +1,12 @@
-//! Integration tests for the extension modules (window, iceberg,
-//! hierarchical, relative change), exercised together through the
-//! facade and against the exact oracle.
+//! Integration tests for the extension modules (iceberg, hierarchical)
+//! and the stream transforms, exercised together through the facade and
+//! against the exact oracle.
 
 use frequent_items::prelude::*;
 use frequent_items::sketch::hierarchical::HierarchicalCountSketch;
 use frequent_items::sketch::iceberg::iceberg;
-use frequent_items::sketch::relchange::{max_relative_change, ChangeObjective};
-use frequent_items::sketch::window::SlidingSketch;
 use frequent_items::stream::transforms;
 use frequent_items::stream::{ChangeSpec, StreamPair};
-
-#[test]
-fn window_and_full_stream_agree_when_window_covers_everything() {
-    // A window larger than the stream must behave like a plain sketch.
-    let zipf = Zipf::new(500, 1.0);
-    let stream = zipf.stream(20_000, 3, ZipfStreamKind::DeterministicRounded);
-    let params = SketchParams::new(5, 512);
-    let mut window = SlidingSketch::new(params, 9, 50_000, 4, 10);
-    for key in stream.iter() {
-        window.observe(key);
-    }
-    let mut plain = CountSketch::new(params, 9);
-    plain.absorb(&stream, 1);
-    for id in 0..500u64 {
-        assert_eq!(window.estimate(ItemKey(id)), plain.estimate(ItemKey(id)));
-    }
-}
 
 #[test]
 fn iceberg_agrees_with_exact_oracle_on_zipf() {
@@ -85,70 +66,6 @@ fn hierarchical_recovers_diff_heavy_hitters_from_interleaved_pair() {
 }
 
 #[test]
-fn relchange_percent_objective_prefers_relative_movers() {
-    let pair = StreamPair::zipf_background(
-        300,
-        1.0,
-        20_000,
-        vec![
-            // 40% growth on a huge item.
-            ChangeSpec {
-                item: 70_000,
-                count_s1: 5_000,
-                count_s2: 7_000,
-            },
-            // 50x growth on a small item.
-            ChangeSpec {
-                item: 70_001,
-                count_s1: 20,
-                count_s2: 1_000,
-            },
-        ],
-        11,
-    );
-    let params = SketchParams::new(7, 2048);
-    let abs = max_relative_change(
-        &pair.s1,
-        &pair.s2,
-        1,
-        20,
-        ChangeObjective::Absolute,
-        params,
-        3,
-    );
-    let pct = max_relative_change(
-        &pair.s1,
-        &pair.s2,
-        1,
-        20,
-        ChangeObjective::Percent { smoothing: 100.0 },
-        params,
-        3,
-    );
-    assert_eq!(abs[0].key.raw(), 70_000);
-    assert_eq!(pct[0].key.raw(), 70_001);
-}
-
-#[test]
-fn transforms_compose_with_sketching() {
-    // Sketching a subsampled stream scales estimates by ~p — the
-    // SAMPLING baseline's premise, now through the sketch.
-    let zipf = Zipf::new(200, 1.2);
-    let stream = zipf.stream(40_000, 13, ZipfStreamKind::DeterministicRounded);
-    let exact = ExactCounter::from_stream(&stream);
-    let p = 0.25;
-    let sub = transforms::subsample(&stream, p, 17);
-    let mut sketch = CountSketch::new(SketchParams::new(7, 1024), 19);
-    sketch.absorb(&sub, 1);
-    let truth = exact.count(ItemKey(0)) as f64;
-    let est = sketch.estimate(ItemKey(0)) as f64 / p;
-    assert!(
-        (est - truth).abs() < 0.2 * truth,
-        "rescaled estimate {est} vs truth {truth}"
-    );
-}
-
-#[test]
 fn repeat_transform_scales_sketch_estimates_linearly() {
     let base = Stream::from_ids([1, 1, 1, 2]);
     let tripled = transforms::repeat(&base, 3);
@@ -158,25 +75,4 @@ fn repeat_transform_scales_sketch_estimates_linearly() {
     let mut b = CountSketch::new(params, 1);
     b.absorb(&tripled, 1);
     assert_eq!(b.estimate(ItemKey(1)), 3 * a.estimate(ItemKey(1)));
-}
-
-#[test]
-fn window_survives_many_epochs_without_drift() {
-    // Long-running window: after hundreds of epoch rolls, estimates for
-    // the live window must still be exact for a lone heavy item
-    // (subtract-on-expiry must not accumulate error).
-    let params = SketchParams::new(5, 128);
-    let mut w = SlidingSketch::new(params, 2, 100, 3, 4);
-    for epoch in 0..300u64 {
-        for i in 0..100u64 {
-            // One fixed heavy item plus rotating noise.
-            if i % 2 == 0 {
-                w.observe(ItemKey(7));
-            } else {
-                w.observe(ItemKey(1_000 + (epoch * 50 + i)));
-            }
-        }
-    }
-    // Window = 2 complete epochs + 0 partial: item 7 has 50/epoch.
-    assert_eq!(w.estimate(ItemKey(7)), 100);
 }
