@@ -15,7 +15,10 @@
 //! first occurrence and "once an item is removed it is never added
 //! back", so the survivors' counts are exact. An arrival therefore
 //! costs one tracker lookup: a tracked key is counted, and an untracked
-//! one is estimated once and admitted only if it beats the threshold.
+//! one is estimated and admitted only if it beats the threshold. The
+//! same argument makes a second estimate of a key pointless, so pass 2
+//! skips it (see [`DiffSketch::top_changes`]): in all, about one
+//! estimate per distinct key.
 //!
 //! Finally report the `k` items with the largest `|n_q^{S2} - n_q^{S1}|`
 //! among `A`.
@@ -113,7 +116,41 @@ impl DiffSketch {
 
     /// Pass 2 + final selection. `l` is the candidate-set size (the paper
     /// keeps `l ≥ k` to absorb estimation error; §4.1 suggests `l = O(k)`).
+    ///
+    /// An arrival whose key is tracked is counted. Otherwise its key is
+    /// estimated, unless pass 2 has estimated that key before, and the
+    /// skip is exact:
+    /// - the sketch is frozen, so `n̂_q` depends only on `q`;
+    /// - the tracker admits a key only if `|n̂_q|` beats its minimum,
+    ///   and once full (it never empties) that minimum never falls;
+    /// - so a key estimated before and untracked now was rejected or
+    ///   evicted as the minimum, and can never be admitted again.
+    ///
+    /// The estimated keys are kept in a direct-mapped table of at most
+    /// 2¹⁶ full keys, sized from `|s1| + |s2|` (nothing for empty
+    /// streams). A conflict evicts the older key, which costs only a
+    /// re-estimate, so the result is the one without the table and the
+    /// work is about one estimate per distinct key, more when the keys
+    /// outnumber the slots.
     pub fn top_changes(&self, s1: &Stream, s2: &Stream, k: usize, l: usize) -> MaxChangeResult {
+        let arrivals = s1.len() + s2.len();
+        let table = match arrivals {
+            0 => 0,
+            n => n.min(ESTIMATED_MAX).next_power_of_two(),
+        };
+        self.top_changes_in(s1, s2, k, l, table)
+    }
+
+    /// [`Self::top_changes`] with a table of `table` estimated keys
+    /// (positive unless both streams are empty).
+    fn top_changes_in(
+        &self,
+        s1: &Stream,
+        s2: &Stream,
+        k: usize,
+        l: usize,
+        table: usize,
+    ) -> MaxChangeResult {
         assert!(l >= k, "need l >= k");
         // The tracker keeps the `l` largest |n̂_q|. Parallel to its slots,
         // each survivor's counts in S1 and S2 and its estimate: an
@@ -121,10 +158,17 @@ impl DiffSketch {
         // counts start afresh.
         let mut tracker = TopKTracker::new(l);
         let mut slots: Vec<([u64; 2], i64)> = Vec::new();
+        let mut estimated = Estimated {
+            keys: vec![0; table],
+            zero: false,
+        };
         for (which, stream) in [s1, s2].into_iter().enumerate() {
             for &key in stream.as_slice() {
                 if let Some(s) = tracker.slot(key) {
                     slots[s].0[which] += 1;
+                    continue;
+                }
+                if estimated.insert(key) {
                     continue;
                 }
                 let estimate = self.sketch.estimate(key);
@@ -158,6 +202,33 @@ impl DiffSketch {
         });
         let items = candidates.iter().take(k).copied().collect();
         MaxChangeResult { items, candidates }
+    }
+}
+
+/// The most keys pass 2's table of estimated keys holds: 512 KiB.
+const ESTIMATED_MAX: usize = 1 << 16;
+
+/// The keys pass 2 has estimated: one full key a slot, at the slot a
+/// multiplicative mix of the key picks, so sequential keys spread out.
+/// A key overwrites whatever its slot held.
+struct Estimated {
+    keys: Vec<u64>,
+    /// Whether key 0 was estimated: a zeroed slot cannot tell.
+    zero: bool,
+}
+
+impl Estimated {
+    /// Records `key` as estimated; returns whether it already was.
+    #[inline]
+    fn insert(&mut self, key: ItemKey) -> bool {
+        let key = key.raw();
+        if key == 0 {
+            return std::mem::replace(&mut self.zero, true);
+        }
+        // The mix's top bits, scaled to the table length.
+        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let slot = ((u128::from(mixed) * self.keys.len() as u128) >> 64) as usize;
+        std::mem::replace(&mut self.keys[slot], key) == key
     }
 }
 
@@ -447,6 +518,20 @@ mod tests {
         MaxChangeResult { items, candidates }
     }
 
+    /// Checks pass 2 against the reference with the table `top_changes`
+    /// sizes and with tables of 1, 2 and 8 keys, where keys conflict.
+    fn check_top_changes(diff: &DiffSketch, s1: &Stream, s2: &Stream, k: usize, l: usize) {
+        let want = reference_top_changes(diff.sketch(), s1, s2, k, l);
+        assert_eq!(diff.top_changes(s1, s2, k, l), want);
+        for table in [1, 2, 8] {
+            assert_eq!(
+                diff.top_changes_in(s1, s2, k, l, table),
+                want,
+                "table {table}"
+            );
+        }
+    }
+
     /// Weights that drive cells to the `i64` limits and flag them.
     const EXTREME: [i64; 5] = [i64::MAX, i64::MIN, i64::MAX - 1, i64::MIN + 1, 1 << 62];
 
@@ -463,14 +548,22 @@ mod tests {
             k in 1usize..=8,
             l_pick in 0u8..4,
             extremes in prop::collection::vec((0u64..1_000_000, 0usize..5, 0u8..2), 0..4),
+            edges in prop::collection::vec((0usize..2, 0usize..2, 0usize..400), 4..16),
         ) {
             // Keys from a small space and few buckets: estimates collide,
             // many tie at the admission threshold, and the tracker evicts.
             let combiner = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean]
                 [combiner_pick as usize];
             let l = [1, k, 33, 64][l_pick as usize].max(k);
-            let s1 = Stream::from_ids(raw1.iter().map(|r| r % key_space));
-            let s2 = Stream::from_ids(raw2.iter().map(|r| r % key_space));
+            let mut ids = [&raw1, &raw2].map(|raw| raw.iter().map(|r| r % key_space).collect::<Vec<_>>());
+            // Keys 0 and u64::MAX, the table's edge cases: the first
+            // four insertions put each in both days, the rest anywhere.
+            for (i, &(day, key, at)) in edges.iter().enumerate() {
+                let (day, key) = if i < 4 { (i % 2, i / 2) } else { (day, key) };
+                let at = at.min(ids[day].len());
+                ids[day].insert(at, [0, u64::MAX][key]);
+            }
+            let [s1, s2] = ids.map(Stream::from_ids);
             let params = SketchParams::new(rows, buckets);
 
             // One-sketch pass 1.
@@ -478,10 +571,7 @@ mod tests {
             diff.absorb_first(&s1);
             diff.absorb_second(&s2);
             diff.sketch = diff.sketch.with_combiner(combiner);
-            prop_assert_eq!(
-                diff.top_changes(&s1, &s2, k, l),
-                reference_top_changes(diff.sketch(), &s1, &s2, k, l)
-            );
+            check_top_changes(&diff, &s1, &s2, k, l);
 
             // Two stored sketches, some cells saturated at the limits.
             let mut sk = [CountSketch::new(params, seed), CountSketch::new(params, seed)];
@@ -493,10 +583,7 @@ mod tests {
             let sk2 = sk[1].clone().with_combiner(combiner);
             let diff = DiffSketch::from_sketches(&sk[0], &sk2)
                 .unwrap_or_else(|_| DiffSketch::from_sketches(&CountSketch::new(params, seed), &sk2).unwrap());
-            prop_assert_eq!(
-                diff.top_changes(&s1, &s2, k, l),
-                reference_top_changes(diff.sketch(), &s1, &s2, k, l)
-            );
+            check_top_changes(&diff, &s1, &s2, k, l);
         }
     }
 }

@@ -613,12 +613,18 @@ pub struct SnapshotInfo {
     /// Largest-magnitude counters as `(row, bucket, value)`, magnitude
     /// descending.
     pub top_counters: Vec<(usize, usize, i64)>,
-    /// Tracker eviction policy (processor snapshots only).
-    pub policy: Option<HeapPolicy>,
-    /// Tracker capacity `k` (processor snapshots only).
-    pub tracker_capacity: Option<usize>,
-    /// Tracked `(key, estimate)` entries, estimate descending
-    /// (processor snapshots only).
+    /// The tracker: `Some` exactly for [`SnapshotKind::Processor`].
+    pub tracker: Option<TrackerInfo>,
+}
+
+/// A processor snapshot's tracker, as [`SnapshotInfo`] summarizes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TrackerInfo {
+    /// Eviction policy.
+    pub policy: HeapPolicy,
+    /// Capacity `k`.
+    pub capacity: usize,
+    /// Tracked `(key, estimate)` entries, estimate descending.
     pub tracked: Vec<(ItemKey, i64)>,
 }
 
@@ -649,18 +655,18 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
         total_bytes: bytes.len(),
         row_saturated: row_saturation(sketch),
         top_counters: largest_counters(sketch, top),
-        policy: None,
-        tracker_capacity: None,
-        tracked: Vec::new(),
+        tracker: None,
     };
     Ok(match kind {
         KIND_SKETCH => summary(SnapshotKind::Sketch, &r.decode(read_sketch)?),
         KIND_PROCESSOR => {
             let p: ApproxTopProcessor = r.decode(read_processor)?;
             SnapshotInfo {
-                policy: Some(p.policy()),
-                tracker_capacity: Some(p.tracker().capacity()),
-                tracked: tracked(p.tracker()),
+                tracker: Some(TrackerInfo {
+                    policy: p.policy(),
+                    capacity: p.tracker().capacity(),
+                    tracked: tracked(p.tracker()),
+                }),
                 ..summary(SnapshotKind::Processor, p.sketch())
             }
         }
@@ -888,7 +894,7 @@ mod tests {
         assert_eq!(info.seed, s.seed());
         assert_eq!(info.total_bytes, bytes.len());
         assert_eq!(info.row_saturated.len(), s.rows());
-        assert!(info.policy.is_none() && info.tracked.is_empty());
+        assert!(info.tracker.is_none());
         assert_eq!(info.top_counters.len(), 5);
         // Magnitude-descending, and each entry matches the live sketch.
         for pair in info.top_counters.windows(2) {
@@ -906,11 +912,16 @@ mod tests {
         p.observe_stream(&zipf.stream(3_000, 5, ZipfStreamKind::Sampled));
         let info = inspect_snapshot_bytes(&p.to_snapshot_bytes(), 3).unwrap();
         assert_eq!(info.kind, SnapshotKind::Processor);
-        assert_eq!(info.policy, Some(p.policy()));
-        assert_eq!(info.tracker_capacity, Some(6));
         // The tracked entries (estimate-descending) are exactly the
         // processor's report.
-        assert_eq!(info.tracked, p.result().items);
+        assert_eq!(
+            info.tracker,
+            Some(TrackerInfo {
+                policy: p.policy(),
+                capacity: 6,
+                tracked: p.result().items,
+            })
+        );
     }
 
     #[test]
@@ -1042,7 +1053,7 @@ mod tests {
             );
             assert_eq!((old.version, new.version), (1, 2), "{kind}");
             assert_eq!(old.top_counters, new.top_counters, "{kind}");
-            assert_eq!(old.tracked, new.tracked, "{kind}");
+            assert_eq!(old.tracker, new.tracker, "{kind}");
         }
     }
 

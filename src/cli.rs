@@ -229,6 +229,13 @@ pub const MAX_THREADS: usize = 256;
 /// allocated before any site reports or any input is read.
 pub const MAX_SITES: usize = 65_536;
 
+/// The largest `-k`: a policy limit far above any report a reader
+/// scans, that makes a mistyped `-k` exit 2 at parsing. Every command
+/// sizes something from `k`: `diff` tracks `4·k` candidates and `top
+/// --algorithm space-saving|kps` preallocates `4·k` counters, which at a
+/// larger `k` can wrap to 0 or abort on a failed allocation.
+pub const MAX_K: usize = 1 << 20;
+
 // Every `-b` under the cell maximum is a range `PairwiseHash` can draw.
 const _: () = assert!((MAX_CELLS as u64) < cs_hash::prime::P);
 
@@ -339,6 +346,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.k == 0 || opts.rows == 0 || opts.buckets == 0 {
         return Err("k, rows and buckets must be positive".into());
+    }
+    if opts.k > MAX_K {
+        return Err(format!("-k {} exceeds the maximum {MAX_K}", opts.k));
     }
     if (opts.snapshot.is_some() || opts.resume.is_some())
         && (opts.command != "top" || opts.algorithm != "count-sketch")
@@ -810,18 +820,18 @@ pub fn run_inspect(opts: &Options) -> Result<String, CliError> {
         info.rows,
         info.saturated_cells()
     ));
-    if let (Some(policy), Some(capacity)) = (info.policy, info.tracker_capacity) {
-        let policy = match policy {
+    if let Some(tracker) = &info.tracker {
+        let policy = match tracker.policy {
             HeapPolicy::IncrementTracked => "increment-tracked",
             HeapPolicy::AlwaysReEstimate => "always-re-estimate",
         };
         out.push_str(&format!(
             "tracker:    {} of {} entries, policy {}\n",
-            info.tracked.len(),
-            capacity,
+            tracker.tracked.len(),
+            tracker.capacity,
             policy
         ));
-        for (key, value) in &info.tracked {
+        for (key, value) in &tracker.tracked {
             out.push_str(&format!("{value:>12}  key {:#018x}\n", key.raw()));
         }
     }
@@ -1776,6 +1786,41 @@ mod tests {
             for n in ["65537", "1000000000", "18446744073709551615"] {
                 let err = parse_args(&args(&format!("{cmd} --sites {n}"))).unwrap_err();
                 assert!(err.contains("between 1 and 65536"), "{cmd} {n}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn k_is_bounded_by_the_k_limit() {
+        // Parsed only, never run. Without the limit `diff` with 2^62
+        // panics (4·k wraps to 0), space-saving and kps with it panic on
+        // a zero capacity, and with 10^15 both abort preallocating 4·k
+        // counters.
+        for cmd in [
+            "top",
+            "top --algorithm space-saving",
+            "top --algorithm kps",
+            "top --algorithm lossy",
+            "diff a a",
+            "iceberg",
+            "inspect s",
+            "serve --listen a",
+            "ship --to a --site-id 0",
+            "coordinate a",
+            "shard --out-prefix p",
+        ] {
+            assert!(parse_args(&args(&format!("{cmd} -k 1048576"))).is_ok());
+            for k in [
+                "1048577",
+                "1000000000000000",
+                "4611686018427387904",
+                "18446744073709551615",
+            ] {
+                let err = parse_args(&args(&format!("{cmd} -k {k}"))).unwrap_err();
+                assert!(
+                    err.contains("exceeds the maximum 1048576"),
+                    "{cmd} {k}: {err}"
+                );
             }
         }
     }
