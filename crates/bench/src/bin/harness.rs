@@ -12,7 +12,7 @@
 //!   maxchange         §4.2: two-pass max-change on planted query streams
 //!   space-vs-payload  §5: total space including stored objects, sweeping Φ
 //!   crossover         SAMPLING/Count-Sketch min-space ratio on a fine z grid
-//!   ablation          combiner / sign-hash / heap-policy / hash-family ablations
+//!   ablation          combiner / sign-hash / heap-policy / arrival-order ablations
 //!   list-size         §4.1's candidate-list-size formula vs measured minimum
 //!   hierarchical      1-pass hierarchical max-change vs the 2-pass §4.2 algorithm
 //!   throughput        update/query throughput of every algorithm

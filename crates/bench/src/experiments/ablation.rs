@@ -9,15 +9,14 @@
 //!    what the ±1 hashes buy. Expected: on tail items Count-Min's
 //!    one-sided bias dominates; the Count-Sketch is unbiased.
 //! 3. **Heap policy** (paper's increment-tracked vs always-re-estimate).
-//! 4. **Hash construction** (pairwise polynomial vs multiply-shift +
-//!    tabulation): estimates should be statistically indistinguishable.
+//! 4. **Arrival order** (shuffled vs bursty vs temporal locality).
 
 use crate::config::Scale;
 use crate::experiments::ExperimentOutput;
 use cs_baselines::{CountMinSketch, StreamSummary};
 use cs_core::approx_top::{ApproxTopProcessor, HeapPolicy};
 use cs_core::median::Combiner;
-use cs_core::{CountSketch, FastCountSketch, SketchParams};
+use cs_core::{CountSketch, SketchParams};
 use cs_hash::ItemKey;
 use cs_metrics::experiment::ExperimentRecord;
 use cs_metrics::recall::recall_at_k;
@@ -187,55 +186,7 @@ pub fn run_heap_policy(scale: &Scale, b: usize, t: usize) -> ExperimentOutput {
     out
 }
 
-/// Ablation 4: hash construction (reference polynomial vs fast
-/// multiply-shift/tabulation).
-pub fn run_hash_family(scale: &Scale, b: usize, t: usize) -> ExperimentOutput {
-    let w = workload(scale);
-    let mut out = ExperimentOutput::default();
-    let mut table = Table::new(
-        format!("Ablation: hash construction (t={t}, b≈{b})"),
-        &["construction", "actual b", "mean|err| (top-k)"],
-    );
-    let run_variant = |name: &'static str| {
-        let mut ests: Vec<(ItemKey, i64)> = Vec::new();
-        let mut actual_b = b;
-        for trial in 0..scale.trials {
-            match name {
-                "pairwise-poly" => {
-                    let mut s = CountSketch::new(SketchParams::new(t, b), 0x8A ^ trial);
-                    s.absorb(&w.stream, 1);
-                    actual_b = s.buckets();
-                    ests.extend(w.top.iter().map(|&key| (key, s.estimate(key))));
-                }
-                _ => {
-                    let mut s = FastCountSketch::new(SketchParams::new(t, b), 0x8A ^ trial);
-                    s.absorb(&w.stream, 1);
-                    actual_b = s.buckets();
-                    ests.extend(w.top.iter().map(|&key| (key, s.estimate(key))));
-                }
-            }
-        }
-        let report = ErrorReport::measure(&ests, &w.exact);
-        (actual_b, report)
-    };
-    for name in ["pairwise-poly", "multiply-shift+tabulation"] {
-        let (actual_b, report) = run_variant(name);
-        table.row(&[
-            name.into(),
-            fmt_num(actual_b as f64),
-            fmt_num(report.mean_abs),
-        ]);
-        out.records.push(
-            ExperimentRecord::new("ablation_hash", name)
-                .param("b", actual_b as f64)
-                .metric("mean_abs", report.mean_abs),
-        );
-    }
-    out.tables.push(table);
-    out
-}
-
-/// Ablation 5: arrival-order sensitivity. The sketch is linear (order
+/// Ablation 4: arrival-order sensitivity. The sketch is linear (order
 /// cannot matter), but the §3.2 *heap* admits items by their estimate at
 /// arrival time — early arrivals of an item see a partial stream. Same
 /// multiset of occurrences, three orders: i.i.d. shuffled, bursty
@@ -284,7 +235,7 @@ pub fn run_order(scale: &Scale, b: usize, t: usize) -> ExperimentOutput {
     out
 }
 
-/// All five ablations with default dimensions.
+/// All four ablations with default dimensions.
 pub fn run(scale: &Scale) -> ExperimentOutput {
     let b = 1024;
     let t = 7;
@@ -293,7 +244,6 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
         run_combiner(scale, b, t),
         run_signs(scale, b, t),
         run_heap_policy(scale, b, t),
-        run_hash_family(scale, b, t),
         run_order(scale, b, t),
     ] {
         out.tables.extend(one.tables);
@@ -351,21 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn hash_families_statistically_similar() {
-        let out = run_hash_family(&Scale::small(), 1024, 7);
-        let poly = metric(&out, "pairwise-poly", "mean_abs");
-        let fast = metric(&out, "multiply-shift+tabulation", "mean_abs");
-        // Same order of magnitude (loose: within 5x either way, both small).
-        assert!(
-            fast <= 5.0 * poly + 50.0 && poly <= 5.0 * fast + 50.0,
-            "poly {poly} vs fast {fast}"
-        );
-    }
-
-    #[test]
     fn full_ablation_produces_all_tables() {
         let out = run(&Scale::small());
-        assert_eq!(out.tables.len(), 5);
+        assert_eq!(out.tables.len(), 4);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use cs_baselines::{
     SamplingAlgorithm, SpaceSaving, StickySampling, StreamSummary,
 };
 use cs_core::approx_top::ApproxTopProcessor;
-use cs_core::{CountSketch, FastCountSketch, SketchParams};
+use cs_core::{CountSketch, SketchParams};
 use cs_hash::ItemKey;
 use cs_metrics::experiment::ExperimentRecord;
 use cs_metrics::table::fmt_num;
@@ -92,8 +92,7 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
     let (stream, probes) = (&stream, &probes[..]);
     let k = scale.k;
     let mut variants: Vec<Variant> = vec![
-        // Count-Sketch (one `update` per occurrence) and its fast-hash
-        // variant.
+        // Count-Sketch (one `update` per occurrence).
         (
             "count-sketch",
             Box::new(move || {
@@ -106,21 +105,6 @@ pub fn run(scale: &Scale) -> ExperimentOutput {
                         s
                     },
                     Some(&|s: &CountSketch, p| s.estimate(p) as u64),
-                )
-            }),
-        ),
-        (
-            "count-sketch (fast hashes)",
-            Box::new(move || {
-                time_once(
-                    stream,
-                    probes,
-                    |st| {
-                        let mut s = FastCountSketch::new(params, 1);
-                        s.absorb(st, 1);
-                        s
-                    },
-                    Some(&|s: &FastCountSketch, p| s.estimate(p) as u64),
                 )
             }),
         ),
@@ -303,7 +287,7 @@ mod tests {
     fn throughput_runs_and_reports_positive_rates() {
         let out = run(&Scale::small());
         assert_eq!(out.tables.len(), 1);
-        assert!(out.records.len() >= 13);
+        assert!(out.records.len() >= 12);
         let exact = out
             .records
             .iter()

@@ -26,7 +26,7 @@
 
 use crate::median::Combiner;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, GenericCountSketch, RowCells};
+use crate::sketch::{CountSketch, RowCells};
 use crate::topk::TopKTracker;
 use cs_hash::ItemKey;
 use cs_stream::Stream;
@@ -60,33 +60,19 @@ impl ApproxTopResult {
 }
 
 /// An incremental APPROXTOP processor: feed occurrences one at a time.
-///
-/// Generic over the sketch's hash constructions; `ApproxTopProcessor` with
-/// the defaults is obtained from [`approx_top`] or
-/// [`ApproxTopProcessor::new`].
 #[derive(Debug, Clone)]
-pub struct ApproxTopProcessor<H = cs_hash::PairwiseHash, S = cs_hash::PairwiseSign> {
-    sketch: GenericCountSketch<H, S>,
+pub struct ApproxTopProcessor {
+    sketch: CountSketch,
     tracker: TopKTracker,
     policy: HeapPolicy,
 }
 
-impl ApproxTopProcessor<cs_hash::PairwiseHash, cs_hash::PairwiseSign> {
-    /// Creates a processor with the paper-faithful sketch.
+impl ApproxTopProcessor {
+    /// Creates a processor over an empty `params` sketch drawn from
+    /// `seed`, tracking `k` items.
     pub fn new(params: SketchParams, k: usize, seed: u64) -> Self {
-        Self::with_sketch(CountSketch::new(params, seed), k)
-    }
-}
-
-impl<H, S> ApproxTopProcessor<H, S>
-where
-    H: cs_hash::BucketHasher,
-    S: cs_hash::SignHasher,
-{
-    /// Wraps an existing (empty) sketch.
-    pub fn with_sketch(sketch: GenericCountSketch<H, S>, k: usize) -> Self {
         Self {
-            sketch,
+            sketch: CountSketch::new(params, seed),
             tracker: TopKTracker::new(k),
             policy: HeapPolicy::default(),
         }
@@ -116,6 +102,7 @@ where
     /// ahead, by a [`RowHasher`](crate::sketch::RowHasher) of this
     /// processor's sketch: `cells` holds the key's `t` words. The state
     /// is bit-identical to `observe(key)`.
+    #[inline]
     pub fn observe_cells(&mut self, key: ItemKey, cells: &[u32]) {
         self.observe_with(key, cells);
     }
@@ -150,7 +137,7 @@ where
     }
 
     /// Read access to the underlying sketch.
-    pub fn sketch(&self) -> &GenericCountSketch<H, S> {
+    pub fn sketch(&self) -> &CountSketch {
         &self.sketch
     }
 
@@ -168,11 +155,7 @@ where
     /// codec and by callers that rebuild a processor around an
     /// already-merged sketch (e.g. the parallel pipeline's resumable CLI
     /// path).
-    pub fn from_parts(
-        sketch: GenericCountSketch<H, S>,
-        tracker: TopKTracker,
-        policy: HeapPolicy,
-    ) -> Self {
+    pub fn from_parts(sketch: CountSketch, tracker: TopKTracker, policy: HeapPolicy) -> Self {
         Self {
             sketch,
             tracker,
@@ -183,7 +166,7 @@ where
     /// Decomposes the processor into sketch, tracker and policy — the
     /// threaded CLI path merges a resumed processor's sketch into the
     /// pool's, so it needs the parts, not the whole.
-    pub fn into_parts(self) -> (GenericCountSketch<H, S>, TopKTracker, HeapPolicy) {
+    pub fn into_parts(self) -> (CountSketch, TopKTracker, HeapPolicy) {
         (self.sketch, self.tracker, self.policy)
     }
 }

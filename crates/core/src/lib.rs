@@ -21,12 +21,11 @@
 //!   streams — the sketch is *additive*, so subtracting `S1` and adding
 //!   `S2` sketches the difference vector.
 //!
-//! Extensions beyond the paper's text, each exercised by the ablation
-//! benchmarks: mean and trimmed-mean row combiners ([`median`]), a fast
-//! multiply-shift/tabulation hasher configuration
-//! ([`sketch::FastCountSketch`]), and parallel sketching via additivity:
-//! a long-lived worker pool whose workers each sketch one key-hash shard,
-//! merged by counter addition ([`parallel`]). Built on the same sketch:
+//! Extensions beyond the paper's text: mean and trimmed-mean row
+//! combiners ([`median`], exercised by the ablation benchmarks) and
+//! parallel sketching via additivity: a long-lived worker pool whose
+//! workers each sketch one key-hash shard, merged by counter addition
+//! ([`parallel`]). Built on the same sketch:
 //! iceberg queries ([`iceberg`]), one-pass hierarchical heavy-hitter
 //! recovery ([`hierarchical`]), per-site sketches merged at a
 //! coordinator ([`distributed`]) and checksummed snapshots
@@ -80,9 +79,7 @@ pub mod prelude {
     pub use crate::maxchange::{max_change, MaxChangeResult};
     pub use crate::parallel::{sketch_stream_pooled, SketchPool};
     pub use crate::params::SketchParams;
-    pub use crate::sketch::{
-        CheckedEstimate, CountSketch, FastCountSketch, GenericCountSketch, RowHasher, SketchHealth,
-    };
+    pub use crate::sketch::{CheckedEstimate, CountSketch, RowHasher, SketchHealth};
     pub use crate::snapshot::{
         inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo, SnapshotKind,
     };
@@ -92,4 +89,4 @@ pub mod prelude {
 
 pub use error::CoreError;
 pub use params::SketchParams;
-pub use sketch::{CountSketch, FastCountSketch, GenericCountSketch, RowHasher};
+pub use sketch::{CountSketch, RowHasher};

@@ -9,7 +9,7 @@
 //! All combiners accumulate in `i128`, so summing `t` row estimates of
 //! `i64::MAX` cannot wrap. Saturated *cells* are a different concern,
 //! handled upstream: the sketch flags them and
-//! `GenericCountSketch::estimate_checked` combines only clean rows.
+//! `CountSketch::estimate_checked` combines only clean rows.
 
 /// Strategy for combining the `t` per-row estimates into one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

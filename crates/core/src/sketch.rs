@@ -14,75 +14,18 @@
 //! `h_i[q] -= s_i(q)` over `S1`), and addition/subtraction of whole
 //! sketches that share hash functions — the additivity §3.2 points out.
 //!
-//! The sketch is generic over the hash constructions via
-//! [`DrawBucketHasher`]/[`DrawSignHasher`]; [`CountSketch`] is the
-//! paper-faithful pairwise-polynomial instantiation and
-//! [`FastCountSketch`] the multiply-shift/tabulation fast path (buckets
-//! rounded up to a power of two).
+//! Every sketch uses the paper's construction: pairwise-independent
+//! polynomial bucket hashes ([`PairwiseHash`]) and sign hashes
+//! ([`PairwiseSign`]), all `2t` drawn from one seed.
 
 use crate::error::CoreError;
 use crate::median::{combine, Combiner};
 use crate::params::SketchParams;
-use cs_hash::{
-    BucketHasher, ItemKey, MultiplyShift, PairwiseHash, PairwiseSign, SeedSequence, SignHasher,
-    TabulationHash,
-};
+use cs_hash::{BucketHasher, ItemKey, PairwiseHash, PairwiseSign, SeedSequence, SignHasher};
 use cs_stream::Stream;
 
-/// A bucket-hash construction the sketch can draw rows from.
-///
-/// `draw_for` may round the requested bucket count up (multiply-shift
-/// requires powers of two) and returns the count actually used.
-pub trait DrawBucketHasher: BucketHasher + Sized {
-    /// Draws one row hash aiming at `buckets` buckets.
-    fn draw_for(seeds: &mut SeedSequence, buckets: usize) -> Self;
-}
-
-/// A sign-hash construction the sketch can draw rows from.
-pub trait DrawSignHasher: SignHasher + Sized {
-    /// Draws one row sign hash.
-    fn draw_for(seeds: &mut SeedSequence) -> Self;
-}
-
-impl DrawBucketHasher for PairwiseHash {
-    fn draw_for(seeds: &mut SeedSequence, buckets: usize) -> Self {
-        PairwiseHash::draw(seeds, buckets)
-    }
-}
-
-impl DrawBucketHasher for MultiplyShift {
-    fn draw_for(seeds: &mut SeedSequence, buckets: usize) -> Self {
-        let (h, _) = MultiplyShift::draw_at_least(seeds, buckets.max(2));
-        h
-    }
-}
-
-impl DrawBucketHasher for TabulationHash {
-    fn draw_for(seeds: &mut SeedSequence, buckets: usize) -> Self {
-        TabulationHash::draw(seeds, buckets)
-    }
-}
-
-impl DrawSignHasher for PairwiseSign {
-    fn draw_for(seeds: &mut SeedSequence) -> Self {
-        PairwiseSign::draw(seeds)
-    }
-}
-
-impl DrawSignHasher for cs_hash::FourWiseSign {
-    fn draw_for(seeds: &mut SeedSequence) -> Self {
-        cs_hash::FourWiseSign::draw(seeds)
-    }
-}
-
-impl DrawSignHasher for TabulationHash {
-    fn draw_for(seeds: &mut SeedSequence) -> Self {
-        // Range is irrelevant for sign use; 2 keeps it cheap.
-        TabulationHash::draw(seeds, 2)
-    }
-}
-
-/// The Count-Sketch, generic over hash constructions.
+/// The Count-Sketch: a `t × b` counter array with `t` pairwise-independent
+/// bucket hashes and `t` pairwise-independent sign hashes.
 ///
 /// ```
 /// use cs_core::{CountSketch, SketchParams};
@@ -100,7 +43,7 @@ impl DrawSignHasher for TabulationHash {
 /// sketch.merge(&other).unwrap();
 /// ```
 #[derive(Debug, Clone)]
-pub struct GenericCountSketch<H, S> {
+pub struct CountSketch {
     pub(crate) rows: usize,
     pub(crate) buckets: usize,
     /// Row-major `rows × buckets` counters.
@@ -108,11 +51,11 @@ pub struct GenericCountSketch<H, S> {
     /// One bit per counter, set when that counter has ever been clamped
     /// at `i64::MAX`/`i64::MIN` instead of silently wrapping. A saturated
     /// cell no longer tracks its true signed mass, so estimates that
-    /// probe it are suspect — [`GenericCountSketch::estimate_checked`]
-    /// excludes such rows and [`GenericCountSketch::health`] reports them.
+    /// probe it are suspect — [`CountSketch::estimate_checked`]
+    /// excludes such rows and [`CountSketch::health`] reports them.
     pub(crate) saturated: Vec<u64>,
     /// The `2t` hash functions.
-    pub(crate) hash: RowHasher<H, S>,
+    pub(crate) hash: RowHasher,
     pub(crate) seed: u64,
     pub(crate) combiner: Combiner,
     /// Upper bound on `|counter|` over every cell: the saturating sum of
@@ -174,7 +117,7 @@ impl SketchHealth {
 }
 
 /// An estimate plus the evidence behind it, from
-/// [`GenericCountSketch::estimate_checked`].
+/// [`CountSketch::estimate_checked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckedEstimate {
     /// The combined estimate, computed over the clean rows only (all
@@ -194,49 +137,37 @@ impl CheckedEstimate {
     }
 }
 
-/// The paper-faithful instantiation: pairwise-independent polynomial
-/// bucket hashes and pairwise-independent sign hashes.
-pub type CountSketch = GenericCountSketch<PairwiseHash, PairwiseSign>;
-
-/// Fast instantiation: multiply-shift bucket hashes (buckets rounded up to
-/// a power of two) and tabulation sign hashes.
-pub type FastCountSketch = GenericCountSketch<MultiplyShift, TabulationHash>;
-
-impl<H: DrawBucketHasher, S: DrawSignHasher> GenericCountSketch<H, S> {
+impl CountSketch {
     /// Creates a sketch with the given dimensions, drawing all `2t` hash
-    /// functions deterministically from `seed`. Two sketches created with
-    /// equal `(params, seed)` share hash functions and may be added or
+    /// functions deterministically from `seed`: every row's bucket hash,
+    /// then every row's sign hash. Two sketches created with equal
+    /// `(params, seed)` share hash functions and may be added or
     /// subtracted.
     pub fn new(params: SketchParams, seed: u64) -> Self {
         let mut seeds = SeedSequence::new(seed);
-        let hashers: Vec<H> = (0..params.rows)
-            .map(|_| H::draw_for(&mut seeds, params.buckets))
+        let hashers: Vec<PairwiseHash> = (0..params.rows)
+            .map(|_| PairwiseHash::draw(&mut seeds, params.buckets))
             .collect();
-        let signs: Vec<S> = (0..params.rows).map(|_| S::draw_for(&mut seeds)).collect();
-        // Constructions may round the bucket count up; take the real one.
-        let buckets = hashers
-            .first()
-            .map(|h| h.num_buckets())
-            .unwrap_or(params.buckets);
-        debug_assert!(hashers.iter().all(|h| h.num_buckets() == buckets));
+        let signs: Vec<PairwiseSign> = (0..params.rows)
+            .map(|_| PairwiseSign::draw(&mut seeds))
+            .collect();
+        let cells = params.rows * params.buckets;
         Self {
             rows: params.rows,
-            buckets,
-            counters: vec![0; params.rows * buckets],
-            saturated: vec![0; (params.rows * buckets).div_ceil(64)],
+            buckets: params.buckets,
+            counters: vec![0; cells],
+            saturated: vec![0; cells.div_ceil(64)],
             hash: RowHasher {
                 hashers,
                 signs,
-                buckets,
+                buckets: params.buckets,
             },
             seed,
             combiner: Combiner::default(),
             abs_mass: 0,
         }
     }
-}
 
-impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// Replaces the row combiner (default: the paper's median). Used by
     /// the mean-vs-median ablation.
     pub fn with_combiner(mut self, combiner: Combiner) -> Self {
@@ -249,8 +180,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
         self.rows
     }
 
-    /// Number of buckets per row `b` (after any rounding by the hash
-    /// construction).
+    /// Number of buckets per row `b`.
     pub fn buckets(&self) -> usize {
         self.buckets
     }
@@ -426,6 +356,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
 
     /// Adds every occurrence of a stream, each with `weight`: one
     /// [`Self::update`] per occurrence.
+    #[inline]
     pub fn absorb(&mut self, stream: &Stream, weight: i64) {
         for key in stream.iter() {
             self.update(key, weight);
@@ -444,6 +375,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// the per-row estimates `s_i(q)·C[i][h_i(q)]`, gathered into a stack
     /// column (one `Vec` for sketches deeper than `FUSED_ROWS`) and
     /// combined in place.
+    #[inline]
     pub fn estimate(&self, key: ItemKey) -> i64 {
         self.estimate_with(self.hash.canon(key))
     }
@@ -504,11 +436,8 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     }
 
     /// Whether two sketches share dimensions and hash functions (equal
-    /// seeds of the same construction imply equal functions).
-    pub fn compatible<H2: BucketHasher, S2: SignHasher>(
-        &self,
-        other: &GenericCountSketch<H2, S2>,
-    ) -> Result<(), CoreError> {
+    /// seeds imply equal functions).
+    pub fn compatible(&self, other: &Self) -> Result<(), CoreError> {
         if self.rows != other.rows || self.buckets != other.buckets {
             return Err(CoreError::DimensionMismatch {
                 left: (self.rows, self.buckets),
@@ -648,11 +577,7 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
     /// from the counters (on another thread, ahead of the updates).
     /// `None` if the sketch has more than 2³¹ cells, too many for a
     /// `u32` cell word.
-    pub fn row_hasher(&self) -> Option<RowHasher<H, S>>
-    where
-        H: Clone,
-        S: Clone,
-    {
+    pub fn row_hasher(&self) -> Option<RowHasher> {
         (self.counters.len() <= 1 << 31).then(|| self.hash.clone())
     }
 
@@ -667,20 +592,20 @@ impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
 }
 
 /// A sketch's `t` row hash functions without its counters, from
-/// [`GenericCountSketch::row_hasher`].
+/// [`CountSketch::row_hasher`].
 ///
 /// It maps a key to one cell word per row: the cell's row-major index
 /// shifted left by one, with the low bit set when the row's sign is
 /// `-1`. A processor fed these words only touches its counters, so the
 /// hashing can run on another thread.
 #[derive(Debug, Clone)]
-pub struct RowHasher<H = PairwiseHash, S = PairwiseSign> {
-    hashers: Vec<H>,
-    signs: Vec<S>,
+pub struct RowHasher {
+    hashers: Vec<PairwiseHash>,
+    signs: Vec<PairwiseSign>,
     buckets: usize,
 }
 
-impl<H: BucketHasher, S: SignHasher> RowHasher<H, S> {
+impl RowHasher {
     /// Rows `t`: the words each key takes.
     pub fn rows(&self) -> usize {
         self.hashers.len()
@@ -721,10 +646,7 @@ impl<H: BucketHasher, S: SignHasher> RowHasher<H, S> {
 /// by row, or the cell words a [`RowHasher`] computed ahead.
 pub(crate) trait RowCells: Copy {
     /// Each row's `(cell index, sign)`, in row order.
-    fn cells<H: BucketHasher, S: SignHasher>(
-        self,
-        hash: &RowHasher<H, S>,
-    ) -> impl Iterator<Item = (usize, i64)>;
+    fn cells(self, hash: &RowHasher) -> impl Iterator<Item = (usize, i64)>;
 }
 
 /// A key canonicalized for both hash families.
@@ -737,10 +659,7 @@ struct Canon {
 impl RowCells for Canon {
     /// The one per-row hash loop.
     #[inline]
-    fn cells<H: BucketHasher, S: SignHasher>(
-        self,
-        hash: &RowHasher<H, S>,
-    ) -> impl Iterator<Item = (usize, i64)> {
+    fn cells(self, hash: &RowHasher) -> impl Iterator<Item = (usize, i64)> {
         let rows = hash.hashers.iter().zip(&hash.signs).enumerate();
         rows.map(move |(i, (h, sg))| {
             let bucket = h.bucket_canon(self.bucket);
@@ -753,10 +672,7 @@ impl RowCells for &[u32] {
     /// Unpacks the cell words: the index is a word shifted right once,
     /// its low bit marks a `-1` sign.
     #[inline]
-    fn cells<H: BucketHasher, S: SignHasher>(
-        self,
-        hash: &RowHasher<H, S>,
-    ) -> impl Iterator<Item = (usize, i64)> {
+    fn cells(self, hash: &RowHasher) -> impl Iterator<Item = (usize, i64)> {
         assert_eq!(self.len(), hash.rows(), "one cell word per row");
         self.iter()
             .map(|&word| ((word >> 1) as usize, 1 - 2 * i64::from(word & 1)))
@@ -978,28 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_sketch_rounds_buckets_to_power_of_two() {
-        let s = FastCountSketch::new(SketchParams::new(3, 100), 5);
-        assert_eq!(s.buckets(), 128);
-        assert_eq!(s.counters().len(), 3 * 128);
-    }
-
-    #[test]
-    fn fast_sketch_estimates_reasonably() {
-        let zipf = Zipf::new(500, 1.0);
-        let stream = zipf.stream(20_000, 6, ZipfStreamKind::DeterministicRounded);
-        let exact = ExactCounter::from_stream(&stream);
-        let mut s = FastCountSketch::new(SketchParams::new(7, 512), 11);
-        s.absorb(&stream, 1);
-        let truth = exact.count(ItemKey(0)) as i64;
-        let est = s.estimate(ItemKey(0));
-        assert!(
-            (est - truth).abs() < truth / 5,
-            "est {est} vs truth {truth}"
-        );
-    }
-
-    #[test]
     fn combiner_can_be_swapped() {
         let s = small().with_combiner(Combiner::Mean);
         assert_eq!(s.combiner(), Combiner::Mean);
@@ -1153,10 +1047,7 @@ mod tests {
     /// Drives the fused kernel on one copy of `sketch` and `update` then
     /// `estimate` on another, asserting equal answers and equal state
     /// (counters, saturation bits, watermark) after every op.
-    fn assert_fused_matches_split<H: BucketHasher + Clone, S: SignHasher + Clone>(
-        sketch: GenericCountSketch<H, S>,
-        ops: &[(u64, i64)],
-    ) {
+    fn assert_fused_matches_split(sketch: CountSketch, ops: &[(u64, i64)]) {
         let mut fused = sketch.clone();
         let mut split = sketch;
         for &(id, weight) in ops {
@@ -1176,10 +1067,7 @@ mod tests {
     /// on another, asserting equal answers and equal state (counters,
     /// saturation bits, watermark) after every op. An op is `(key,
     /// weight, fused)`; a fused op also compares the estimates.
-    fn assert_cells_match_keys<H: BucketHasher + Clone, S: SignHasher + Clone>(
-        sketch: GenericCountSketch<H, S>,
-        ops: &[(u64, i64, bool)],
-    ) {
+    fn assert_cells_match_keys(sketch: CountSketch, ops: &[(u64, i64, bool)]) {
         let hasher = sketch.row_hasher().unwrap();
         let mut by_key = sketch.clone();
         let mut by_cells = sketch;
@@ -1245,16 +1133,8 @@ mod tests {
                     CountSketch::new(params, 11).with_combiner(combiner),
                     &ops,
                 );
-                assert_fused_matches_split(
-                    FastCountSketch::new(params, 11).with_combiner(combiner),
-                    &ops,
-                );
                 assert_cells_match_keys(
                     CountSketch::new(params, 11).with_combiner(combiner),
-                    &cells_ops,
-                );
-                assert_cells_match_keys(
-                    FastCountSketch::new(params, 11).with_combiner(combiner),
                     &cells_ops,
                 );
             }
@@ -1285,10 +1165,6 @@ mod tests {
             let params = SketchParams::new(FUSED_DEPTHS[depth], buckets);
             let combiner = COMBINERS[comb];
             assert_fused_matches_split(CountSketch::new(params, seed).with_combiner(combiner), &ops);
-            assert_fused_matches_split(
-                FastCountSketch::new(params, seed).with_combiner(combiner),
-                &ops,
-            );
         }
 
 
@@ -1313,10 +1189,6 @@ mod tests {
             let params = SketchParams::new(FUSED_DEPTHS[depth], buckets);
             let combiner = COMBINERS[comb];
             assert_cells_match_keys(CountSketch::new(params, seed).with_combiner(combiner), &ops);
-            assert_cells_match_keys(
-                FastCountSketch::new(params, seed).with_combiner(combiner),
-                &ops,
-            );
         }
 
         #[test]

@@ -16,7 +16,7 @@
 //! kind       u32  = 1 (sketch) | 2 (approx-top processor)
 //! combiner   u32  = 0 median | 1 mean | 2 trimmed mean
 //! rows       u64
-//! buckets    u64            -- post-rounding, a fixed point of redrawing
+//! buckets    u64
 //! seed       u64
 //! counters   rows·buckets × varint
 //! saturation ⌈rows·buckets/64⌉ × u64   -- overflow flags, 1 bit per cell
@@ -55,10 +55,7 @@
 //! Hash functions are *not* serialized: they are reconstructed
 //! deterministically from `(rows, buckets, seed)`, which both shrinks the
 //! snapshot and makes it impossible for a corrupted snapshot to smuggle
-//! in mismatched hash functions. The stored `buckets` is the
-//! post-rounding count, which every hasher construction maps to itself,
-//! so redrawing reproduces the original functions exactly (verified on
-//! load).
+//! in mismatched hash functions.
 //!
 //! ## Failure semantics
 //!
@@ -76,10 +73,10 @@ use crate::approx_top::{ApproxTopProcessor, HeapPolicy};
 use crate::error::CoreError;
 use crate::median::Combiner;
 use crate::params::SketchParams;
-use crate::sketch::{CountSketch, DrawBucketHasher, DrawSignHasher, GenericCountSketch};
+use crate::sketch::CountSketch;
 use crate::topk::TopKTracker;
 use cs_hash::crc32::crc32;
-use cs_hash::{BucketHasher, ItemKey, SignHasher};
+use cs_hash::ItemKey;
 use std::io;
 use std::path::Path;
 
@@ -184,7 +181,7 @@ fn read_varint(body: &[u8], mut pos: usize) -> Result<(u64, usize), CoreError> {
 
 /// Exact bytes of a sketch's counter and saturation sections as
 /// [`push_sketch_body`] writes them, so every writer sizes its buffer once.
-fn counters_len<H: BucketHasher, S: SignHasher>(sketch: &GenericCountSketch<H, S>) -> usize {
+fn counters_len(sketch: &CountSketch) -> usize {
     let varints: usize = sketch
         .counters()
         .iter()
@@ -194,11 +191,7 @@ fn counters_len<H: BucketHasher, S: SignHasher>(sketch: &GenericCountSketch<H, S
 }
 
 /// Appends the header and a sketch's counter and saturation sections.
-fn push_sketch_body<H: BucketHasher, S: SignHasher>(
-    buf: &mut Vec<u8>,
-    kind: u32,
-    sketch: &GenericCountSketch<H, S>,
-) {
+fn push_sketch_body(buf: &mut Vec<u8>, kind: u32, sketch: &CountSketch) {
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&kind.to_le_bytes());
@@ -378,11 +371,7 @@ impl<'a> Reader<'a> {
 /// dimensions are validated, and the smallest counter section they imply
 /// is checked against the buffer, before anything is sized from them, so
 /// a forged length cannot trigger a huge allocation.
-fn read_sketch<H, S>(r: &mut Reader<'_>) -> Result<GenericCountSketch<H, S>, CoreError>
-where
-    H: DrawBucketHasher,
-    S: DrawSignHasher,
-{
+fn read_sketch(r: &mut Reader<'_>) -> Result<CountSketch, CoreError> {
     let combiner = combiner_from(r.u32()?)?;
     let rows = r.u64()? as usize;
     let buckets = r.u64()? as usize;
@@ -404,13 +393,8 @@ where
             r.remaining()
         )));
     }
-    let mut sketch = GenericCountSketch::<H, S>::new(SketchParams::new(rows, buckets), seed)
-        .with_combiner(combiner);
-    if sketch.buckets() != buckets || sketch.rows() != rows {
-        return Err(CoreError::CorruptSnapshot(format!(
-            "dimensions ({rows}, {buckets}) are not reproducible by this hasher construction"
-        )));
-    }
+    let mut sketch =
+        CountSketch::new(SketchParams::new(rows, buckets), seed).with_combiner(combiner);
     r.counters(sketch.counters_mut())?;
     r.words(sketch.saturated_words_mut())?;
     // The counters were filled wholesale: re-establish the headroom
@@ -477,11 +461,7 @@ fn read_tracker(r: &mut Reader<'_>, capacity: usize) -> Result<TopKTracker, Core
 
 /// The kind-2 decoder: a sketch, then the policy and capacity fields and
 /// a tracker section.
-fn read_processor<H, S>(r: &mut Reader<'_>) -> Result<ApproxTopProcessor<H, S>, CoreError>
-where
-    H: DrawBucketHasher,
-    S: DrawSignHasher,
-{
+fn read_processor(r: &mut Reader<'_>) -> Result<ApproxTopProcessor, CoreError> {
     let sketch = read_sketch(r)?;
     let policy = policy_from(r.u32()?)?;
     let capacity = r.u64()? as usize;
@@ -506,16 +486,14 @@ pub fn sketch_snapshot_len(rows: usize, buckets: usize) -> Option<usize> {
     section_bytes(rows.checked_mul(buckets)?, MAX_VARINT)?.checked_add(HEADER + 4)
 }
 
-impl<H: BucketHasher, S: SignHasher> GenericCountSketch<H, S> {
+impl CountSketch {
     /// Serializes the sketch to the checksummed `CSNP` snapshot format.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(HEADER + counters_len(self) + 4);
         push_sketch_body(&mut buf, KIND_SKETCH, self);
         seal(buf)
     }
-}
 
-impl<H: DrawBucketHasher, S: DrawSignHasher> GenericCountSketch<H, S> {
     /// Restores a sketch from snapshot bytes, verifying the checksum and
     /// every structural invariant. Total: returns a typed [`CoreError`]
     /// on any malformed input, never panics.
@@ -524,7 +502,7 @@ impl<H: DrawBucketHasher, S: DrawSignHasher> GenericCountSketch<H, S> {
     }
 }
 
-impl<H: BucketHasher, S: SignHasher> ApproxTopProcessor<H, S> {
+impl ApproxTopProcessor {
     /// Serializes the processor (sketch + top-k tracker + policy) to the
     /// checksummed `CSNP` snapshot format.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
@@ -539,9 +517,7 @@ impl<H: BucketHasher, S: SignHasher> ApproxTopProcessor<H, S> {
         push_tracker(&mut buf, tracker);
         seal(buf)
     }
-}
 
-impl<H: DrawBucketHasher, S: DrawSignHasher> ApproxTopProcessor<H, S> {
     /// Restores a processor from snapshot bytes. Resuming observation
     /// afterwards is bit-identical to never having stopped (asserted by
     /// the fault-recovery proptests).
@@ -601,7 +577,7 @@ pub struct SnapshotInfo {
     pub combiner: Combiner,
     /// Sketch depth `t`.
     pub rows: usize,
-    /// Buckets per row `b` (post-rounding, as stored).
+    /// Buckets per row `b`.
     pub buckets: usize,
     /// Hash-function seed.
     pub seed: u64,
@@ -660,7 +636,7 @@ pub fn inspect_snapshot_bytes(bytes: &[u8], top: usize) -> Result<SnapshotInfo, 
     Ok(match kind {
         KIND_SKETCH => summary(SnapshotKind::Sketch, &r.decode(read_sketch)?),
         KIND_PROCESSOR => {
-            let p: ApproxTopProcessor = r.decode(read_processor)?;
+            let p = r.decode(read_processor)?;
             SnapshotInfo {
                 tracker: Some(TrackerInfo {
                     policy: p.policy(),
@@ -794,11 +770,7 @@ mod tests {
         let mut p =
             ApproxTopProcessor::new(PARAMS, 8, 11).with_policy(HeapPolicy::AlwaysReEstimate);
         p.observe_stream(&stream);
-        let back =
-            ApproxTopProcessor::<cs_hash::PairwiseHash, cs_hash::PairwiseSign>::from_snapshot_bytes(
-                &p.to_snapshot_bytes(),
-            )
-            .unwrap();
+        let back = ApproxTopProcessor::from_snapshot_bytes(&p.to_snapshot_bytes()).unwrap();
         assert_eq!(back.sketch().counters(), p.sketch().counters());
         assert_eq!(back.result().items, p.result().items);
         assert_eq!(back.policy(), p.policy());
@@ -1024,7 +996,7 @@ mod tests {
     fn reencode(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, CoreError> {
         Ok(match kind {
             "sketch" => CountSketch::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
-            _ => <ApproxTopProcessor>::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
+            _ => ApproxTopProcessor::from_snapshot_bytes(bytes)?.to_snapshot_bytes(),
         })
     }
 
@@ -1308,14 +1280,14 @@ mod tests {
             let policy = if always { HeapPolicy::AlwaysReEstimate } else { HeapPolicy::IncrementTracked };
             let p = ApproxTopProcessor::from_parts(sketch, tracker, policy);
             let bytes = p.to_snapshot_bytes();
-            let back = <ApproxTopProcessor>::from_snapshot_bytes(&bytes).unwrap();
+            let back = ApproxTopProcessor::from_snapshot_bytes(&bytes).unwrap();
             prop_assert_eq!(back.sketch().counters(), p.sketch().counters());
             prop_assert_eq!(back.sketch().saturated_words(), p.sketch().saturated_words());
             prop_assert_eq!(back.tracker().items_desc(), p.tracker().items_desc());
             prop_assert_eq!(back.tracker().capacity(), p.tracker().capacity());
             prop_assert_eq!(back.policy(), p.policy());
             prop_assert_eq!(back.to_snapshot_bytes(), bytes.clone());
-            let old = <ApproxTopProcessor>::from_snapshot_bytes(&to_v1(&bytes)).unwrap();
+            let old = ApproxTopProcessor::from_snapshot_bytes(&to_v1(&bytes)).unwrap();
             prop_assert_eq!(old.to_snapshot_bytes(), bytes);
         }
 
@@ -1377,11 +1349,8 @@ mod tests {
             for &id in &ids[..split] {
                 interrupted.observe(ItemKey(id));
             }
-            let mut resumed = ApproxTopProcessor::<
-                cs_hash::PairwiseHash,
-                cs_hash::PairwiseSign,
-            >::from_snapshot_bytes(&interrupted.to_snapshot_bytes())
-            .unwrap();
+            let mut resumed =
+                ApproxTopProcessor::from_snapshot_bytes(&interrupted.to_snapshot_bytes()).unwrap();
             for &id in &ids[split..] {
                 resumed.observe(ItemKey(id));
             }
@@ -1401,7 +1370,7 @@ mod tests {
             tail in prop::collection::vec(any::<u8>(), 0..64),
         ) {
             let _ = CountSketch::from_snapshot_bytes(&bytes);
-            let _ = <ApproxTopProcessor>::from_snapshot_bytes(&bytes);
+            let _ = ApproxTopProcessor::from_snapshot_bytes(&bytes);
             let _ = inspect_snapshot_bytes(&bytes, 3);
             // A valid header and part of the body of one kind, then
             // random bytes, resealed so the structural decoder judges

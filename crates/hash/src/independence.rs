@@ -91,7 +91,6 @@ mod tests {
     use super::*;
     use crate::pairwise::PairwiseHash;
     use crate::sign::PairwiseSign;
-    use crate::tabulation::TabulationHash;
 
     #[test]
     fn chi_square_accepts_good_function() {
@@ -137,15 +136,6 @@ mod tests {
         let corr = sign_pair_correlation(PairwiseSign::draw, 2_000, 123, 456, 11);
         // sd = 1/sqrt(2000) ≈ 0.022; allow 4 sd.
         assert!(corr.abs() < 0.09, "correlation {corr}");
-    }
-
-    #[test]
-    fn tabulation_passes_all_tests() {
-        let h = TabulationHash::draw(&mut SeedSequence::new(5), 64);
-        let (chi2, df) = chi_square_uniformity(&h, 65_536);
-        assert!(chi2 < df as f64 + 6.0 * (2.0 * df as f64).sqrt());
-        let bal = sign_balance(&h, 40_000);
-        assert!(bal.abs() < 0.03);
     }
 
     #[test]

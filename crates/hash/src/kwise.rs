@@ -4,8 +4,8 @@
 //! is a k-wise independent map. The paper only needs pairwise (k = 2)
 //! independence for its lemmas, but 4-wise sign hashes are a standard
 //! strengthening (they make the *variance* analysis of the estimator exact
-//! rather than only the expectation, cf. Alon–Matias–Szegedy) and are
-//! exposed here for the ablation experiments.
+//! rather than only the expectation, cf. Alon–Matias–Szegedy); see
+//! [`crate::sign::FourWiseSign`].
 
 use crate::prime;
 use crate::seed::SeedSequence;

@@ -11,20 +11,17 @@
 //! randomness needed is `O(t log m)` bits; concretely each of our functions
 //! stores O(1) 64-bit coefficients (O(k) for k-wise families).
 //!
-//! This crate provides several constructions:
+//! This crate provides polynomial families over the Mersenne prime
+//! `p = 2^61 - 1` and the sign hashes built on them:
 //!
 //! * [`pairwise::PairwiseHash`] — the classic `((a*x + b) mod p) mod b`
-//!   family over the Mersenne prime `p = 2^61 - 1` (exactly the amount of
-//!   independence the paper's lemmas consume),
+//!   family, exactly the amount of independence the paper's lemmas
+//!   consume; the sketch's bucket hashes,
 //! * [`kwise::PolynomialHash`] — degree-(k-1) polynomials over the same
 //!   field for k-wise independence (used where stronger concentration is
 //!   wanted, e.g. 4-wise sign hashes),
-//! * [`multiply_shift::MultiplyShift`] — Dietzfelbinger's strongly
-//!   universal multiply-shift scheme for power-of-two ranges (the fast
-//!   path used by the sketch hot loop),
-//! * [`tabulation::TabulationHash`] — simple tabulation hashing
-//!   (3-independent, excellent empirical behaviour),
-//! * [`sign`] — ±1 sign-hash wrappers over any of the above.
+//! * [`sign`] — ±1 sign hashes over either: [`sign::PairwiseSign`] (the
+//!   sketch's) and [`sign::FourWiseSign`].
 //!
 //! All functions are deterministic given their seed, so two sketches
 //! constructed from the same [`seed::SeedSequence`] share hash functions and
@@ -39,21 +36,17 @@ pub mod fastdiv;
 pub mod independence;
 pub mod kwise;
 pub mod mix;
-pub mod multiply_shift;
 pub mod pairwise;
 pub mod prime;
 pub mod seed;
 pub mod sign;
-pub mod tabulation;
 pub mod traits;
 
 pub use crc32::{crc32, Crc32};
 pub use fastdiv::FastDivisor;
 pub use kwise::PolynomialHash;
 pub use mix::{shard_of, ItemKey};
-pub use multiply_shift::MultiplyShift;
 pub use pairwise::PairwiseHash;
 pub use seed::SeedSequence;
 pub use sign::{FourWiseSign, PairwiseSign, Sign};
-pub use tabulation::TabulationHash;
 pub use traits::{BucketHasher, SignHasher};

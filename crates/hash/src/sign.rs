@@ -96,9 +96,9 @@ impl SignHasher for PairwiseSign {
     }
 }
 
-/// 4-wise independent sign hash (Alon–Matias–Szegedy style), used by the
-/// ablation experiments to check whether extra independence changes the
-/// empirical error (the paper's bounds only need pairwise).
+/// 4-wise independent sign hash (Alon–Matias–Szegedy style): more
+/// independence than the paper's bounds need (they use pairwise), for
+/// checking whether extra independence changes the empirical error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FourWiseSign {
     inner: PolynomialHash,

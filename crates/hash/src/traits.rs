@@ -1,8 +1,8 @@
 //! Core traits implemented by every hash family in this crate.
 //!
-//! The sketch is generic over these traits so the experiments can swap
-//! constructions (polynomial vs multiply-shift vs tabulation) without
-//! touching the sketch code — the "strategy" pattern.
+//! The independence tests ([`crate::independence`]) and the baselines
+//! take any implementation; the sketch uses [`crate::PairwiseHash`] and
+//! [`crate::PairwiseSign`] through them.
 
 /// A hash function from 64-bit keys to bucket indices `[0, num_buckets)`.
 ///

@@ -121,7 +121,8 @@ impl std::error::Error for CliError {}
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
-    /// Subcommand: `top`, `diff`, `iceberg` or `inspect`.
+    /// Subcommand: `top`, `diff`, `iceberg`, `inspect`, `serve`, `ship`,
+    /// `coordinate` or `shard`.
     pub command: String,
     /// Top-k size.
     pub k: usize,
@@ -588,7 +589,6 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
             let items = alg
                 .candidates()
                 .into_iter()
-                .take(opts.k)
                 .map(|(key, est)| (key, est as i64))
                 .collect();
             (tokens, items)
@@ -601,7 +601,8 @@ pub fn run_top(opts: &Options, text: &str) -> Result<String, CliError> {
         tokens.distinct(),
         opts.algorithm
     );
-    for (key, est) in &items {
+    // A resumed tracker keeps its capacity, which may exceed `-k`.
+    for (key, est) in items.iter().take(opts.k) {
         let label = tokens.label(*key).unwrap_or(UNKNOWN_LABEL);
         out.push_str(&format!("{est:>10}  {label}\n"));
     }
@@ -713,7 +714,7 @@ fn load_snapshot(path: &str) -> Result<ApproxTopProcessor, CliError> {
         path: path.into(),
         message: e.to_string(),
     })?;
-    <ApproxTopProcessor>::from_snapshot_bytes(&bytes).map_err(|e| CliError::Corrupt {
+    ApproxTopProcessor::from_snapshot_bytes(&bytes).map_err(|e| CliError::Corrupt {
         path: path.into(),
         message: e.to_string(),
     })
@@ -1334,7 +1335,7 @@ mod tests {
         let threaded = snapshot_at(2);
         assert_eq!(snapshot_at(4), threaded);
         let counters = |bytes: &[u8]| {
-            <ApproxTopProcessor>::from_snapshot_bytes(bytes)
+            ApproxTopProcessor::from_snapshot_bytes(bytes)
                 .unwrap()
                 .sketch()
                 .counters()
@@ -1646,7 +1647,7 @@ mod tests {
         run_top(&first, &day1).unwrap();
         let restored = std::fs::read(path("small.csnp")).unwrap();
 
-        let mut p = <ApproxTopProcessor>::from_snapshot_bytes(&restored).unwrap();
+        let mut p = ApproxTopProcessor::from_snapshot_bytes(&restored).unwrap();
         assert_eq!((p.sketch().rows(), p.sketch().buckets()), (3, 64));
         for tok in day2.split_whitespace() {
             p.observe(ItemKey::of(tok));
@@ -2039,6 +2040,49 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.lines().nth(1), oneshot.lines().nth(1));
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_prints_at_most_k_rows() {
+        let dir = std::env::temp_dir().join(format!("fi-cli-resume-k-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("state.csnp").to_string_lossy().into_owned();
+        // Token `t{i}` occurs 2i + 1 times: twelve distinct counts.
+        let text: String = (0..12)
+            .map(|i| format!("t{i} ").repeat(2 * i + 1))
+            .collect();
+        let opts = |k| Options {
+            command: "top".into(),
+            k,
+            ..Default::default()
+        };
+        run_top(
+            &Options {
+                snapshot: Some(snap.clone()),
+                ..opts(8)
+            },
+            &text,
+        )
+        .unwrap();
+
+        // The restored tracker holds 8 entries whatever `-k` the resume
+        // asks for; the report prints `-k` of them.
+        let resume = |k| {
+            let report = run_top(
+                &Options {
+                    resume: Some(snap.clone()),
+                    ..opts(k)
+                },
+                &text,
+            )
+            .unwrap();
+            report.lines().skip(1).map(String::from).collect::<Vec<_>>()
+        };
+        let (eight, three) = (resume(8), resume(3));
+        assert_eq!(eight.len(), 8, "{eight:?}");
+        assert_eq!(three, eight[..3]);
 
         std::fs::remove_dir_all(&dir).ok();
     }

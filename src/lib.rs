@@ -14,7 +14,7 @@
 //! | [`sketch`] | `cs-core` | the Count-Sketch, APPROXTOP, CANDIDATETOP, max-change |
 //! | [`baselines`] | `cs-baselines` | SAMPLING, concise/counting samples, KPS, Lossy Counting, Sticky Sampling, Count-Min, Space-Saving |
 //! | [`stream`] | `cs-stream` | streams, Zipf generators, exact oracle, moments |
-//! | [`hash`] | `cs-hash` | pairwise/k-wise families, sign hashes, tabulation |
+//! | [`hash`] | `cs-hash` | pairwise/k-wise families, sign hashes, item keys, CRC-32 |
 //! | [`metrics`] | `cs-metrics` | recall/error metrics, Table 1 theory, tables |
 //! | [`net`] | `cs-net` | CSWP wire protocol, site agents, quorum coordinator server |
 //!
@@ -91,7 +91,7 @@ pub mod prelude {
         inspect_snapshot_bytes, read_snapshot_file, write_snapshot_file, SnapshotInfo, SnapshotKind,
     };
     pub use cs_core::topk::TopKTracker;
-    pub use cs_core::{CoreError, CountSketch, FastCountSketch, SketchParams};
+    pub use cs_core::{CoreError, CountSketch, SketchParams};
     pub use cs_hash::ItemKey;
     pub use cs_net::{
         render_report, CoordinatorServer, NetError, ServeConfig, ShipOutcome, SiteAgent,
@@ -109,7 +109,8 @@ mod tests {
     fn facade_paths_compose() {
         let stream = Stream::from_ids([1, 1, 1, 2]);
         let sketch = CountSketch::new(SketchParams::new(3, 32), 0);
-        let mut p = ApproxTopProcessor::with_sketch(sketch, 2);
+        let mut p =
+            ApproxTopProcessor::from_parts(sketch, TopKTracker::new(2), HeapPolicy::default());
         p.observe_stream(&stream);
         assert_eq!(p.result().items[0].0, ItemKey(1));
     }

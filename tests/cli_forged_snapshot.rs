@@ -177,7 +177,7 @@ fn retired_window_kind_is_a_typed_error_for_every_reader() {
     reseal(&mut bytes);
     let retired = |e: CoreError| e == CoreError::CorruptSnapshot("retired snapshot kind 3".into());
     assert!(CountSketch::from_snapshot_bytes(&bytes).is_err_and(retired));
-    assert!(<ApproxTopProcessor>::from_snapshot_bytes(&bytes).is_err_and(retired));
+    assert!(ApproxTopProcessor::from_snapshot_bytes(&bytes).is_err_and(retired));
     assert!(inspect_snapshot_bytes(&bytes, 3).is_err_and(retired));
 
     std::fs::write(&snap, &bytes).unwrap();

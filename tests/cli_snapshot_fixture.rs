@@ -78,7 +78,7 @@ fn v1_and_its_v2_reencoding_resume_identically() {
     // The v2 fixture is the v1 fixture's state, re-encoded.
     let v1 = std::fs::read(root().join(SNAPSHOT)).unwrap();
     let v2 = std::fs::read(root().join(SNAPSHOT_V2)).unwrap();
-    let state = <ApproxTopProcessor>::from_snapshot_bytes(&v1).unwrap();
+    let state = ApproxTopProcessor::from_snapshot_bytes(&v1).unwrap();
     assert_eq!(state.to_snapshot_bytes(), v2);
 
     let dir = scratch_dir("resume");

@@ -76,7 +76,7 @@ proptest! {
         first_half.observe_stream(&Stream::from_ids(ids[..cut].iter().copied()));
         let snapshot = first_half.to_snapshot_bytes();
         // -- crash --
-        let mut resumed = <ApproxTopProcessor>::from_snapshot_bytes(&snapshot).unwrap();
+        let mut resumed = ApproxTopProcessor::from_snapshot_bytes(&snapshot).unwrap();
         resumed.observe_stream(&Stream::from_ids(ids[cut..].iter().copied()));
 
         prop_assert_eq!(

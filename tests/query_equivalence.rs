@@ -3,31 +3,18 @@
 //! rebuilt from the public `row_cells` and `counters()`: each row's
 //! `s_i(q)·C[i][h_i(q)]` clamped from its exact `i128` product, sorted,
 //! and combined. The depths lie on both sides of the 16-row stack
-//! column; every combiner runs; the hash families are the paper's
-//! (`CountSketch`), the fast ones (`FastCountSketch`) and a pairing whose
-//! bucket and sign families canonicalize keys differently; and the
-//! counters include cells clamped at `i64::MIN`/`i64::MAX`.
+//! column; every combiner runs; and the counters include cells clamped
+//! at `i64::MIN`/`i64::MAX`.
 
-use frequent_items::hash::{BucketHasher, PairwiseHash, SignHasher, TabulationHash};
 use frequent_items::prelude::*;
-use frequent_items::sketch::GenericCountSketch;
 use proptest::prelude::*;
 
 const DEPTHS: [usize; 12] = [1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 17, 20];
 const COMBINERS: [Combiner; 3] = [Combiner::Median, Combiner::Mean, Combiner::TrimmedMean];
 
-/// Bucket keys are folded into the prime field, sign keys are not, so a
-/// read that canonicalizes a key with the wrong family misreads keys at
-/// or above the field's prime.
-type MixedSketch = GenericCountSketch<PairwiseHash, TabulationHash>;
-
 /// ESTIMATE by definition over the rows `keep(row, bucket)` admits, or
 /// `None` if it admits none.
-fn reference<H: BucketHasher, S: SignHasher>(
-    s: &GenericCountSketch<H, S>,
-    key: ItemKey,
-    keep: impl Fn(usize, usize) -> bool,
-) -> Option<i64> {
+fn reference(s: &CountSketch, key: ItemKey, keep: impl Fn(usize, usize) -> bool) -> Option<i64> {
     let mut column: Vec<i64> = s
         .row_cells(key)
         .enumerate()
@@ -65,11 +52,7 @@ struct Seen {
 
 /// Asserts that all three reads of every key in `keys` equal the
 /// reference, and records what the probes covered.
-fn assert_reads_match_reference<H: BucketHasher, S: SignHasher>(
-    s: &GenericCountSketch<H, S>,
-    keys: &[ItemKey],
-    seen: &mut Seen,
-) {
+fn assert_reads_match_reference(s: &CountSketch, keys: &[ItemKey], seen: &mut Seen) {
     let batch = s.estimate_batch(keys);
     assert_eq!(batch.len(), keys.len());
     let clean = |row, bucket| !s.is_cell_saturated(row, bucket);
@@ -114,32 +97,13 @@ fn probe_keys(n: u64) -> Vec<ItemKey> {
         .collect()
 }
 
-/// Runs `check` on a fresh sketch of every depth, combiner and hash
-/// family pairing.
-fn for_every_sketch(buckets: usize, seed: u64, mut check: impl FnMut(&mut dyn Sketch)) {
+/// Runs `check` on a fresh sketch of every depth and combiner.
+fn for_every_sketch(buckets: usize, seed: u64, mut check: impl FnMut(&mut CountSketch)) {
     for rows in DEPTHS {
         for combiner in COMBINERS {
             let params = SketchParams::new(rows, buckets);
             check(&mut CountSketch::new(params, seed).with_combiner(combiner));
-            check(&mut FastCountSketch::new(params, seed).with_combiner(combiner));
-            check(&mut MixedSketch::new(params, seed).with_combiner(combiner));
         }
-    }
-}
-
-/// The operations the cases drive, over any hash family pairing.
-trait Sketch {
-    fn update(&mut self, key: ItemKey, weight: i64);
-    fn assert_reads(&self, keys: &[ItemKey], seen: &mut Seen);
-}
-
-impl<H: BucketHasher, S: SignHasher> Sketch for GenericCountSketch<H, S> {
-    fn update(&mut self, key: ItemKey, weight: i64) {
-        GenericCountSketch::update(self, key, weight);
-    }
-
-    fn assert_reads(&self, keys: &[ItemKey], seen: &mut Seen) {
-        assert_reads_match_reference(self, keys, seen);
     }
 }
 
@@ -154,7 +118,7 @@ fn batch_matches_scalar_for_all_combiners_and_depths() {
         for (i, &key) in keys.iter().enumerate().step_by(3) {
             s.update(key, i as i64 % 5 - 2);
         }
-        s.assert_reads(&keys, &mut Seen::default());
+        assert_reads_match_reference(s, &keys, &mut Seen::default());
     });
 }
 
@@ -172,7 +136,7 @@ fn batch_matches_scalar_on_saturated_counters() {
             s.update(key, weight);
             s.update(key, weight);
         }
-        s.assert_reads(&keys, &mut seen);
+        assert_reads_match_reference(s, &keys, &mut seen);
     });
     assert!(seen.negated_min, "no row read −1 · i64::MIN");
     assert!(seen.partly_clean, "no partly saturated column");
@@ -180,8 +144,8 @@ fn batch_matches_scalar_on_saturated_counters() {
 }
 
 proptest! {
-    /// The three reads equal the reference for every combiner, depth and
-    /// hash family pairing under arbitrary signed weights, the
+    /// The three reads equal the reference for every combiner and depth
+    /// under arbitrary signed weights, the
     /// `±i64::MAX` extremes that saturate counters included, at probe-set
     /// lengths from empty up.
     #[test]
@@ -192,22 +156,17 @@ proptest! {
         len in 0usize..40,
         cidx in 0usize..3,
         didx in 0usize..12,
-        family in 0usize..3,
     ) {
         let weight = [1i64, -1, 1000, -1000, i64::MAX, i64::MIN + 1, i64::MAX / 2][widx];
         let params = SketchParams::new(DEPTHS[didx], 32);
         let combiner = COMBINERS[cidx];
-        let mut s: Box<dyn Sketch> = match family {
-            0 => Box::new(CountSketch::new(params, seed).with_combiner(combiner)),
-            1 => Box::new(FastCountSketch::new(params, seed).with_combiner(combiner)),
-            _ => Box::new(MixedSketch::new(params, seed).with_combiner(combiner)),
-        };
+        let mut s = CountSketch::new(params, seed).with_combiner(combiner);
         // Raw keys below 64 collide often; the rest spread over u64.
         let key = |k: u64| ItemKey(if k & 1 == 0 { k % 64 } else { k });
         for &k in &raw {
             s.update(key(k), weight);
         }
         let keys: Vec<ItemKey> = raw.iter().cycle().take(len).map(|&k| key(k)).collect();
-        s.assert_reads(&keys, &mut Seen::default());
+        assert_reads_match_reference(&s, &keys, &mut Seen::default());
     }
 }
